@@ -134,9 +134,6 @@ class Dag:
             stack.extend(self.children(v))
         return frozenset(seen)
 
-    def regime_nodes(self) -> list[Node]:
-        return sorted(n for n in self.nodes if n.kind == REGIME)
-
     def regime_target(self, regime: str) -> str | None:
         """The (unique) deterministic child of a regime node, if any."""
         node = self.node(regime)

@@ -8,15 +8,20 @@ regime is non-idle, else the ITT value).  Raw mode stores per-regime
 joint tables directly and exists to author consistency violations the
 ITT constructor cannot produce.
 
-Everything is exact enumeration; distribution comparisons use total
-variation distance (default tolerance 1e-9) and conditioning events
-with probability below 1e-12 impose no constraint.
+An ITT joint table is the exact product of the model's factors, compiled
+once per model: one tensor per CPT, with regime-parent axes ranging over
+the regime domain, and one 0/1 indicator per applied treatment.  Each
+regime assignment slices the regime axes and contracts the factors with
+a single einsum.  Distribution comparisons use total variation distance
+(default tolerance 1e-9) and conditioning events with probability below
+1e-12 impose no constraint.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +34,7 @@ from dtcausal.statements import EciStatement
 DEFAULT_TOL = 1e-9
 ZERO_TOL = 1e-12
 MAX_JOINT_STATES = 10**7
+MAX_VARIABLES = 52  # np.einsum subscript limit
 
 State = object  # JSON scalar: str, int, float, bool
 
@@ -117,10 +123,6 @@ class JointTable:
         return float(values @ marg)
 
 
-def _conditional_ordered(table: JointTable, target: Sequence[str], event: Mapping[str, State]) -> np.ndarray | None:
-    return table.conditional(list(target), event)
-
-
 @dataclass(frozen=True)
 class MultiRegimeModel:
     mode: str  # "itt" or "raw"
@@ -143,7 +145,10 @@ class MultiRegimeModel:
         if self.mode == "itt":
             self._check_itt()
         else:
+            size = math.prod(len(s) for s in self._variable_states)
             for key, flat in self.raw_regimes.items():
+                if flat.size != size:
+                    raise ModelError(f"raw table for {dict(key)} has {flat.size} probabilities, expected {size}")
                 if abs(float(np.sum(flat)) - 1.0) > 1e-12:
                     raise ModelError(f"raw regime table {key} does not sum to 1")
 
@@ -159,13 +164,11 @@ class MultiRegimeModel:
                 raise ModelError(f"deterministic target {target!r} must not carry a CPT")
             if target not in self.itt_of:
                 raise ModelError(f"missing ITT source for target {target!r}")
-        for node in self.dag.nodes:
-            if node.kind != STOCHASTIC:
-                continue
-            if node.deterministic:
-                continue
-            if node.name not in self.cpts:
-                raise ModelError(f"missing CPT for {node.name!r}")
+            if self.itt_of[target] not in self.variables:
+                raise ModelError(f"ITT source of {target!r} is not a stochastic variable")
+        if len(self.variables) > MAX_VARIABLES:
+            raise ModelError(f"more than {MAX_VARIABLES} stochastic variables")
+        self._factors  # compiling checks every CPT row against the state spaces
 
     # -- regime bookkeeping --------------------------------------------
 
@@ -190,11 +193,15 @@ class MultiRegimeModel:
         )
         return tuple(values)
 
-    @property
+    @cached_property
     def variables(self) -> tuple[str, ...]:
         if self.mode == "itt":
             return tuple(v for v in topological_order(self.dag) if self.dag.kind_of(v) == STOCHASTIC)
         return self.raw_order
+
+    @cached_property
+    def _variable_states(self) -> tuple[tuple[State, ...], ...]:
+        return tuple(self.states[v] for v in self.variables)
 
     def all_regime_assignments(self, pins: Mapping[str, State] | None = None) -> list[dict[str, State]]:
         pins = dict(pins or {})
@@ -229,44 +236,69 @@ class MultiRegimeModel:
         return {}
 
     def _compute_joint(self, regime: Mapping[str, State]) -> JointTable:
+        states = self._variable_states
         if self.mode == "raw":
             key = _freeze_assignment(regime)
             if key not in self.raw_regimes:
                 raise ModelError(f"no table for regime assignment {dict(regime)}")
-            states = tuple(self.states[v] for v in self.raw_order)
             shape = tuple(len(s) for s in states)
             return JointTable(self.raw_order, states, self.raw_regimes[key].reshape(shape))
-        variables = self.variables
-        states = tuple(self.states[v] for v in variables)
-        shape = tuple(len(s) for s in states)
-        probs = np.zeros(shape)
-        regime_of_target = {t: r for r, t in self.regimes.items()}
-        for combo in itertools.product(*(range(n) for n in shape)):
-            value = {v: states[i][combo[i]] for i, v in enumerate(variables)}
-            p = 1.0
-            for v in variables:
-                if v in regime_of_target:
-                    f = regime[regime_of_target[v]]
-                    want = value[self.itt_of[v]] if f == IDLE else f
-                    if value[v] != want:
-                        p = 0.0
-                        break
-                else:
-                    cpt = self.cpts[v]
-                    row = tuple(value[par] if par not in self.regimes else regime[par] for par in cpt.parents)
-                    p *= cpt.table[row][self.states[v].index(value[v])]
-                if p == 0.0:
-                    break
-            probs[combo] = p
+        operands: list = []
+        for regime_axes, tensor, axes in self._factors:
+            operands += [tensor[tuple(self.regime_domain(r).index(regime[r]) for r in regime_axes)], axes]
+        probs = np.einsum(*operands, list(range(len(states)))) if operands else np.ones(())
         total = probs.sum()
         if abs(total - 1.0) > 1e-9:
             raise ModelError("joint table does not normalise")
-        return JointTable(variables, states, probs / total)
+        return JointTable(self.variables, states, probs / total)
 
-    def itt_dag(self) -> Dag:
-        if self.dag is None:
-            raise ModelError("model carries no graph")
-        return self.dag
+    @cached_property
+    def _factors(self) -> tuple[tuple[tuple[str, ...], np.ndarray, list[int]], ...]:
+        """The ITT joint's factors in topological order, one per variable, each
+        as (regime axes, tensor, variable axes).  The tensor's leading axes
+        range over the regimes' domains; the rest are the positions in
+        `variables` of the variable's stochastic parents and of itself."""
+        axis = {v: i for i, v in enumerate(self.variables)}
+        regime_of_target = {t: r for r, t in self.regimes.items()}
+        factors = []
+        for v in self.variables:
+            if v in regime_of_target:
+                # Applied treatment: the ITT value when the regime is idle, else the regime value.
+                reg, src = regime_of_target[v], self.itt_of[v]
+                indicator = [
+                    [[float((s if f == IDLE else f) == t) for t in self.states[v]] for s in self.states[src]]
+                    for f in self.regime_domain(reg)
+                ]
+                factors.append(((reg,), np.array(indicator), [axis[src], axis[v]]))
+            else:
+                factors.append(self._cpt_factor(v, axis))
+        return tuple(factors)
+
+    def _cpt_factor(self, v: str, axis: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarray, list[int]]:
+        cpt = self.cpts.get(v)
+        if cpt is None:
+            raise ModelError(f"missing CPT for {v!r}")
+        domains = [self.regime_domain(p) if p in self.regimes else self.states[p] for p in cpt.parents]
+        configs = list(itertools.product(*domains))
+        unknown = set(cpt.table) - set(configs)
+        if unknown:
+            row = list(min(unknown, key=repr))
+            raise ModelError(f"CPT row {row} for {v!r} names a parent value that is not a state")
+        n = len(self.states[v])
+        for config in configs:
+            probs = cpt.table.get(config)
+            if probs is None:
+                raise ModelError(f"CPT for {v!r} has no row for parents {list(config)}")
+            if len(probs) != n:
+                raise ModelError(f"CPT row {list(config)} for {v!r} has {len(probs)} probabilities, not {n}")
+        tensor = np.array([cpt.table[c] for c in configs], dtype=float).reshape([len(d) for d in domains] + [n])
+        regime_pos = [i for i, p in enumerate(cpt.parents) if p in self.regimes]
+        var_pos = [i for i, p in enumerate(cpt.parents) if p not in self.regimes]
+        return (
+            tuple(cpt.parents[i] for i in regime_pos),
+            tensor.transpose(regime_pos + var_pos + [len(cpt.parents)]),
+            [axis[cpt.parents[i]] for i in var_pos] + [axis[v]],
+        )
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -422,9 +454,9 @@ def gformula_eval(
     x1_var, x1_val = x1
     if obs.prob_of({x0_var: x0_val}) <= ZERO_TOL:
         raise ModelError("positivity violation")
+    pz = obs.conditional([z_var], {x0_var: x0_val})
     total = 0.0
     for z_val in model.states[z_var]:
-        pz = obs.conditional([z_var], {x0_var: x0_val})
         pz_val = float(pz[model.states[z_var].index(z_val)])
         if pz_val <= ZERO_TOL:
             continue
@@ -638,12 +670,6 @@ def model_from_json(doc: Mapping) -> MultiRegimeModel:
 def load_model(path) -> MultiRegimeModel:
     with open(path) as fh:
         return model_from_json(json.load(fh))
-
-
-def dump_model(model: MultiRegimeModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=2)
-        fh.write("\n")
 
 
 # -- random model construction (flat simplex CPTs, explicit seeds) -------

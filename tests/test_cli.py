@@ -174,6 +174,23 @@ class TestVerify:
         assert code == 2
         assert "--statement" in err
 
+    @pytest.mark.parametrize("mutation", ["short-row", "missing-row"])
+    def test_malformed_cpt_is_usage_error(self, capsys, tmp_path, mutation):
+        doc = json.loads((MODELS / "itt_example.json").read_text())
+        rows = next(c for c in doc["cpts"] if c["child"] == "Y")["rows"]
+        if mutation == "short-row":
+            rows[-1]["probs"] = [1.0]
+        else:
+            rows.pop()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "verify", str(path), "--check", "ignorability", "--y", "Y", "--action", "T",
+        )
+        assert code == 2
+        assert "'Y'" in err
+        assert "Traceback" not in err
+
 
 class TestIdentify:
     def test_identified(self, capsys):

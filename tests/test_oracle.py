@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtcausal.graph import IDLE
+from dtcausal.graph import IDLE, Dag, Edge
 from dtcausal.oracle import (
     Cpt,
     ModelError,
@@ -96,6 +96,111 @@ class TestJoint:
         m = random_itt_nonignorable_model(3)
         with pytest.raises(ModelError, match="domain"):
             m.joint({"F_T": 7})
+
+
+def loop_joint(model, regime):
+    """Reference: the joint table by enumerating every state, as the oracle
+    did before it contracted CPT tensors."""
+    variables = model.variables
+    states = tuple(model.states[v] for v in variables)
+    shape = tuple(len(s) for s in states)
+    probs = np.zeros(shape)
+    regime_of_target = {t: r for r, t in model.regimes.items()}
+    for combo in itertools.product(*(range(n) for n in shape)):
+        value = {v: states[i][combo[i]] for i, v in enumerate(variables)}
+        p = 1.0
+        for v in variables:
+            if v in regime_of_target:
+                f = regime[regime_of_target[v]]
+                if value[v] != (value[model.itt_of[v]] if f == IDLE else f):
+                    p = 0.0
+                    break
+            else:
+                cpt = model.cpts[v]
+                row = tuple(regime[par] if par in model.regimes else value[par] for par in cpt.parents)
+                p *= cpt.table[row][model.states[v].index(value[v])]
+        probs[combo] = p
+    return probs / probs.sum()
+
+
+def three_state_trio_model(seed):
+    rng = np.random.default_rng(seed)
+    states = {"T*": (0, 1, 2), "T": (0, 1, 2), "Y": BIN}
+    cpts = {"T*": random_cpt(rng, "T*", (), states), "Y": random_cpt(rng, "Y", ("T", "T*"), states)}
+    return MultiRegimeModel(
+        "itt", states, dag=itt_nonignorable_dag(), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
+    )
+
+
+def regime_parent_model(seed):
+    """Suffcov model whose response also reads the regime indicator."""
+    rng = np.random.default_rng(seed)
+    base = random_suffcov_model(seed)
+    dag = Dag.of(base.dag.nodes, base.dag.edges | {Edge("F_T", "Y")})
+    domains = {**base.states, "F_T": (IDLE, 0, 1)}
+    cpts = {**base.cpts, "Y": random_cpt(rng, "Y", ("X", "F_T", "T"), domains)}
+    return MultiRegimeModel("itt", base.states, dag=dag, cpts=cpts, regimes=base.regimes, itt_of=base.itt_of)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        random_itt_ignorable_model,
+        random_itt_nonignorable_model,
+        random_suffcov_model,
+        random_two_stage_model,
+        lambda seed: random_two_stage_model(seed, extra_confounding=True),
+        three_state_trio_model,
+        regime_parent_model,
+    ],
+    ids=["trio-ignorable", "trio-nonignorable", "suffcov", "two-stage", "two-stage-confounded", "three-state",
+         "regime-parent"],
+)
+def test_tensor_joint_matches_state_loop(build):
+    for seed in range(3):
+        m = build(seed)
+        for regime in m.all_regime_assignments():
+            assert np.allclose(m.joint(regime).probs, loop_joint(m, regime), rtol=0, atol=1e-12), (seed, regime)
+
+
+class TestCptValidation:
+    def model(self, rows):
+        cpts = {"T*": Cpt("T*", (), {(): (0.4, 0.6)}), "Y": Cpt("Y", ("T",), rows)}
+        return MultiRegimeModel(
+            "itt", {"T*": BIN, "T": BIN, "Y": BIN}, dag=itt_ignorable_dag(), cpts=cpts, regimes={"F_T": "T"},
+            itt_of={"T": "T*"},
+        )
+
+    def test_missing_row(self):
+        with pytest.raises(ModelError, match=r"'Y' has no row for parents \[1\]"):
+            self.model({(0,): (0.5, 0.5)})
+
+    def test_short_row(self):
+        with pytest.raises(ModelError, match=r"row \[1\] for 'Y' has 1 probabilities"):
+            self.model({(0,): (0.5, 0.5), (1,): (1.0,)})
+
+    def test_unknown_parent_value(self):
+        with pytest.raises(ModelError, match=r"row \[2\] for 'Y'"):
+            self.model({(0,): (0.5, 0.5), (1,): (0.5, 0.5), (2,): (0.5, 0.5)})
+
+    def test_regime_parent_needs_every_regime_value(self):
+        dag = itt_ignorable_dag()
+        dag = Dag.of(dag.nodes, dag.edges | {Edge("F_T", "Y")})
+        rows = {(t, f): (0.5, 0.5) for t in BIN for f in BIN}  # no row for the idle regime
+        cpts = {"T*": Cpt("T*", (), {(): (0.4, 0.6)}), "Y": Cpt("Y", ("T", "F_T"), rows)}
+        with pytest.raises(ModelError, match="'Y' has no row"):
+            MultiRegimeModel(
+                "itt", {"T*": BIN, "T": BIN, "Y": BIN}, dag=dag, cpts=cpts, regimes={"F_T": "T"},
+                itt_of={"T": "T*"},
+            )
+
+    def test_raw_table_length(self, corpus_dir):
+        doc = json.loads((corpus_dir / "models" / "raw_inconsistent.json").read_text())
+        doc["raw_regimes"][0]["probs"] = doc["raw_regimes"][0]["probs"][:-2] + [
+            sum(doc["raw_regimes"][0]["probs"][-2:])
+        ]
+        with pytest.raises(ModelError, match="probabilities, expected"):
+            model_from_json(doc)
 
 
 class TestEciHolds:
