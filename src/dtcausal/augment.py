@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from dtcausal.dsep import d_separated, implied_statements, separated
+from dtcausal.dsep import d_separated, separated, separations_agree
 from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, GraphError, Node, surgery, topological_order
 from dtcausal.statements import EciStatement, format_statement
 
@@ -120,9 +120,7 @@ def eliminate_nodes(dag: Dag, drop: frozenset[str] | set[str]) -> Dag:
         cleaned.add(n)
     kept_dashed = {(e.src, e.dst) for e in dag.edges if e.dashed and e.src not in drop and e.dst not in drop}
     out = Dag.of(cleaned, {replace(e, dashed=(e.src, e.dst) in kept_dashed) for e in edges})
-    before = implied_statements(dag, frozenset(retained))
-    after = implied_statements(out, frozenset(retained))
-    if set(before) != set(after):
+    if not separations_agree(dag, out, retained):
         raise ProjectionError("not DAG-projectable")
     return out
 

@@ -1,12 +1,19 @@
 """d-separation over augmented DAGs.
 
-Two permanently maintained, independent implementations:
+Two permanently maintained, independent criteria:
 
-* `d_separated` — moralisation of the ancestral subgraph, then graph
-  reachability around the conditioning set;
-* `d_separated_paths` — Bayes-ball style active-path reachability.
+* `d_separated` (and `separated`, which skips the statement checks) —
+  moralisation of the ancestral subgraph, then graph reachability
+  around the conditioning set;
+* `d_separated_paths` — active trails: `_reachable` walks (node,
+  direction) states over parent/child bit masks and returns every node
+  d-connected to the sources (the "Reachable" procedure of Koller &
+  Friedman 2009, Alg. 3.1; Shachter's 1998 Bayes-Ball).
 
 Both must always agree; the test suite compares them on random graphs.
+The enumerations (`implied_statements`, `separations_agree`) use active
+trails: one pass per (source, conditioning set) answers every
+right-hand node at once.
 Pinned regime terms (``F=x``) first restrict the graph (removing the
 dashed intention-to-treat edge when the pin is non-idle) and then join
 the conditioning set as ordinary nodes.
@@ -16,11 +23,12 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+from typing import Iterable, Sequence
 
-from dtcausal.graph import REGIME, STOCHASTIC, Dag, GraphError, restrict_to_regime
+from dtcausal.graph import STOCHASTIC, Dag, GraphError, restrict_to_regime
 from dtcausal.statements import EciStatement
 
-#: Hard cap on `implied_statements` enumeration.
+#: Hard cap on the nodes `implied_statements` and `separations_agree` enumerate over.
 ENUMERATION_BOUND = 14
 
 
@@ -74,37 +82,76 @@ def _moral_separated(dag: Dag, left: frozenset[str], right: frozenset[str], cond
     return not (right & seen)
 
 
+def _compile(dag: Dag, first: Sequence[str] = ()) -> tuple[dict[str, int], list[int], list[int]]:
+    """Index the nodes (`first` in its order, then the rest by name) and
+    return each name's bit and every node's parent and child masks."""
+    order = list(first) + sorted(dag.node_names - set(first))
+    bit = {name: 1 << i for i, name in enumerate(order)}
+    parents = [_mask(bit, dag.parents(v)) for v in order]
+    children = [_mask(bit, dag.children(v)) for v in order]
+    return bit, parents, children
+
+
+def _mask(bit: dict[str, int], names: Iterable[str]) -> int:
+    m = 0
+    for name in names:
+        m |= bit[name]
+    return m
+
+
+def _reachable(parents: list[int], children: list[int], sources: int, cond: int) -> int:
+    """Mask of the nodes outside `cond` with an active trail from `sources`
+    given `cond` (sources outside `cond` count as reached)."""
+    # Nodes with a descendant (or self) in the conditioning set.
+    anc = 0
+    todo = cond
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        anc |= low
+        todo |= parents[low.bit_length() - 1] & ~anc
+    # "up" = entered from a child (or a source); "down" = entered from a parent.
+    up = down = 0
+    todo_up, todo_down = sources, 0
+    while todo_up or todo_down:
+        if todo_up:
+            low = todo_up & -todo_up
+            todo_up ^= low
+            up |= low
+            if not low & cond:
+                i = low.bit_length() - 1
+                todo_up |= parents[i] & ~up
+                todo_down |= children[i] & ~down
+        else:
+            low = todo_down & -todo_down
+            todo_down ^= low
+            down |= low
+            i = low.bit_length() - 1
+            if not low & cond:
+                todo_down |= children[i] & ~down
+            if low & anc:  # collider with conditioned descendant opens
+                todo_up |= parents[i] & ~up
+    return (up | down) & ~cond
+
+
 def d_separated_paths(dag: Dag, stmt: EciStatement) -> bool:
-    """Active-path (Bayes-ball) criterion; must agree with `d_separated`."""
+    """Active-trail criterion; must agree with `d_separated`."""
     graph, left, right, cond = _prepare(dag, stmt)
     if not right:
         return True
-    # Nodes with a descendant (or self) in the conditioning set.
-    anc_of_cond = graph.ancestors(cond) if cond else frozenset()
-    # State: (node, direction); "down" = entered along an edge into the node,
-    # "up" = entered along an edge out of the node (i.e. from a child).
-    visited: set[tuple[str, str]] = set()
-    queue: deque[tuple[str, str]] = deque((v, "up") for v in left)
-    while queue:
-        v, direction = queue.popleft()
-        if (v, direction) in visited:
-            continue
-        visited.add((v, direction))
-        if v not in cond and v in right:
-            return False
-        if direction == "up" and v not in cond:
-            for p in graph.parents(v):
-                queue.append((p, "up"))
-            for c in graph.children(v):
-                queue.append((c, "down"))
-        elif direction == "down":
-            if v not in cond:
-                for c in graph.children(v):
-                    queue.append((c, "down"))
-            if v in anc_of_cond:  # collider with conditioned descendant opens
-                for p in graph.parents(v):
-                    queue.append((p, "up"))
-    return True
+    bit, parents, children = _compile(graph)
+    return not _reachable(parents, children, _mask(bit, left), _mask(bit, cond)) & _mask(bit, right)
+
+
+def _enumeration_names(over: Iterable[str], *dags: Dag) -> list[str]:
+    names = sorted(set(over))
+    for dag in dags:
+        for name in names:
+            if not dag.has_node(name):
+                raise GraphError(f"unknown node {name!r}")
+    if len(names) > ENUMERATION_BOUND:
+        raise GraphError("enumeration bound exceeded")
+    return names
 
 
 def implied_statements(dag: Dag, over: frozenset[str] | set[str]) -> list[EciStatement]:
@@ -113,27 +160,54 @@ def implied_statements(dag: Dag, over: frozenset[str] | set[str]) -> list[EciSta
     Elementary: singleton stochastic left, singleton right, conditioning
     on any subset of the remaining `over` nodes.  Deterministic order.
     """
-    over = frozenset(over)
-    for name in over:
-        if not dag.has_node(name):
-            raise GraphError(f"unknown node {name!r}")
-    if len(over) > ENUMERATION_BOUND:
-        raise GraphError("enumeration bound exceeded")
-    names = sorted(over)
+    names = _enumeration_names(over, dag)
+    bit, parents, children = _compile(dag)
     out: list[EciStatement] = []
     for a in names:
         if dag.kind_of(a) != STOCHASTIC:
             continue
+        reached: dict[int, int] = {}  # conditioning mask -> nodes d-connected to a
         for b in names:
             if b == a:
                 continue
             # Stochastic pairs are emitted once, smaller name on the left.
             if dag.kind_of(b) == STOCHASTIC and b < a:
                 continue
-            rest = sorted(over - {a, b})
+            rest = [v for v in names if v != a and v != b]
             for k in range(len(rest) + 1):
                 for cond in combinations(rest, k):
-                    stmt = EciStatement(frozenset({a}), frozenset({b}), frozenset(cond))
-                    if d_separated(dag, stmt):
-                        out.append(stmt)
+                    m = _mask(bit, cond)
+                    reach = reached.get(m)
+                    if reach is None:
+                        reach = reached[m] = _reachable(parents, children, bit[a], m)
+                    if not reach & bit[b]:
+                        out.append(EciStatement(frozenset({a}), frozenset({b}), frozenset(cond)))
     return out
+
+
+def separations_agree(dag: Dag, other: Dag, over: Iterable[str]) -> bool:
+    """Whether both graphs imply the same `implied_statements` over `over`
+    (node kinds are read from `dag`), stopping at the first difference.
+
+    d-separation is symmetric, so comparing the nodes of `over` reached
+    from every stochastic `a`, under every conditioning set that leaves
+    a right-hand node, covers every listed pair.
+    """
+    names = _enumeration_names(over, dag, other)
+    _, parents, children = _compile(dag, names)
+    _, other_parents, other_children = _compile(other, names)
+    full = (1 << len(names)) - 1
+    for i, a in enumerate(names):
+        if dag.kind_of(a) != STOCHASTIC:
+            continue
+        source = 1 << i
+        rest = full & ~source
+        cond = rest
+        while cond:
+            cond = (cond - 1) & rest  # every proper subset of `rest`, down to the empty set
+            keep = full & ~cond
+            if _reachable(parents, children, source, cond) & keep != (
+                _reachable(other_parents, other_children, source, cond) & keep
+            ):
+                return False
+    return True

@@ -106,17 +106,24 @@ class ProofTrace:
     def conclusion(self) -> EciStatement:
         return self.steps[-1].output
 
-    def replay(self, universe: Universe) -> EciStatement:
+    def replay(self, universe: Universe, *, premises: list[EciStatement] | None = None) -> EciStatement:
         """Re-apply the named axioms in order; returns the final statement.
 
-        Raises if any step does not follow from its inputs by its axiom.
+        Raises if any step does not follow from its inputs by its axiom, if
+        a P2 step's right side is not inside its conditioning set, or, when
+        `premises` are given, if a Premise step is not one of them.
         """
+        allowed = None if premises is None else {_normalise(universe.to_triple(p)) for p in premises}
         produced: list[Triple] = []
         for step in self.steps:
             target = universe.to_triple(step.output)
             ins = [produced[i] for i in step.inputs]
-            if step.axiom == "Premise" or step.axiom == "P2":
-                pass  # premises and redundancy instances are axiomatic
+            if step.axiom == "Premise":
+                if allowed is not None and _normalise(target) not in allowed:
+                    raise StatementError("trace premise is not among the premises")
+            elif step.axiom == "P2":
+                if target[1] & ~target[2]:
+                    raise StatementError("trace step is not a redundancy instance")
             else:
                 candidates = _apply_axiom(step.axiom, ins, universe.regime_mask, regimes_as_stochastic=True)
                 if target not in candidates:

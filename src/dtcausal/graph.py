@@ -101,12 +101,16 @@ class Dag:
         return self.node(name).kind
 
     def parents(self, name: str) -> frozenset[str]:
-        got = self._parent_map.get(name)
-        return got if got is not None else frozenset(e.src for e in self.edges if e.dst == name)
+        try:
+            return self._parent_map[name]
+        except KeyError:
+            raise GraphError(f"unknown node {name!r}") from None
 
     def children(self, name: str) -> frozenset[str]:
-        got = self._child_map.get(name)
-        return got if got is not None else frozenset(e.dst for e in self.edges if e.src == name)
+        try:
+            return self._child_map[name]
+        except KeyError:
+            raise GraphError(f"unknown node {name!r}") from None
 
     def ancestors(self, names: Iterable[str]) -> frozenset[str]:
         """Ancestral closure of `names` (includes the given nodes)."""
@@ -173,25 +177,11 @@ def validate(dag: Dag) -> list[str]:
         if e.dashed and not by_name[e.dst].deterministic:
             errors.append(f"dashed edge into non-deterministic node {e.dst!r}")
     if not any(err.startswith("dangling") or err.startswith("self-loop") for err in errors):
-        if _has_cycle(dag):
-            errors.append("graph contains a directed cycle")
+        try:
+            topological_order(dag)
+        except GraphError as exc:
+            errors.append(str(exc))
     return errors
-
-
-def _has_cycle(dag: Dag) -> bool:
-    indeg = {n.name: 0 for n in dag.nodes}
-    for e in dag.edges:
-        indeg[e.dst] += 1
-    queue = [n for n, d in indeg.items() if d == 0]
-    removed = 0
-    while queue:
-        v = queue.pop()
-        removed += 1
-        for c in dag.children(v):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    return removed != len(dag.nodes)
 
 
 def topological_order(dag: Dag) -> list[str]:

@@ -116,6 +116,11 @@ class TestEliminate:
         with pytest.raises(ProjectionError, match="not DAG-projectable"):
             eliminate_nodes(dag, {"H"})
 
+    def test_enumeration_bound(self):
+        dag = Dag.of({Node("H", latent=True)} | {Node(f"V{i:02d}") for i in range(15)}, {Edge("H", "V00")})
+        with pytest.raises(GraphError, match="enumeration bound"):
+            eliminate_nodes(dag, {"H"})
+
     def test_fidelity_verified_on_random_pairs(self):
         rng = np.random.default_rng(77)
         accepted = 0

@@ -3,8 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from dtcausal.dsep import ENUMERATION_BOUND, d_separated, d_separated_paths, implied_statements
-from dtcausal.graph import Dag, GraphError, Node
+from dtcausal.dsep import (
+    ENUMERATION_BOUND,
+    d_separated,
+    d_separated_paths,
+    implied_statements,
+    separations_agree,
+)
+from dtcausal.graph import STOCHASTIC, Dag, Edge, GraphError, Node, topological_order
 from dtcausal.statements import EciStatement, StatementError, parse_statement
 
 from conftest import (
@@ -18,7 +24,14 @@ from conftest import (
     two_stage_itt_dag,
     two_stage_obs_dag,
 )
-from dtcausal.augment import InterventionPlan, build_augmented_dag
+from dtcausal.augment import (
+    InterventionPlan,
+    ProjectionError,
+    build_augmented_dag,
+    build_itt_dag,
+    eliminate_nodes,
+    itt_name,
+)
 
 BOTH = (d_separated, d_separated_paths)
 
@@ -178,3 +191,100 @@ def test_agreement_exhaustive_small_graphs():
                     for cond in itertools.combinations(rest, k):
                         stmt = EciStatement(frozenset({a}), frozenset({b}), frozenset(cond))
                         assert d_separated(dag, stmt) == d_separated_paths(dag, stmt)
+
+
+# -- the enumerations against the per-query loop they replace ---------------
+
+
+def loop_implied(dag, over):
+    """Reference enumeration: one moralisation query per (a, b, cond)."""
+    over = frozenset(over)
+    names = sorted(over)
+    out = []
+    for a in names:
+        if dag.kind_of(a) != STOCHASTIC:
+            continue
+        for b in names:
+            if b == a or (dag.kind_of(b) == STOCHASTIC and b < a):
+                continue
+            rest = sorted(over - {a, b})
+            for k in range(len(rest) + 1):
+                for cond in itertools.combinations(rest, k):
+                    stmt = EciStatement(frozenset({a}), frozenset({b}), frozenset(cond))
+                    if d_separated(dag, stmt):
+                        out.append(stmt)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_implied_statements_match_loop_in_order(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(15):
+        dag = random_dag(rng, max_nodes=7, regime_prob=0.6)
+        names = sorted(dag.node_names)
+        subset = {v for v in names if rng.random() < 0.7} or {names[0]}
+        for over in (dag.node_names, subset):
+            assert implied_statements(dag, over) == loop_implied(dag, over)
+
+
+def _projections(rng, count):
+    """(input, projection, retained) for accepted eliminations, from random
+    DAGs with random drops and from ITT graphs with their ITT nodes dropped."""
+    out = []
+    while len(out) < count:
+        dag = random_dag(rng, max_nodes=6, regime_prob=0.0)
+        if rng.random() < 0.5:
+            targets = tuple(v for v in topological_order(dag) if rng.random() < 0.4)
+            dag, drop = build_itt_dag(dag, InterventionPlan(targets)), {itt_name(t) for t in targets}
+        else:
+            drop = {v for v in sorted(dag.node_names) if rng.random() < 0.3}
+        if not drop or not 2 <= len(dag.node_names - drop) <= 7:
+            continue
+        try:
+            out.append((dag, eliminate_nodes(dag, drop), dag.node_names - drop))
+        except ProjectionError:
+            continue
+    return out
+
+
+def _one_edge_changed(rng, dag):
+    """`dag` with one random edge removed or added (forward, into a
+    stochastic node); None when the addition finds no missing edge."""
+    edges = sorted(dag.edges)
+    if edges and rng.random() < 0.5:
+        return Dag.of(dag.nodes, set(edges) - {edges[int(rng.integers(0, len(edges)))]})
+    order = topological_order(dag)
+    missing = [
+        Edge(u, v)
+        for i, u in enumerate(order)
+        for v in order[i + 1:]
+        if dag.kind_of(v) == STOCHASTIC and v not in dag.children(u)
+    ]
+    if not missing:
+        return None
+    return Dag.of(dag.nodes, set(edges) | {missing[int(rng.integers(0, len(missing)))]})
+
+
+def test_projection_check_matches_set_comparison():
+    rng = np.random.default_rng(31)
+    agreed = disagreed = 0
+    for dag, out, retained in _projections(rng, 40):
+        before = set(loop_implied(dag, retained))
+        assert separations_agree(dag, out, retained)
+        assert before == set(loop_implied(out, retained))
+        changed = _one_edge_changed(rng, out)
+        if changed is None:
+            continue
+        same = before == set(loop_implied(changed, retained))
+        assert separations_agree(dag, changed, retained) == same
+        agreed += same
+        disagreed += not same
+    assert disagreed >= 10 and agreed + disagreed >= 30
+
+
+def test_separations_agree_checks_names_and_bound():
+    with pytest.raises(GraphError, match="unknown node"):
+        separations_agree(simple_treatment_dag(), simple_treatment_dag(), {"nope"})
+    dag = Dag.of({Node(f"V{i:02d}") for i in range(ENUMERATION_BOUND + 1)}, set())
+    with pytest.raises(GraphError, match="enumeration bound"):
+        separations_agree(dag, dag, dag.node_names)

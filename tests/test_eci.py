@@ -142,6 +142,7 @@ class TestTraceReplay:
             ok, trace = derivable(premises, target, U4)
             assert ok
             assert trace.replay(U4) == target
+            assert trace.replay(U4, premises=premises) == target
 
     def test_bogus_trace_rejected(self):
         trace = ProofTrace(
@@ -152,6 +153,20 @@ class TestTraceReplay:
         )
         with pytest.raises(StatementError):
             trace.replay(U4)
+
+    def test_forged_redundancy_step_rejected(self):
+        trace = ProofTrace((ProofStep("P2", (), ps("X _||_ Y | Z")),))
+        with pytest.raises(StatementError, match="redundancy"):
+            trace.replay(U4)
+
+    def test_redundancy_step_replays(self):
+        assert ProofTrace((ProofStep("P2", (), ps("X _||_ Y | Y, Z")),)).replay(U4) == ps("X _||_ Y | Y, Z")
+
+    def test_forged_premise_rejected_when_premises_given(self):
+        trace = ProofTrace((ProofStep("Premise", (), ps("X _||_ Y")),))
+        assert trace.replay(U4) == ps("X _||_ Y")  # unchecked without the premise list
+        with pytest.raises(StatementError, match="premises"):
+            trace.replay(U4, premises=[ps("X _||_ Y | Z")])
 
 
 class TestPremiseFiles:
