@@ -3,8 +3,12 @@
 Exit codes: 0 = holds / derived / success; 1 = does-not-hold /
 not-identified / not-projectable; 2 = usage or parse error; 3 =
 not-derivable (the symbolic engine is sound but incomplete) or
-positivity violation.  Diagnostics go to standard error; `--json`
+positivity violation; 4 = internal error (an unexpected exception,
+reported in one line).  Diagnostics go to standard error; `--json`
 switches machine-readable output with stable key order.
+
+Each command imports its own engine when it runs, so the symbolic
+commands never load numpy or the numeric oracle.
 """
 
 from __future__ import annotations
@@ -13,12 +17,6 @@ import argparse
 import json
 import sys
 
-from dtcausal import augment as aug
-from dtcausal import decision as dec
-from dtcausal import dsl
-from dtcausal import eci as eci_mod
-from dtcausal import oracle as orc
-from dtcausal.dsep import d_separated, d_separated_paths
 from dtcausal.graph import IDLE, to_dot
 from dtcausal.statements import StatementError, format_statement, parse_premise_file, parse_statement
 
@@ -26,6 +24,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
+EXIT_INTERNAL = 4
 
 
 class _CliNo(Exception):
@@ -63,18 +62,22 @@ def _parse_binding(raw: str) -> tuple[str, object]:
 
 
 def _cmd_dsep(args) -> None:
+    from dtcausal import dsep, dsl
+
     doc = dsl.load_doc(args.file)
     stmt = parse_statement(args.query)
-    moral = d_separated(doc.dag, stmt)
-    paths = d_separated_paths(doc.dag, stmt)
+    moral = dsep.d_separated(doc.dag, stmt)
+    paths = dsep.d_separated_paths(doc.dag, stmt)
     if moral != paths:  # cross-check of the two engines; must never trigger
-        raise RuntimeError("internal error: separation engines disagree")
+        raise RuntimeError("separation engines disagree")
     _emit(args, {"statement": format_statement(stmt), "holds": moral}, "holds" if moral else "does not hold")
     if not moral:
         raise _CliNo
 
 
 def _cmd_derive(args) -> None:
+    from dtcausal import eci
+
     with open(args.premises) as fh:
         premises = parse_premise_file(fh.read())
     target = parse_statement(args.target)
@@ -84,8 +87,8 @@ def _cmd_derive(args) -> None:
             raise StatementError("pinned regime values are not supported by the symbolic engine")
         names |= s.variables()
     regimes = set(args.regime or [])
-    universe = eci_mod.Universe.of(sorted(names - regimes), sorted(regimes & names))
-    ok, trace = eci_mod.derivable(premises, target, universe, regimes_as_stochastic=args.regimes_stochastic)
+    universe = eci.Universe.of(sorted(names - regimes), sorted(regimes & names))
+    ok, trace = eci.derivable(premises, target, universe, regimes_as_stochastic=args.regimes_stochastic)
     if not ok:
         _emit(args, {"derived": False}, "not derivable")
         raise _CliIncomplete
@@ -100,29 +103,30 @@ def _cmd_derive(args) -> None:
     _emit(args, {"derived": True, "trace": steps}, "derived\n" + text)
 
 
-def _plan_of(doc: dsl.GraphDoc, override: str | None) -> aug.InterventionPlan:
-    if override:
-        return aug.InterventionPlan(tuple(t.strip() for t in override.split(",")))
-    if doc.plan is None:
-        raise StatementError("file declares no plan; pass --plan")
-    return aug.InterventionPlan(doc.plan)
-
-
 def _cmd_augment(args) -> None:
+    from dtcausal import augment, dsl
+
     doc = dsl.load_doc(args.file)
-    plan = _plan_of(doc, args.plan)
-    build = aug.build_itt_dag if args.itt else aug.build_augmented_dag
-    out = build(doc.dag, plan)
+    if args.plan:
+        targets = tuple(t.strip() for t in args.plan.split(","))
+    elif doc.plan is None:
+        raise StatementError("file declares no plan; pass --plan")
+    else:
+        targets = doc.plan
+    build = augment.build_itt_dag if args.itt else augment.build_augmented_dag
+    out = build(doc.dag, augment.InterventionPlan(targets))
     text = dsl.canonical_graph_text(doc.name + ("_itt" if args.itt else "_aug"), out)
     _emit(args, {"graph": text}, text.rstrip("\n"))
 
 
 def _cmd_project(args) -> None:
+    from dtcausal import augment, dsl
+
     doc = dsl.load_doc(args.file)
     drop = frozenset(t.strip() for t in args.drop.split(","))
     try:
-        out = aug.eliminate_nodes(doc.dag, drop)
-    except aug.ProjectionError as exc:
+        out = augment.eliminate_nodes(doc.dag, drop)
+    except augment.ProjectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise _CliNo from exc
     text = dsl.canonical_graph_text(doc.name + "_proj", out)
@@ -130,27 +134,30 @@ def _cmd_project(args) -> None:
 
 
 def _cmd_verify(args) -> None:
-    model = orc.load_model(args.model)
+    from dtcausal import oracle
+
+    model = oracle.load_model(args.model)
+    tol = oracle.DEFAULT_TOL if args.tol is None else args.tol
     if args.check == "eci":
         if not args.statement:
             raise StatementError("--check eci requires --statement")
         stmt = parse_statement(args.statement)
-        ok = orc.eci_holds(model, stmt, tol=args.tol)
+        ok = oracle.eci_holds(model, stmt, tol=tol)
     elif args.check == "consistency":
         if not args.action:
             raise StatementError("--check consistency requires --action")
         vars_ = [v.strip() for v in args.vars.split(",")] if args.vars else [args.y] if args.y else None
         if not vars_:
             raise StatementError("--check consistency requires --vars or --y")
-        ok = orc.check_distributional_consistency(model, vars_, args.action, tol=args.tol)
+        ok = oracle.check_distributional_consistency(model, vars_, args.action, tol=tol)
     elif args.check == "ignorability":
         if not (args.y and args.action):
             raise StatementError("--check ignorability requires --y and --action")
-        ok = orc.check_ignorability(model, args.y, args.action, tol=args.tol)
+        ok = oracle.check_ignorability(model, args.y, args.action, tol=tol)
     elif args.check == "sufficient-covariate":
         if not (args.x and args.y and args.action):
             raise StatementError("--check sufficient-covariate requires --x, --y and --action")
-        ok = orc.check_sufficient_covariate(model, args.x, args.y, args.action, tol=args.tol)
+        ok = oracle.check_sufficient_covariate(model, args.x, args.y, args.action, tol=tol)
     else:  # pragma: no cover - argparse restricts choices
         raise StatementError(f"unknown check {args.check!r}")
     _emit(args, {"check": args.check, "holds": ok}, "holds" if ok else "does not hold")
@@ -159,8 +166,10 @@ def _cmd_verify(args) -> None:
 
 
 def _cmd_identify(args) -> None:
+    from dtcausal import augment, dsl
+
     doc = dsl.load_doc(args.file)
-    cert = aug.identify_two_stage(doc.dag, args.x0, args.x1, args.z, args.y)
+    cert = augment.identify_two_stage(doc.dag, args.x0, args.x1, args.z, args.y)
     payload = {
         "identified": cert.identified,
         "estimand": cert.estimand,
@@ -182,13 +191,15 @@ def _cmd_identify(args) -> None:
 
 
 def _cmd_gformula(args) -> None:
-    model = orc.load_model(args.model)
+    from dtcausal import oracle
+
+    model = oracle.load_model(args.model)
     y = _parse_binding(args.y)
     x0 = _parse_binding(args.x0)
     x1 = _parse_binding(args.x1)
     try:
-        value = orc.gformula_eval(model, y, x0, x1, args.z)
-    except orc.ModelError as exc:
+        value = oracle.gformula_eval(model, y, x0, x1, args.z)
+    except oracle.ModelError as exc:
         if "positivity" in str(exc):
             print(f"error: {exc}", file=sys.stderr)
             raise _CliIncomplete from exc
@@ -197,31 +208,32 @@ def _cmd_gformula(args) -> None:
 
 
 def _cmd_ace(args) -> None:
+    from dtcausal import decision
+
     with open(args.file) as fh:
         doc = json.load(fh)
     if "actions" in doc:
-        problem = dec.problem_from_json(doc)
+        problem = decision.problem_from_json(doc)
         a1 = args.a1 or problem.actions[0]
         a0 = args.a0 or problem.actions[1]
-        value = dec.ace(problem.hypothetical[a1], problem.hypothetical[a0])
+        value = decision.ace(problem.hypothetical[a1], problem.hypothetical[a0])
     else:
-        model = orc.model_from_json(doc)
+        from dtcausal import oracle
+
+        model = oracle.model_from_json(doc)
         if not (args.y and args.action):
             raise StatementError("model input requires --y and --action")
-        regime = orc._regime_for_action(model, args.action)
-        states = model.states[args.action]
-        if len(states) != 2:
+        states = model.states.get(args.action)
+        if states is not None and len(states) != 2:
             raise StatementError("--action must be binary")
-        lo, hi = states
-        means = {
-            t: model.joint(orc._single_regime(model, regime, t)).expectation(args.y) for t in (hi, lo)
-        }
-        value = means[hi] - means[lo]
+        value = oracle.ace(model, args.y, args.action)
     _emit(args, {"ace": value}, f"{value:.12g}")
 
 
 def _cmd_lognormal(args) -> None:
-    eff = dec.lognormal_effects(dec.NormalPair(args.mu1, args.mu0, args.sigma2))
+    from dtcausal import decision
+
+    eff = decision.lognormal_effects(decision.NormalPair(args.mu1, args.mu0, args.sigma2))
     payload = {
         "ace_y": eff.ace_y,
         "ace_z": eff.ace_z,
@@ -233,21 +245,12 @@ def _cmd_lognormal(args) -> None:
     _emit(args, payload, text)
 
 
-def _study_spec_from_json(doc) -> orc.StudySpec:
-    response = {}
-    for row in doc["response"]:
-        response[(row["x"], int(row["t"]))] = {float(y): float(p) for y, p in row["dist"].items()}
-    return orc.StudySpec(
-        covariate_dist=dict(doc["covariate"]),
-        assignment=dict(doc["assignment"]),
-        response=response,
-    )
-
-
 def _cmd_simulate(args) -> None:
+    from dtcausal import oracle
+
     with open(args.spec) as fh:
-        spec = _study_spec_from_json(json.load(fh))
-    result = orc.simulate_study(spec, args.n, args.seed)
+        spec = oracle.study_spec_from_json(json.load(fh))
+    result = oracle.simulate_study(spec, args.n, args.seed)
     payload = {
         "n": result.n,
         "treated_mean": result.treated_mean,
@@ -271,6 +274,8 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_render(args) -> None:
+    from dtcausal import dsl
+
     doc = dsl.load_doc(args.file)
     dot = to_dot(doc.dag, doc.name)
     if args.dot == "-":
@@ -321,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y")
     p.add_argument("--action")
     p.add_argument("--vars")
-    p.add_argument("--tol", type=float, default=orc.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, help="numeric tolerance (default: oracle.DEFAULT_TOL)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("identify", help="two-stage identification certificate")
@@ -383,6 +388,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a crash must not exit 1, which means "does not hold"
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

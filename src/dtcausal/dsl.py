@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, GraphError, Node, validate
+from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, GraphError, Node
 from dtcausal.statements import EciStatement, StatementError, format_statement
 
 KEYWORDS = frozenset({"graph", "node", "regime", "targets", "edge", "latent", "deterministic", "dashed", "statement", "plan"})
@@ -249,11 +249,8 @@ def parse(source: str) -> GraphDoc:
                 raise DslError(Diagnostic(tok.line, tok.column, f"unknown node {end!r}"))
     try:
         dag = Dag.of(set(nodes.values()), {e for e, _ in edges})
-        problems = validate(dag)
     except GraphError as exc:
         raise DslError(Diagnostic(graph_tok.line, graph_tok.column, str(exc))) from exc
-    if problems:
-        raise DslError(Diagnostic(graph_tok.line, graph_tok.column, "; ".join(problems)))
 
     statements: list[tuple[str, EciStatement]] = []
     plan: tuple[str, ...] | None = None

@@ -467,6 +467,19 @@ def gformula_eval(
     return total
 
 
+def ace(model: MultiRegimeModel, y: str, action: str) -> float:
+    """Average causal effect of a binary action on y: E(y) with the action's
+    regime set to its second state minus E(y) with it set to the first, every
+    other regime idle."""
+    regime = _regime_for_action(model, action)
+    states = model.states[action]
+    if len(states) != 2:
+        raise ModelError("ACE requires a binary action")
+    lo, hi = states
+    hi_mean, lo_mean = (model.joint(_single_regime(model, regime, t)).expectation(y) for t in (hi, lo))
+    return hi_mean - lo_mean
+
+
 def ett(model: MultiRegimeModel, y: str, action: str) -> float:
     """Effect of treatment on those selected for treatment:
     E(y | ITT=1, regime=1) - E(y | ITT=1, regime=0)."""
@@ -670,6 +683,17 @@ def model_from_json(doc: Mapping) -> MultiRegimeModel:
 def load_model(path) -> MultiRegimeModel:
     with open(path) as fh:
         return model_from_json(json.load(fh))
+
+
+def study_spec_from_json(doc: Mapping) -> StudySpec:
+    response = {}
+    for row in doc["response"]:
+        response[(row["x"], int(row["t"]))] = {float(y): float(p) for y, p in row["dist"].items()}
+    return StudySpec(
+        covariate_dist=dict(doc["covariate"]),
+        assignment=dict(doc["assignment"]),
+        response=response,
+    )
 
 
 # -- random model construction (flat simplex CPTs, explicit seeds) -------

@@ -1,7 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import dtcausal
+from dtcausal import cli, dsep
 from dtcausal.cli import main
 
 from conftest import CORPUS
@@ -174,6 +181,21 @@ class TestVerify:
         assert code == 2
         assert "--statement" in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--check", "eci", "--statement", "Y _||_ F_T | T, T*"),
+            ("--check", "eci", "--statement", "Y _||_ F_T | T"),
+            ("--check", "ignorability", "--y", "Y", "--action", "T"),
+            ("--check", "consistency", "--action", "T", "--y", "Y"),
+        ],
+    )
+    def test_default_tol_is_oracle_default(self, capsys, extra):
+        model = str(MODELS / "itt_example.json")
+        default = run(capsys, "verify", model, *extra)
+        explicit = run(capsys, "verify", model, *extra, "--tol", "1e-9")
+        assert default == explicit
+
     @pytest.mark.parametrize("mutation", ["short-row", "missing-row"])
     def test_malformed_cpt_is_usage_error(self, capsys, tmp_path, mutation):
         doc = json.loads((MODELS / "itt_example.json").read_text())
@@ -312,3 +334,63 @@ class TestUsage:
         assert code == 2
         assert "self-loop" in err
         assert out == ""
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
+        def crash(args):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "_cmd_lognormal", crash)
+        code, out, err = run(capsys, "lognormal", "--mu1", "0", "--mu0", "0", "--sigma2", "1")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err.splitlines() == ["internal error: ZeroDivisionError: division by zero"]
+        assert "Traceback" not in err
+
+    def test_engine_disagreement_exits_4(self, capsys, monkeypatch):
+        real = dsep.d_separated_paths
+        monkeypatch.setattr(dsep, "d_separated_paths", lambda dag, stmt: not real(dag, stmt))
+        code, out, err = run(capsys, "dsep", str(CORPUS / "itt_ignorable.cadt"), "--query", "Y _||_ F_T | T")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError: separation engines disagree\n"
+
+
+SYMBOLIC_EXAMPLES = [
+    ["dsep", "corpus/itt_ignorable.cadt", "--query", "Y _||_ T*, F_T | T"],
+    ["derive", "corpus/contraction.eci", "--target", "X _||_ Y, W | Z"],
+    ["augment", "corpus/two_stage_obs.cadt", "--itt"],
+    ["project", "corpus/two_stage_itt.cadt", "--drop", "X0*,X1*"],
+    ["identify", "corpus/two_stage_obs.cadt", "--y", "Y", "--x0", "X0", "--x1", "X1", "--z", "Z"],
+    ["lognormal", "--mu1", "0.8", "--mu0", "0.2", "--sigma2", "0.5"],
+    ["render", "corpus/instrument.cadt", "--dot", "-"],
+]
+
+
+def test_symbolic_commands_do_not_load_numpy():
+    """The numpy-free README examples leave numpy and the oracle unimported;
+    a numeric command then loads the oracle."""
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, sys
+        from dtcausal.cli import main
+
+        for argv in {SYMBOLIC_EXAMPLES!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        loaded = sorted(m for m in ("numpy", "dtcausal.oracle") if m in sys.modules)
+        assert not loaded, loaded
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify", "corpus/models/itt_example.json", "--check", "ignorability",
+                         "--y", "Y", "--action", "T"])
+        assert code == 1, code
+        assert "dtcausal.oracle" in sys.modules
+        """
+    )
+    src = str(pathlib.Path(dtcausal.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=CORPUS.parent, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -90,6 +90,21 @@ class TestDiagnostics:
     def test_cycle(self):
         self.expect("graph g { node A; node B; edge A -> B; edge B -> A; }", "cycle")
 
+    def test_cycle_diagnostic_points_at_graph_keyword(self):
+        source = "# header\n\n  graph cyc {\n  node A; node B; node C;\n  edge A -> B; edge B -> C; edge C -> A;\n}\n"
+        with pytest.raises(DslError) as exc:
+            parse(source)
+        diag = exc.value.diagnostic
+        assert (diag.line, diag.column, diag.message) == (3, 3, "graph contains a directed cycle")
+
+    def test_graph_errors_joined_in_one_diagnostic(self):
+        source = "graph g {\n  node A;\n  regime F targets A;\n  edge A -> F;\n}\n"
+        with pytest.raises(DslError) as exc:
+            parse(source)
+        diag = exc.value.diagnostic
+        assert (diag.line, diag.column) == (1, 1)
+        assert diag.message == "regime node 'F' has parent 'A'; graph contains a directed cycle"
+
     def test_duplicate_node(self):
         self.expect("graph g {\n  node A;\n  node A;\n}\n", "duplicate node 'A'", line=3)
 

@@ -12,6 +12,7 @@ from dtcausal.oracle import (
     ModelError,
     MultiRegimeModel,
     StudySpec,
+    ace,
     check_distributional_consistency,
     check_ignorability,
     check_sufficient_covariate,
@@ -24,6 +25,7 @@ from dtcausal.oracle import (
     model_to_json,
     random_cpt,
     simulate_study,
+    study_spec_from_json,
     total_variation,
 )
 from dtcausal.statements import parse_statement as ps
@@ -370,6 +372,33 @@ class TestEtt:
             ett(m, "Y", "T")
 
 
+class TestAce:
+    def test_additive_kernel(self):
+        m = kernel_model(lambda t, ts: 0.1 + 0.3 * t + 0.4 * ts)
+        assert ace(m, "Y", "T") == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("build", [random_itt_ignorable_model, random_itt_nonignorable_model])
+    def test_difference_of_interventional_means(self, build):
+        for seed in range(5):
+            m = build(seed)
+            means = {t: m.joint({"F_T": t}).expectation("Y") for t in BIN}
+            assert ace(m, "Y", "T") == means[1] - means[0]
+
+    def test_action_must_be_binary(self):
+        rng = np.random.default_rng(0)
+        states = {"T*": (0, 1, 2), "T": (0, 1, 2), "Y": BIN}
+        cpts = {"T*": random_cpt(rng, "T*", (), states), "Y": random_cpt(rng, "Y", ("T",), states)}
+        m = MultiRegimeModel(
+            "itt", states, dag=itt_ignorable_dag(), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
+        )
+        with pytest.raises(ModelError, match="binary"):
+            ace(m, "Y", "T")
+
+    def test_action_without_regime(self):
+        with pytest.raises(ModelError, match="no regime controls 'Y'"):
+            ace(kernel_model(lambda t, ts: 0.5), "T", "Y")
+
+
 SPEC = StudySpec(
     covariate_dist={"morning": 0.5, "evening": 0.5},
     assignment={"morning": 0.5, "evening": 0.5},
@@ -420,6 +449,10 @@ class TestJson:
     def test_unknown_mode(self):
         with pytest.raises(ModelError):
             model_from_json({"mode": "nope", "variables": []})
+
+    def test_study_spec_from_json(self, corpus_dir):
+        doc = json.loads((corpus_dir / "models" / "study_randomized.json").read_text())
+        assert study_spec_from_json(doc) == SPEC
 
     def test_fixture_loads(self, corpus_dir):
         m = load_model(corpus_dir / "models" / "itt_example.json")
