@@ -25,7 +25,7 @@ from collections import deque
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from dtcausal.graph import STOCHASTIC, Dag, GraphError, restrict_to_regime
+from dtcausal.graph import STOCHASTIC, Dag, GraphError, moral_adjacency, restrict_to_regime
 from dtcausal.statements import EciStatement
 
 #: Hard cap on the nodes `implied_statements` and `separations_agree` enumerate over.
@@ -57,17 +57,7 @@ def separated(dag: Dag, left: frozenset[str], right: frozenset[str], cond: froze
 
 
 def _moral_separated(dag: Dag, left: frozenset[str], right: frozenset[str], cond: frozenset[str]) -> bool:
-    keep = dag.ancestors(left | right | cond)
-    adj: dict[str, set[str]] = {v: set() for v in keep}
-    for e in dag.edges:
-        if e.src in keep and e.dst in keep:
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
-    for v in keep:
-        ps = [p for p in dag.parents(v) if p in keep]
-        for a, b in combinations(ps, 2):
-            adj[a].add(b)
-            adj[b].add(a)
+    adj = moral_adjacency(dag, left | right | cond)
     # BFS from left avoiding conditioning nodes.
     seen = set(left - cond)
     queue = deque(seen)

@@ -213,17 +213,21 @@ def moral_graph(dag: Dag, restrict_to: Iterable[str]) -> tuple[frozenset[str], f
     within it, and drops edge directions.  Returns (nodes, undirected
     edges as 2-element frozensets).
     """
+    adj = moral_adjacency(dag, restrict_to)
+    return frozenset(adj), frozenset(frozenset((a, b)) for a in adj for b in adj[a])
+
+
+def moral_adjacency(dag: Dag, restrict_to: Iterable[str]) -> dict[str, set[str]]:
+    """`moral_graph` as each node's set of neighbours."""
     keep = dag.ancestors(restrict_to)
-    und: set[frozenset[str]] = set()
-    for e in dag.edges:
-        if e.src in keep and e.dst in keep:
-            und.add(frozenset((e.src, e.dst)))
+    adj: dict[str, set[str]] = {v: set() for v in keep}
     for v in keep:
-        ps = sorted(p for p in dag.parents(v) if p in keep)
-        for i, a in enumerate(ps):
-            for b in ps[i + 1:]:
-                und.add(frozenset((a, b)))
-    return keep, frozenset(und)
+        parents = dag.parents(v)  # inside `keep`, which is ancestrally closed
+        adj[v] |= parents
+        for p in parents:
+            adj[p].add(v)
+            adj[p] |= parents - {p}
+    return adj
 
 
 def surgery(dag: Dag, remove_incoming: Iterable[str] = (), remove_outgoing: Iterable[str] = ()) -> Dag:

@@ -4,15 +4,17 @@ A model assigns one joint probability table over the stochastic
 variables to every regime assignment.  ITT-mode models are built from
 an intention-to-treat DAG plus a CPT bank (deterministic applied-
 treatment nodes carry no CPT: their value is the regime value when the
-regime is non-idle, else the ITT value).  Raw mode stores per-regime
-joint tables directly and exists to author consistency violations the
-ITT constructor cannot produce.
+regime is non-idle, else the ITT value).  Raw-mode models store one
+joint table per regime assignment directly, for any regime-indexed
+family, consistent or not.
 
-An ITT joint table is the exact product of the model's factors, compiled
-once per model: one tensor per CPT, with regime-parent axes ranging over
-the regime domain, and one 0/1 indicator per applied treatment.  Each
-regime assignment slices the regime axes and contracts the factors with
-a single einsum.  Distribution comparisons use total variation distance
+Both modes compile once, at construction, into one form: the variables,
+each regime's domain, and a list of factors whose leading axes range
+over regime domains.  An ITT model has one tensor per CPT and one 0/1
+indicator per applied treatment; a raw model has a single factor that
+stacks its tables over the full regime grid.  A joint table slices the
+regime axes for one assignment and contracts the factors with a single
+einsum.  Distribution comparisons use total variation distance
 (default tolerance 1e-9) and conditioning events with probability below
 1e-12 impose no constraint.
 """
@@ -24,11 +26,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from dtcausal.graph import IDLE, REGIME, STOCHASTIC, Dag, GraphError, topological_order
+from dtcausal.graph import IDLE, REGIME, STOCHASTIC, Dag, Edge, Node, topological_order
 from dtcausal.statements import EciStatement
 
 DEFAULT_TOL = 1e-9
@@ -123,6 +125,19 @@ class JointTable:
         return float(values @ marg)
 
 
+_Factor = tuple[tuple[str, ...], np.ndarray, list[int]]  # (regime axes, tensor, variable axes)
+
+
+class _Compiled(NamedTuple):
+    """A model's joint laws as factors.  Each tensor's leading axes range
+    over the domains of its regime axes; the rest are positions in
+    `variables`."""
+
+    variables: tuple[str, ...]
+    domains: dict[str, tuple[State, ...]]  # regime name -> domain, names sorted
+    factors: tuple[_Factor, ...]
+
+
 @dataclass(frozen=True)
 class MultiRegimeModel:
     mode: str  # "itt" or "raw"
@@ -137,67 +152,27 @@ class MultiRegimeModel:
     def __post_init__(self) -> None:
         if self.mode not in ("itt", "raw"):
             raise ModelError(f"unknown mode {self.mode!r}")
-        count = 1
-        for s in self.states.values():
-            count *= len(s)
-        if count > MAX_JOINT_STATES:
+        if math.prod(len(s) for s in self.states.values()) > MAX_JOINT_STATES:
             raise ModelError("joint state space exceeds enumeration bound")
-        if self.mode == "itt":
-            self._check_itt()
-        else:
-            size = math.prod(len(s) for s in self._variable_states)
-            for key, flat in self.raw_regimes.items():
-                if flat.size != size:
-                    raise ModelError(f"raw table for {dict(key)} has {flat.size} probabilities, expected {size}")
-                if abs(float(np.sum(flat)) - 1.0) > 1e-12:
-                    raise ModelError(f"raw regime table {key} does not sum to 1")
-
-    def _check_itt(self) -> None:
-        if self.dag is None:
-            raise ModelError("itt mode requires a DAG")
-        for reg, target in self.regimes.items():
-            if self.dag.kind_of(reg) != REGIME:
-                raise ModelError(f"{reg!r} is not a regime node")
-            if not self.dag.node(target).deterministic:
-                raise ModelError(f"regime target {target!r} is not deterministic")
-            if target in self.cpts:
-                raise ModelError(f"deterministic target {target!r} must not carry a CPT")
-            if target not in self.itt_of:
-                raise ModelError(f"missing ITT source for target {target!r}")
-            if self.itt_of[target] not in self.variables:
-                raise ModelError(f"ITT source of {target!r} is not a stochastic variable")
+        # Reading `variables` compiles the model, which checks every CPT row and raw table.
         if len(self.variables) > MAX_VARIABLES:
             raise ModelError(f"more than {MAX_VARIABLES} stochastic variables")
-        self._factors  # compiling checks every CPT row against the state spaces
 
     # -- regime bookkeeping --------------------------------------------
 
     @property
     def regime_names(self) -> tuple[str, ...]:
-        if self.mode == "itt":
-            return tuple(sorted(self.regimes))
-        # Raw mode: regime names come from the table keys; the optional
-        # `regimes`/`itt_of` metadata only serves the consistency checks.
-        names: set[str] = set()
-        for key in self.raw_regimes:
-            names.update(n for n, _ in key)
-        return tuple(sorted(names))
+        return tuple(self._compiled.domains)
 
     def regime_domain(self, regime: str) -> tuple[State, ...]:
-        if self.mode == "itt":
-            target = self.regimes[regime]
-            return (IDLE,) + tuple(self.states[target])
-        values = sorted(
-            {dict(key).get(regime) for key in self.raw_regimes},
-            key=lambda v: (v != IDLE, str(v)),
-        )
-        return tuple(values)
+        try:
+            return self._compiled.domains[regime]
+        except KeyError:
+            raise ModelError(f"unknown regime {regime!r}") from None
 
-    @cached_property
+    @property
     def variables(self) -> tuple[str, ...]:
-        if self.mode == "itt":
-            return tuple(v for v in topological_order(self.dag) if self.dag.kind_of(v) == STOCHASTIC)
-        return self.raw_order
+        return self._compiled.variables
 
     @cached_property
     def _variable_states(self) -> tuple[tuple[State, ...], ...]:
@@ -236,49 +211,57 @@ class MultiRegimeModel:
         return {}
 
     def _compute_joint(self, regime: Mapping[str, State]) -> JointTable:
-        states = self._variable_states
-        if self.mode == "raw":
-            key = _freeze_assignment(regime)
-            if key not in self.raw_regimes:
-                raise ModelError(f"no table for regime assignment {dict(regime)}")
-            shape = tuple(len(s) for s in states)
-            return JointTable(self.raw_order, states, self.raw_regimes[key].reshape(shape))
+        variables, domains, factors = self._compiled
         operands: list = []
-        for regime_axes, tensor, axes in self._factors:
-            operands += [tensor[tuple(self.regime_domain(r).index(regime[r]) for r in regime_axes)], axes]
-        probs = np.einsum(*operands, list(range(len(states)))) if operands else np.ones(())
+        for regime_axes, tensor, axes in factors:
+            operands += [tensor[tuple(domains[r].index(regime[r]) for r in regime_axes)], axes]
+        probs = np.einsum(*operands, list(range(len(variables)))) if operands else np.ones(())
         total = probs.sum()
         if abs(total - 1.0) > 1e-9:
             raise ModelError("joint table does not normalise")
-        return JointTable(self.variables, states, probs / total)
+        return JointTable(variables, self._variable_states, probs / total)
 
     @cached_property
-    def _factors(self) -> tuple[tuple[tuple[str, ...], np.ndarray, list[int]], ...]:
-        """The ITT joint's factors in topological order, one per variable, each
-        as (regime axes, tensor, variable axes).  The tensor's leading axes
-        range over the regimes' domains; the rest are the positions in
-        `variables` of the variable's stochastic parents and of itself."""
-        axis = {v: i for i, v in enumerate(self.variables)}
+    def _compiled(self) -> _Compiled:
+        return self._compile_itt() if self.mode == "itt" else self._compile_raw()
+
+    def _compile_itt(self) -> _Compiled:
+        if self.dag is None:
+            raise ModelError("itt mode requires a DAG")
+        variables = tuple(v for v in topological_order(self.dag) if self.dag.kind_of(v) == STOCHASTIC)
+        for reg, target in self.regimes.items():
+            if self.dag.kind_of(reg) != REGIME:
+                raise ModelError(f"{reg!r} is not a regime node")
+            if not self.dag.node(target).deterministic:
+                raise ModelError(f"regime target {target!r} is not deterministic")
+            if target in self.cpts:
+                raise ModelError(f"deterministic target {target!r} must not carry a CPT")
+            if target not in self.itt_of:
+                raise ModelError(f"missing ITT source for target {target!r}")
+            if self.itt_of[target] not in variables:
+                raise ModelError(f"ITT source of {target!r} is not a stochastic variable")
+        domains = {r: (IDLE,) + tuple(self.states[self.regimes[r]]) for r in sorted(self.regimes)}
+        axis = {v: i for i, v in enumerate(variables)}
         regime_of_target = {t: r for r, t in self.regimes.items()}
         factors = []
-        for v in self.variables:
+        for v in variables:
             if v in regime_of_target:
                 # Applied treatment: the ITT value when the regime is idle, else the regime value.
                 reg, src = regime_of_target[v], self.itt_of[v]
                 indicator = [
                     [[float((s if f == IDLE else f) == t) for t in self.states[v]] for s in self.states[src]]
-                    for f in self.regime_domain(reg)
+                    for f in domains[reg]
                 ]
                 factors.append(((reg,), np.array(indicator), [axis[src], axis[v]]))
             else:
-                factors.append(self._cpt_factor(v, axis))
-        return tuple(factors)
+                factors.append(self._cpt_factor(v, axis, domains))
+        return _Compiled(variables, domains, tuple(factors))
 
-    def _cpt_factor(self, v: str, axis: Mapping[str, int]) -> tuple[tuple[str, ...], np.ndarray, list[int]]:
+    def _cpt_factor(self, v: str, axis: Mapping[str, int], regime_domains: Mapping[str, tuple]) -> _Factor:
         cpt = self.cpts.get(v)
         if cpt is None:
             raise ModelError(f"missing CPT for {v!r}")
-        domains = [self.regime_domain(p) if p in self.regimes else self.states[p] for p in cpt.parents]
+        domains = [regime_domains.get(p) or self.states[p] for p in cpt.parents]
         configs = list(itertools.product(*domains))
         unknown = set(cpt.table) - set(configs)
         if unknown:
@@ -292,13 +275,44 @@ class MultiRegimeModel:
             if len(probs) != n:
                 raise ModelError(f"CPT row {list(config)} for {v!r} has {len(probs)} probabilities, not {n}")
         tensor = np.array([cpt.table[c] for c in configs], dtype=float).reshape([len(d) for d in domains] + [n])
-        regime_pos = [i for i, p in enumerate(cpt.parents) if p in self.regimes]
-        var_pos = [i for i, p in enumerate(cpt.parents) if p not in self.regimes]
+        regime_pos = [i for i, p in enumerate(cpt.parents) if p in regime_domains]
+        var_pos = [i for i, p in enumerate(cpt.parents) if p not in regime_domains]
         return (
             tuple(cpt.parents[i] for i in regime_pos),
             tensor.transpose(regime_pos + var_pos + [len(cpt.parents)]),
             [axis[cpt.parents[i]] for i in var_pos] + [axis[v]],
         )
+
+    def _compile_raw(self) -> _Compiled:
+        """One factor: regime axes for every regime in name order, then every
+        variable of `raw_order`, stacking the tables over the full regime grid.
+        Regime names and domains come from the table keys; the optional
+        `regimes`/`itt_of` metadata only serves the consistency checks."""
+        names = [n for n, _ in next(iter(self.raw_regimes), ())]  # keys are sorted by name
+        for key in self.raw_regimes:
+            if [n for n, _ in key] != names:
+                raise ModelError(f"raw table for {dict(key)} names regimes {[n for n, _ in key]}, not {names}")
+        domains = {
+            r: tuple(sorted({dict(key)[r] for key in self.raw_regimes}, key=lambda v: (v != IDLE, str(v))))
+            for r in names
+        }
+        shape = tuple(len(self.states[v]) for v in self.raw_order)
+        size = math.prod(shape)
+        tables = []
+        for combo in itertools.product(*domains.values()):
+            assignment = dict(zip(names, combo))
+            flat = self.raw_regimes.get(_freeze_assignment(assignment))
+            if flat is None:
+                raise ModelError(f"no raw table for regime assignment {assignment}")
+            if flat.size != size:
+                raise ModelError(f"raw table for {assignment} has {flat.size} probabilities, expected {size}")
+            if (flat < 0).any():
+                raise ModelError(f"raw table for {assignment} has a negative probability")
+            if abs(float(np.sum(flat)) - 1.0) > 1e-12:
+                raise ModelError(f"raw table for {assignment} does not sum to 1")
+            tables.append(flat)
+        tensor = np.array(tables, dtype=float).reshape(tuple(len(d) for d in domains.values()) + shape)
+        return _Compiled(self.raw_order, domains, ((tuple(names), tensor, list(range(len(shape)))),))
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -603,10 +617,11 @@ def model_to_json(model: MultiRegimeModel) -> dict:
                 entry["deterministic"] = True
         variables.append(entry)
     doc["variables"] = variables
-    if model.mode == "itt":
+    if model.regimes:
         doc["regimes"] = [
             {"name": r, "target": t, "itt": model.itt_of[t]} for r, t in sorted(model.regimes.items())
         ]
+    if model.mode == "itt":
         doc["cpts"] = [
             {
                 "child": cpt.child,
@@ -619,10 +634,6 @@ def model_to_json(model: MultiRegimeModel) -> dict:
             for cpt in (model.cpts[c] for c in sorted(model.cpts))
         ]
     else:
-        if model.regimes:
-            doc["regimes"] = [
-                {"name": r, "target": t, "itt": model.itt_of[t]} for r, t in sorted(model.regimes.items())
-            ]
         doc["raw_regimes"] = [
             {"assignment": dict(key), "probs": list(map(float, flat))}
             for key, flat in sorted(model.raw_regimes.items(), key=lambda kv: json.dumps(kv[0]))
@@ -633,49 +644,32 @@ def model_to_json(model: MultiRegimeModel) -> dict:
 def model_from_json(doc: Mapping) -> MultiRegimeModel:
     mode = doc.get("mode")
     states = {v["name"]: tuple(v["states"]) for v in doc["variables"]}
+    regimes = {r["name"]: r["target"] for r in doc.get("regimes", [])}
+    itt_of = {r["target"]: r["itt"] for r in doc.get("regimes", [])}
     if mode == "itt":
-        from dtcausal.graph import Edge, Node
-
-        regimes = {r["name"]: r["target"] for r in doc["regimes"]}
-        itt_of = {r["target"]: r["itt"] for r in doc["regimes"]}
-        cpts = {}
-        for c in doc.get("cpts", []):
-            cpts[c["child"]] = Cpt(
-                c["child"],
-                tuple(c["parents"]),
-                {tuple(row["parents"]): tuple(row["probs"]) for row in c["rows"]},
+        cpts = {
+            c["child"]: Cpt(
+                c["child"], tuple(c["parents"]), {tuple(r["parents"]): tuple(r["probs"]) for r in c["rows"]}
             )
-        nodes = set()
+            for c in doc.get("cpts", [])
+        }
         flags = {v["name"]: v for v in doc["variables"]}
-        det_targets = set(regimes.values())
-        for name in states:
-            nodes.add(
-                Node(
-                    name,
-                    STOCHASTIC,
-                    latent=bool(flags[name].get("latent", False)),
-                    deterministic=name in det_targets,
-                )
-            )
-        for reg in regimes:
-            nodes.add(Node(reg, REGIME))
-        edges = set()
-        for cpt in cpts.values():
-            for par in cpt.parents:
-                edges.add(Edge(par, cpt.child))
+        nodes = {
+            Node(n, STOCHASTIC, latent=bool(v.get("latent", False)), deterministic=n in itt_of)
+            for n, v in flags.items()
+        } | {Node(reg, REGIME) for reg in regimes}
+        edges = {Edge(par, cpt.child) for cpt in cpts.values() for par in cpt.parents}
         for reg, target in regimes.items():
-            edges.add(Edge(reg, target))
-            edges.add(Edge(itt_of[target], target, dashed=True))
-        dag = Dag.of(nodes, edges)
-        return MultiRegimeModel("itt", states, dag=dag, cpts=cpts, regimes=regimes, itt_of=itt_of)
+            edges |= {Edge(reg, target), Edge(itt_of[target], target, dashed=True)}
+        return MultiRegimeModel("itt", states, dag=Dag.of(nodes, edges), cpts=cpts, regimes=regimes, itt_of=itt_of)
     if mode == "raw":
         order = tuple(v["name"] for v in doc["variables"])
         raw = {}
         for entry in doc["raw_regimes"]:
             key = _freeze_assignment(entry["assignment"])
+            if key in raw:
+                raise ModelError(f"duplicate raw table for regime assignment {entry['assignment']}")
             raw[key] = np.asarray(entry["probs"], dtype=float)
-        regimes = {r["name"]: r["target"] for r in doc.get("regimes", [])}
-        itt_of = {r["target"]: r["itt"] for r in doc.get("regimes", [])}
         return MultiRegimeModel("raw", states, raw_regimes=raw, raw_order=order, regimes=regimes, itt_of=itt_of)
     raise ModelError(f"unknown mode {mode!r}")
 

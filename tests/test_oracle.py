@@ -205,6 +205,55 @@ class TestCptValidation:
             model_from_json(doc)
 
 
+def raw_doc(corpus_dir):
+    return json.loads((corpus_dir / "models" / "raw_inconsistent.json").read_text())
+
+
+class TestRawValidation:
+    def test_negative_probability(self, corpus_dir):
+        doc = raw_doc(corpus_dir)
+        doc["raw_regimes"][0]["probs"] = [1.5, -0.5] + [0.0] * 6  # sums to 1
+        with pytest.raises(ModelError, match=r"raw table for \{'F_T': '~'\} has a negative probability"):
+            model_from_json(doc)
+
+    def test_duplicate_assignment(self, corpus_dir):
+        doc = raw_doc(corpus_dir)
+        doc["raw_regimes"].append({"assignment": {"F_T": 0}, "probs": [0.125] * 8})
+        with pytest.raises(ModelError, match=r"duplicate raw table for regime assignment \{'F_T': 0\}"):
+            model_from_json(doc)
+
+    def test_missing_assignment(self, corpus_dir):
+        doc = raw_doc(corpus_dir)
+        for entry in doc["raw_regimes"]:
+            entry["assignment"]["F_S"] = IDLE
+        doc["raw_regimes"].append({"assignment": {"F_T": 0, "F_S": 1}, "probs": [0.125] * 8})
+        with pytest.raises(ModelError, match=r"no raw table for regime assignment \{'F_S': 1, 'F_T': '~'\}"):
+            model_from_json(doc)
+
+    def test_different_regime_names(self, corpus_dir):
+        doc = raw_doc(corpus_dir)
+        doc["raw_regimes"][2]["assignment"] = {"F_T": 1, "F_S": IDLE}
+        with pytest.raises(ModelError, match=r"raw table for \{'F_S': '~', 'F_T': 1\} names regimes"):
+            model_from_json(doc)
+
+    def test_joint_equals_stored_table(self, corpus_dir):
+        doc = raw_doc(corpus_dir)
+        m = model_from_json(doc)
+        assert len(m.all_regime_assignments()) == len(doc["raw_regimes"])
+        for entry in doc["raw_regimes"]:
+            probs = m.joint(entry["assignment"]).probs
+            assert probs.shape == (2, 2, 2)
+            assert np.allclose(probs.reshape(-1), entry["probs"], rtol=0, atol=1e-12), entry["assignment"]
+
+
+@pytest.mark.parametrize("mode", ["itt", "raw"])
+def test_unknown_regime_domain(mode, corpus_dir):
+    m = load_model(corpus_dir / "models" / ("itt_example.json" if mode == "itt" else "raw_inconsistent.json"))
+    assert m.regime_domain("F_T") == (IDLE, 0, 1)
+    with pytest.raises(ModelError, match="unknown regime 'F_Q'"):
+        m.regime_domain("F_Q")
+
+
 class TestEciHolds:
     def test_applied_treatment_screens_in_every_model(self):
         for seed in range(25):
@@ -442,9 +491,19 @@ class TestJson:
         assert again == doc
 
     def test_raw_round_trip_bit_exact(self, corpus_dir):
-        path = corpus_dir / "models" / "raw_inconsistent.json"
-        doc = json.loads(path.read_text())
-        assert model_to_json(model_from_json(doc)) == model_to_json(model_from_json(doc))
+        doc = raw_doc(corpus_dir)
+        assert model_to_json(model_from_json(doc)) == doc
+
+    def test_itt_without_regimes(self):
+        doc = {
+            "mode": "itt",
+            "variables": [{"name": "X", "states": [0, 1]}],
+            "cpts": [{"child": "X", "parents": [], "rows": [{"parents": [], "probs": [0.25, 0.75]}]}],
+        }
+        m = model_from_json(doc)
+        assert m.regime_names == ()
+        assert m.joint({}).probs.tolist() == [0.25, 0.75]
+        assert model_to_json(m) == doc
 
     def test_unknown_mode(self):
         with pytest.raises(ModelError):
