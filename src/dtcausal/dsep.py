@@ -42,10 +42,7 @@ def _prepare(dag: Dag, stmt: EciStatement) -> tuple[Dag, frozenset[str], frozens
 def d_separated(dag: Dag, stmt: EciStatement) -> bool:
     """Moralisation criterion: true iff left and right are separated by the
     conditioning set in the moralised ancestral graph."""
-    graph, left, right, cond = _prepare(dag, stmt)
-    if not right:
-        return True
-    return _moral_separated(graph, left, right, cond)
+    return separated(*_prepare(dag, stmt))
 
 
 def separated(dag: Dag, left: frozenset[str], right: frozenset[str], cond: frozenset[str]) -> bool:
@@ -53,10 +50,6 @@ def separated(dag: Dag, left: frozenset[str], right: frozenset[str], cond: froze
     checks (used internally where regime nodes may sit on either side)."""
     if not right:
         return True
-    return _moral_separated(dag, left, right, cond)
-
-
-def _moral_separated(dag: Dag, left: frozenset[str], right: frozenset[str], cond: frozenset[str]) -> bool:
     adj = moral_adjacency(dag, left | right | cond)
     # BFS from left avoiding conditioning nodes.
     seen = set(left - cond)

@@ -102,10 +102,6 @@ class ProofStep:
 class ProofTrace:
     steps: tuple[ProofStep, ...]
 
-    @property
-    def conclusion(self) -> EciStatement:
-        return self.steps[-1].output
-
     def replay(self, universe: Universe, *, premises: list[EciStatement] | None = None) -> EciStatement:
         """Re-apply the named axioms in order; returns the final statement.
 

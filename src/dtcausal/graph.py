@@ -11,7 +11,7 @@ value.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -137,19 +137,6 @@ class Dag:
             seen.add(v)
             stack.extend(self.children(v))
         return frozenset(seen)
-
-    def regime_target(self, regime: str) -> str | None:
-        """The (unique) deterministic child of a regime node, if any."""
-        node = self.node(regime)
-        if node.kind != REGIME:
-            raise GraphError(f"{regime!r} is not a regime node")
-        det = sorted(c for c in self.children(regime) if self.node(c).deterministic)
-        return det[0] if det else None
-
-    def same_structure(self, other: "Dag") -> bool:
-        """Equality ignoring the dashed-edge annotation."""
-        strip = lambda es: frozenset(replace(e, dashed=False) for e in es)
-        return self.nodes == other.nodes and strip(self.edges) == strip(other.edges)
 
 
 def validate(dag: Dag) -> list[str]:

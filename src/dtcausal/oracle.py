@@ -55,10 +55,17 @@ class Cpt:
         for key, probs in self.table.items():
             if len(key) != len(self.parents):
                 raise ModelError(f"CPT row for {self.child!r} has wrong parent arity")
-            if any(p < 0 for p in probs):
-                raise ModelError(f"negative probability in CPT for {self.child!r}")
-            if abs(sum(probs) - 1.0) > 1e-12:
-                raise ModelError(f"CPT row for {self.child!r} does not sum to 1")
+            _check_distribution(probs, f"CPT row {list(key)} for {self.child!r}")
+
+
+def _check_distribution(probs: Sequence[float], what: str) -> None:
+    """Every entry finite and nonnegative, and the entries sum to 1.  NaN
+    fails every comparison, so both tests are written to pass only on good input."""
+    bad = next((p for p in probs if not 0.0 <= p < math.inf), None)
+    if bad is not None:
+        raise ModelError(f"{what} has a {'negative' if bad < 0 else 'non-finite'} probability {bad}")
+    if not abs(math.fsum(probs) - 1.0) <= 1e-12:
+        raise ModelError(f"{what} does not sum to 1")
 
 
 def _freeze_assignment(assignment: Mapping[str, State]) -> tuple[tuple[str, State], ...]:
@@ -306,10 +313,7 @@ class MultiRegimeModel:
                 raise ModelError(f"no raw table for regime assignment {assignment}")
             if flat.size != size:
                 raise ModelError(f"raw table for {assignment} has {flat.size} probabilities, expected {size}")
-            if (flat < 0).any():
-                raise ModelError(f"raw table for {assignment} has a negative probability")
-            if abs(float(np.sum(flat)) - 1.0) > 1e-12:
-                raise ModelError(f"raw table for {assignment} does not sum to 1")
+            _check_distribution(flat.tolist(), f"raw table for {assignment}")
             tables.append(flat)
         tensor = np.array(tables, dtype=float).reshape(tuple(len(d) for d in domains.values()) + shape)
         return _Compiled(self.raw_order, domains, ((tuple(names), tensor, list(range(len(shape)))),))
@@ -599,10 +603,6 @@ def simulate_study(spec: StudySpec, n: int, seed: int) -> StudyResult:
 # -- JSON serialisation ---------------------------------------------------
 
 
-def _state_key(value: State) -> str:
-    return json.dumps(value)
-
-
 def model_to_json(model: MultiRegimeModel) -> dict:
     doc: dict = {"mode": model.mode}
     variables = []
@@ -642,6 +642,16 @@ def model_to_json(model: MultiRegimeModel) -> dict:
 
 
 def model_from_json(doc: Mapping) -> MultiRegimeModel:
+    try:
+        mode, fields = _model_fields(doc)
+    except KeyError as exc:
+        raise ModelError(f"model document is missing required key {exc.args[0]!r}") from None
+    return MultiRegimeModel(mode, **fields)
+
+
+def _model_fields(doc: Mapping) -> tuple[str, dict]:
+    """The constructor arguments a model document spells out; a missing
+    required key raises KeyError."""
     mode = doc.get("mode")
     states = {v["name"]: tuple(v["states"]) for v in doc["variables"]}
     regimes = {r["name"]: r["target"] for r in doc.get("regimes", [])}
@@ -661,7 +671,7 @@ def model_from_json(doc: Mapping) -> MultiRegimeModel:
         edges = {Edge(par, cpt.child) for cpt in cpts.values() for par in cpt.parents}
         for reg, target in regimes.items():
             edges |= {Edge(reg, target), Edge(itt_of[target], target, dashed=True)}
-        return MultiRegimeModel("itt", states, dag=Dag.of(nodes, edges), cpts=cpts, regimes=regimes, itt_of=itt_of)
+        return mode, dict(states=states, dag=Dag.of(nodes, edges), cpts=cpts, regimes=regimes, itt_of=itt_of)
     if mode == "raw":
         order = tuple(v["name"] for v in doc["variables"])
         raw = {}
@@ -670,7 +680,7 @@ def model_from_json(doc: Mapping) -> MultiRegimeModel:
             if key in raw:
                 raise ModelError(f"duplicate raw table for regime assignment {entry['assignment']}")
             raw[key] = np.asarray(entry["probs"], dtype=float)
-        return MultiRegimeModel("raw", states, raw_regimes=raw, raw_order=order, regimes=regimes, itt_of=itt_of)
+        return mode, dict(states=states, raw_regimes=raw, raw_order=order, regimes=regimes, itt_of=itt_of)
     raise ModelError(f"unknown mode {mode!r}")
 
 

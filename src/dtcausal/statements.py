@@ -1,24 +1,57 @@
-"""Extended conditional independence statements and their text syntax.
+"""Extended conditional independence statements and their one text grammar.
 
-Text form (shared by the DSL, premise files and the CLI):
+Text form, read by `.cadt` statement lines, premise files (one statement
+per line) and the CLI's ``--query``, ``--statement`` and ``--target``:
 
     A, B _||_ C, F | D, F2=1
 
 ``_||_`` separates the left and right variable lists, ``|`` introduces
 the conditioning terms, ``=`` pins a regime indicator to a value, and
 ``~`` is the idle value (so ``F=~`` pins the observational regime).
+A name is an identifier (letters, digits and ``_``, not starting with a
+digit, optionally ending in ``*``) that is not a DSL keyword; a pin value
+is an identifier, a number or ``~``; only conditioning terms may be
+pinned.  ``#`` starts a comment that runs to the end of the line.
+
+This module owns the lexer shared with `dtcausal.dsl`: `_tokenize` turns
+text into ``(kind, text, offset)`` tuples in one regex pass, and `Parser`
+walks them.  A fault found in text raises `StatementError` whose
+`diagnostic` holds the 1-based line and column, computed from the offset
+only when the error is raised.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from dtcausal.graph import IDLE, REGIME, Dag
 
+KEYWORDS = frozenset({"graph", "node", "regime", "targets", "edge", "latent", "deterministic", "dashed", "statement", "plan"})
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    line: int
+    column: int
+    message: str
+    expected: tuple[str, ...] = ()
+
+    @property
+    def detail(self) -> str:
+        return self.message + (" (expected " + ", ".join(self.expected) + ")" if self.expected else "")
+
+    def __str__(self) -> str:
+        return f"{self.line}:{self.column}: {self.detail}"
+
 
 class StatementError(ValueError):
-    """Raised for malformed independence statements."""
+    """Raised for malformed independence statements; one found while parsing
+    text carries its position as `diagnostic`."""
+
+    def __init__(self, message: str, diagnostic: Diagnostic | None = None):
+        super().__init__(message)
+        self.diagnostic = diagnostic
 
 
 @dataclass(frozen=True)
@@ -65,50 +98,140 @@ class EciStatement:
                 raise StatementError(f"pinned node {name!r} is not a regime")
 
 
-_TERM_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*\*?$")
+# One alternative per token kind; `bad` catches the first unexpected character.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<skip>[ \t\r\n]+|\#[^\n]*)
+  | (?P<indep>_\|\|_)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*\*?)
+  | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
+  | (?P<arrow>->)
+  | (?P<punct>[{};:,|=~])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+Token = tuple[str, str, int]  # kind ("ident", "number", "indep", "arrow", a punctuation literal, "eof"), text, offset
+
+_LABELS = {"ident": "identifier", "indep": "'_||_'", "arrow": "'->'", "eof": "end of input"}
 
 
-def _parse_terms(text: str, allow_pins: bool) -> tuple[list[str], list[tuple[str, str]]]:
-    plain: list[str] = []
-    pins: list[tuple[str, str]] = []
-    text = text.strip()
-    if not text:
-        return plain, pins
-    for raw in text.split(","):
-        term = raw.strip()
-        if not term:
-            raise StatementError("empty term in statement")
-        if "=" in term:
-            if not allow_pins:
-                raise StatementError(f"pinned term {term!r} only allowed after '|'")
-            name, value = (p.strip() for p in term.split("=", 1))
-            if not _TERM_RE.match(name) or not value:
-                raise StatementError(f"bad pinned term {term!r}")
-            pins.append((name, value))
-        else:
-            if not _TERM_RE.match(term):
-                raise StatementError(f"bad variable name {term!r}")
-            plain.append(term)
-    return plain, pins
+def _label(kind: str) -> str:
+    return _LABELS.get(kind) or f"'{kind}'"
+
+
+def _error_at(source: str, offset: int, message: str, expected: tuple[str, ...] = ()) -> StatementError:
+    diag = Diagnostic(source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset), message, expected)
+    return StatementError(f"line {diag.line}, column {diag.column}: {diag.detail}", diag)
+
+
+def _tokenize(source: str, start: int = 0, end: int | None = None) -> list[Token]:
+    """The tokens of ``source[start:end]``, offsets counted from the start of
+    `source`, ending with an ``eof`` token."""
+    end = len(source) if end is None else end
+    tokens = []
+    for m in _TOKEN_RE.finditer(source, start, end):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        text = m.group()
+        if kind == "bad":
+            raise _error_at(source, m.start(), f"unexpected character {text!r}")
+        tokens.append((text if kind == "punct" else kind, text, m.start()))
+    tokens.append(("eof", "", end))
+    return tokens
+
+
+class Parser:
+    """Cursor over the tokens of ``source[start:end]``, with the statement
+    grammar; `dtcausal.dsl` parses graphs and plans with the same cursor."""
+
+    def __init__(self, source: str, start: int = 0, end: int | None = None):
+        self.source = source
+        self.tokens = _tokenize(source, start, end)
+        self.pos = 0
+
+    @property
+    def here(self) -> Token:
+        return self.tokens[self.pos]
+
+    def error(self, message: str, expected: tuple[str, ...] = (), at: Token | None = None) -> StatementError:
+        return _error_at(self.source, (at or self.here)[2], message, expected)
+
+    def unexpected(self, *expected: str) -> StatementError:
+        kind, text, _ = self.here
+        return self.error("unexpected end of input" if kind == "eof" else f"unexpected {text!r}", expected)
+
+    def take(self, kind: str) -> Token:
+        t = self.here
+        if t[0] != kind:
+            raise self.unexpected(_label(kind))
+        self.pos += 1
+        return t
+
+    def at_keyword(self, word: str) -> bool:
+        kind, text, _ = self.here
+        return kind == "ident" and text == word
+
+    def take_keyword(self, word: str) -> Token:
+        t = self.here
+        if t[0] != "ident" or t[1] != word:
+            raise self.unexpected(f"'{word}'")
+        self.pos += 1
+        return t
+
+    def take_name(self) -> Token:
+        t = self.here
+        if t[0] != "ident" or t[1] in KEYWORDS:
+            raise self.unexpected("identifier")
+        self.pos += 1
+        return t
+
+    def statement(self, end: str) -> EciStatement:
+        """Parse one statement body, which must be followed by a token of kind
+        `end` (left in place)."""
+        start = self.here
+        left = self._terms(("indep",), None)
+        self.pos += 1  # the '_||_' that ended the list
+        right = self._terms(("|", end), None)
+        given: list[str] = []
+        pins: list[tuple[str, str]] = []
+        if self.here[0] == "|":
+            self.pos += 1
+            given = self._terms((end,), pins)
+        try:
+            return EciStatement(frozenset(left), frozenset(right), frozenset(given), tuple(pins))
+        except StatementError as exc:
+            raise self.error(str(exc), at=start) from None
+
+    def _terms(self, stop: tuple[str, ...], pins: list[tuple[str, str]] | None) -> list[str]:
+        """A comma-separated list ending before a token of a `stop` kind; pinned
+        terms go to `pins`, and are allowed only when it is given."""
+        plain = []
+        while True:
+            name = self.take_name()[1]
+            if pins is not None and self.here[0] == "=":
+                self.pos += 1
+                kind, value, _ = self.here
+                if kind not in ("ident", "number", "~"):
+                    raise self.unexpected("regime value", "'~'")
+                self.pos += 1
+                pins.append((name, value))
+            else:
+                plain.append(name)
+            kind = self.here[0]
+            if kind == ",":
+                self.pos += 1
+            elif kind in stop:
+                return plain
+            else:
+                raise self.unexpected(*map(_label, (",",) + stop))
 
 
 def parse_statement(text: str) -> EciStatement:
-    """Parse the text syntax into an EciStatement."""
-    if "_||_" not in text:
-        raise StatementError("expected '_||_' separator")
-    lhs, rest = text.split("_||_", 1)
-    if "|" in rest:
-        rhs, cond = rest.split("|", 1)
-    else:
-        rhs, cond = rest, ""
-    left, _ = _parse_terms(lhs, allow_pins=False)
-    right, _ = _parse_terms(rhs, allow_pins=False)
-    given, pins = _parse_terms(cond, allow_pins=True)
-    if not left:
-        raise StatementError("left side must be nonempty")
-    if not right:
-        raise StatementError("right side must be nonempty")
-    return EciStatement(frozenset(left), frozenset(right), frozenset(given), tuple(pins))
+    """Parse text that holds exactly one statement."""
+    return Parser(text).statement("eof")
 
 
 def format_statement(stmt: EciStatement) -> str:
@@ -120,22 +243,22 @@ def format_statement(stmt: EciStatement) -> str:
 
 
 def parse_premise_file(text: str) -> list[EciStatement]:
-    """One statement per line; '#' starts a comment; blank lines ignored."""
+    """One statement per line; lines holding only blanks or a comment are
+    skipped.  Errors give the line and column in the whole file."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            out.append(parse_statement(line))
-        except StatementError as exc:
-            raise StatementError(f"line {lineno}: {exc}") from exc
+    start = 0
+    for line in text.split("\n"):
+        p = Parser(text, start, start + len(line))
+        if p.here[0] != "eof":
+            out.append(p.statement("eof"))
+        start += len(line) + 1
     return out
 
 
 # Re-export for callers who spell the idle value through this module.
 __all__ = [
     "IDLE",
+    "Diagnostic",
     "EciStatement",
     "StatementError",
     "format_statement",

@@ -214,6 +214,17 @@ class TestVerify:
         assert "Traceback" not in err
 
 
+    def test_missing_key_is_named(self, capsys, tmp_path):
+        doc = json.loads((MODELS / "raw_inconsistent.json").read_text())
+        del doc["raw_regimes"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", str(path), "--check", "consistency", "--y", "Y", "--action", "T")
+        assert code == 2
+        assert "missing" in err and "'raw_regimes'" in err
+        assert "Traceback" not in err
+
+
 class TestIdentify:
     def test_identified(self, capsys):
         code, out, _ = run(

@@ -79,7 +79,7 @@ class TestDerivable:
     def test_contraction_target(self):
         ok, trace = derivable([ps("X _||_ Y | Z"), ps("X _||_ W | Y, Z")], ps("X _||_ Y, W | Z"), U4)
         assert ok
-        assert trace.conclusion == ps("X _||_ Y, W | Z")
+        assert trace.steps[-1].output == ps("X _||_ Y, W | Z")
         assert any(s.axiom == "P5" for s in trace.steps)
 
     def test_intersection_pattern_refused(self):

@@ -171,19 +171,11 @@ class TestDagQueries:
         assert "X0" in dag.ancestors({"Y"})
         assert "Y" in dag.descendants("X0")
 
-    def test_regime_target(self):
-        assert itt_ignorable_dag().regime_target("F_T") == "T"
-
     def test_unknown_name_raises(self):
         dag = two_stage_obs_dag()
         for query in (dag.parents, dag.children, dag.descendants):
             with pytest.raises(GraphError, match="unknown node"):
                 query("nope")
-
-    def test_same_structure_ignores_dashing(self):
-        a = itt_ignorable_dag()
-        b = Dag(a.nodes, frozenset({Edge(e.src, e.dst) for e in a.edges}))
-        assert a.same_structure(b)
 
 
 class TestDot:

@@ -196,6 +196,12 @@ class TestCptValidation:
                 itt_of={"T": "T*"},
             )
 
+    def test_nan_probability(self, corpus_dir):
+        doc = json.loads((corpus_dir / "models" / "itt_example.json").read_text())
+        next(c for c in doc["cpts"] if c["child"] == "Y")["rows"][0]["probs"] = [float("nan"), 0.5]
+        with pytest.raises(ModelError, match=r"for 'Y' has a non-finite probability nan"):
+            model_from_json(doc)
+
     def test_raw_table_length(self, corpus_dir):
         doc = json.loads((corpus_dir / "models" / "raw_inconsistent.json").read_text())
         doc["raw_regimes"][0]["probs"] = doc["raw_regimes"][0]["probs"][:-2] + [
@@ -214,6 +220,12 @@ class TestRawValidation:
         doc = raw_doc(corpus_dir)
         doc["raw_regimes"][0]["probs"] = [1.5, -0.5] + [0.0] * 6  # sums to 1
         with pytest.raises(ModelError, match=r"raw table for \{'F_T': '~'\} has a negative probability"):
+            model_from_json(doc)
+
+    def test_nan_probability(self, corpus_dir):
+        doc = raw_doc(corpus_dir)
+        doc["raw_regimes"][0]["probs"] = [float("nan"), 1.0] + [0.0] * 6
+        with pytest.raises(ModelError, match=r"raw table for \{'F_T': '~'\} has a non-finite probability"):
             model_from_json(doc)
 
     def test_duplicate_assignment(self, corpus_dir):

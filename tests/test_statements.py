@@ -1,0 +1,61 @@
+"""The one statement grammar: round trips through the canonical printers,
+and inputs the grammar rejects everywhere it is read."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dtcausal import cli
+from dtcausal.dsl import parse, print_doc
+from dtcausal.statements import EciStatement, StatementError, format_statement, parse_statement
+
+from conftest import CORPUS
+
+HEAD = "ABCFTXYZabfxy_"  # no DSL keyword starts with one of these
+TAIL = HEAD + "0123456789"
+identifiers = st.builds(lambda head, tail: head + tail, st.sampled_from(HEAD), st.text(TAIL, max_size=4))
+names = st.builds(lambda base, star: base + star, identifiers, st.sampled_from(["", "*"]))
+numbers = st.builds(
+    lambda sign, whole, frac: sign + whole + frac,
+    st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=3), st.sampled_from(["", ".5", ".25"]),
+)
+pin_values = st.one_of(identifiers, numbers, st.just("~"))
+
+
+@st.composite
+def statements(draw):
+    pool = draw(st.lists(names, min_size=2, max_size=8, unique=True))
+    cut = draw(st.integers(1, len(pool) - 1))
+    left, rest = pool[:cut], pool[cut:]
+    right = draw(st.sets(st.sampled_from(rest), min_size=1, max_size=3))
+    given = draw(st.sets(st.sampled_from(rest), max_size=3))
+    pins = tuple((n, draw(pin_values)) for n in rest if n not in given and draw(st.booleans()))
+    return EciStatement(frozenset(left), frozenset(right), frozenset(given), pins)
+
+
+@given(statements())
+@settings(max_examples=100, deadline=None)
+def test_format_then_parse_is_identity(stmt):
+    assert parse_statement(format_statement(stmt)) == stmt
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.cadt")), ids=lambda p: p.stem)
+def test_canonical_print_is_a_fixed_point(path):
+    printed = print_doc(parse(path.read_text()))
+    assert print_doc(parse(printed)) == printed
+
+
+# Accepted by the split-on-separators parser that premise files and the CLI
+# once used, rejected by the `.cadt` grammar.
+REJECTED = ["X _||_ Y |", "X _||_ Y | F=a b", "X _||_ Y | F=x.y", "X _||_ Y | F=1e3", "plan _||_ Y"]
+
+
+@pytest.mark.parametrize("text", REJECTED)
+def test_rejected_everywhere(text, capsys):
+    with pytest.raises(StatementError) as exc:
+        parse_statement(text)
+    diag = exc.value.diagnostic
+    assert diag.line == 1 and 1 <= diag.column <= len(text) + 1
+    assert f"column {diag.column}" in str(exc.value)
+    assert cli.main(["dsep", str(CORPUS / "itt_ignorable.cadt"), "--query", text]) == 2
+    assert "Traceback" not in capsys.readouterr().err
