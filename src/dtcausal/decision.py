@@ -20,6 +20,16 @@ class DecisionError(ValueError):
     """Raised for malformed decision problems or queries."""
 
 
+def _check_weights(weights: Sequence[float], what: str) -> None:
+    """Every weight finite and nonnegative, and the weights sum to 1.  NaN
+    fails every comparison, so both tests are written to pass only on good input."""
+    bad = next((w for w in weights if not 0.0 <= w < math.inf), None)
+    if bad is not None:
+        raise DecisionError(f"{what} include a {'negative' if bad < 0 else 'non-finite'} value {bad}")
+    if not abs(sum(weights) - 1.0) <= 1e-9:
+        raise DecisionError(f"{what} do not sum to 1")
+
+
 @dataclass(frozen=True)
 class FiniteDist:
     """Finite outcome distribution; outcomes are JSON scalars."""
@@ -30,10 +40,7 @@ class FiniteDist:
         outcomes = [y for y, _ in self.probs]
         if len(set(map(repr, outcomes))) != len(outcomes):
             raise DecisionError("duplicate outcome")
-        if any(p < 0 for _, p in self.probs):
-            raise DecisionError("negative probability")
-        if abs(sum(p for _, p in self.probs) - 1.0) > 1e-9:
-            raise DecisionError("probabilities do not sum to 1")
+        _check_weights([p for _, p in self.probs], "probabilities")
 
     @staticmethod
     def of(table: Mapping[object, float]) -> "FiniteDist":
@@ -161,8 +168,7 @@ def lognormal_effects(np_: NormalPair) -> LognormalEffects:
 def prior_predictive(likelihood: Mapping[object, FiniteDist], prior: Mapping[object, float]) -> FiniteDist:
     """Mixture over a finite parameter grid; only the margin over the grid
     matters, any joint structure beyond these weights is irrelevant."""
-    if abs(sum(prior.values()) - 1.0) > 1e-9:
-        raise DecisionError("prior weights do not sum to 1")
+    _check_weights(list(prior.values()), "prior weights")
     mix: dict[object, float] = {}
     for param, weight in prior.items():
         if param not in likelihood:

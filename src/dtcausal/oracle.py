@@ -92,7 +92,8 @@ class JointTable:
         kept = tuple(v for v in self.variables if v in keep)
         return JointTable(kept, tuple(self.states[self.axis(v)] for v in kept), probs)
 
-    def prob_of(self, event: Mapping[str, State]) -> float:
+    def _index(self, event: Mapping[str, State]) -> tuple:
+        """The index that selects the cells of `event`."""
         idx: list = [slice(None)] * len(self.variables)
         for var, val in event.items():
             ax = self.axis(var)
@@ -100,36 +101,35 @@ class JointTable:
                 idx[ax] = self.states[ax].index(val)
             except ValueError:
                 raise ModelError(f"{val!r} is not a state of {var!r}") from None
-        return float(self.probs[tuple(idx)].sum())
+        return tuple(idx)
+
+    def prob_of(self, event: Mapping[str, State]) -> float:
+        return float(self.probs[self._index(event)].sum())
 
     def conditional(self, target: Sequence[str], event: Mapping[str, State]) -> np.ndarray | None:
         """Flat distribution over the joint states of `target` given `event`;
-        None when the conditioning event has (near-)zero probability."""
-        idx: list = [slice(None)] * len(self.variables)
-        for var, val in event.items():
-            ax = self.axis(var)
-            idx[ax] = self.states[ax].index(val)
-        sub = self.probs[tuple(idx)]
+        None when the event's probability is at most ZERO_TOL, decided
+        before any reduction."""
         remaining = [v for v in self.variables if v not in event]
+        for v in target:
+            if v not in remaining:
+                self.axis(v)  # an unknown variable raises here
+                raise ModelError(f"{v!r} is both a target and in the conditioning event")
+        sub = self.probs[self._index(event)]
+        total = float(sub.sum())
+        if total <= ZERO_TOL:
+            return None
         axes = tuple(remaining.index(v) for v in target)
         other = tuple(i for i in range(len(remaining)) if remaining[i] not in target)
         flat = sub.sum(axis=other) if other else sub
         flat = np.moveaxis(flat, tuple(range(len(axes))), tuple(np.argsort(axes))) if axes else flat
-        total = float(flat.sum())
-        if total <= ZERO_TOL:
-            return None
         return (flat / total).reshape(-1)
 
     def expectation(self, var: str, event: Mapping[str, State] | None = None) -> float:
-        ax = self.axis(var)
-        values = np.array([float(s) for s in self.states[ax]])
-        if event:
-            dist = self.conditional([var], event)
-            if dist is None:
-                raise ModelError("conditioning event has zero probability")
-            return float(values @ dist)
-        marg = self.marginal([var]).probs
-        return float(values @ marg)
+        dist = self.conditional([var], event or {})
+        if dist is None:
+            raise ModelError("conditioning event has zero probability")
+        return float(np.array([float(s) for s in self.states[self.axis(var)]]) @ dist)
 
 
 _Factor = tuple[tuple[str, ...], np.ndarray, list[int]]  # (regime axes, tensor, variable axes)
@@ -190,7 +190,7 @@ class MultiRegimeModel:
         names = self.regime_names
         for name, value in pins.items():
             if name not in names:
-                raise ModelError(f"unknown regime {name!r}")
+                raise ModelError(f"{name!r} is not a regime of the model")
             if value not in self.regime_domain(name):
                 raise ModelError(f"{value!r} outside domain of regime {name!r}")
         choices = [[pins[n]] if n in pins else list(self.regime_domain(n)) for n in names]
@@ -339,7 +339,8 @@ def eci_holds(model: MultiRegimeModel, stmt: EciStatement, tol: float = DEFAULT_
     True iff one family of conditional distributions for the left-hand
     variables, indexed by the conditioning context, serves every regime
     and every right-hand value: regime indicators pinned in the
-    conditioning restrict the regimes considered; regime indicators
+    conditioning restrict the regimes considered (a pin must name a
+    regime; any other pin raises ModelError); regime indicators
     appearing as plain variables in the conditioning (and any regime not
     mentioned at all) index the family; regime indicators on the right
     are quantified over, like right-hand values.  Conditioning events of
@@ -360,33 +361,22 @@ def eci_holds(model: MultiRegimeModel, stmt: EciStatement, tol: float = DEFAULT_
     # Conditioning dominates: a variable on both sides is redundant on the
     # right (X _||_ Y | Y is vacuously true).
     right = stmt.right - stmt.given - frozenset(pins)
-    right_regimes = sorted(right & regime_names)
-    stoch_right = sorted(right - regime_names)
     stoch_given = sorted(stmt.given - regime_names)
+    stoch = stoch_given + sorted(right - regime_names)
     left = sorted(stmt.left)
     # Regimes that index the family: pinned, plain-conditioned, or unmentioned.
-    context_regimes = sorted(regime_names - set(right_regimes))
-    for ctx_combo in itertools.product(
-        *([pins[r]] if r in pins else list(model.regime_domain(r)) for r in context_regimes)
-    ):
-        ctx = dict(zip(context_regimes, ctx_combo))
-        for g_combo in itertools.product(*(model.states[v] for v in stoch_given)):
-            given_event = dict(zip(stoch_given, g_combo))
-            reference: np.ndarray | None = None
-            for vary_combo in itertools.product(*(model.regime_domain(r) for r in right_regimes)):
-                regime = {**ctx, **dict(zip(right_regimes, vary_combo))}
-                table = model.joint(regime)
-                for b_combo in itertools.product(*(model.states[v] for v in stoch_right)):
-                    event = {**given_event, **dict(zip(stoch_right, b_combo))}
-                    if event and table.prob_of(event) <= ZERO_TOL:
-                        continue
-                    dist = table.conditional(left, event)
-                    if dist is None:
-                        continue
-                    if reference is None:
-                        reference = dist
-                    elif total_variation(reference, dist) > tol:
-                        return False
+    context_regimes = sorted(regime_names - right)
+    references: dict[tuple, np.ndarray] = {}  # (context regime values, given values) -> first distribution
+    for regime in model.all_regime_assignments(pins):
+        table = model.joint(regime)
+        context = tuple(regime[r] for r in context_regimes)
+        for combo in itertools.product(*(model.states[v] for v in stoch)):
+            dist = table.conditional(left, dict(zip(stoch, combo)))
+            if dist is None:
+                continue
+            reference = references.setdefault((context, combo[: len(stoch_given)]), dist)
+            if reference is not dist and total_variation(reference, dist) > tol:
+                return False
     return True
 
 
@@ -402,16 +392,9 @@ def check_distributional_consistency(
     idle = _single_regime(model, regime, IDLE)
     obs = model.joint(idle)
     for t in model.states[action]:
-        interventional = model.joint(_single_regime(model, regime, t))
-        if obs.prob_of({action: t}) <= ZERO_TOL:
-            continue
         lhs = obs.conditional(v, {action: t})
-        if interventional.prob_of({itt: t}) <= ZERO_TOL:
-            continue
-        rhs = interventional.conditional(v, {itt: t})
-        if lhs is None or rhs is None:
-            continue
-        if total_variation(lhs, rhs) > tol:
+        rhs = model.joint(_single_regime(model, regime, t)).conditional(v, {itt: t})
+        if lhs is not None and rhs is not None and total_variation(lhs, rhs) > tol:
             return False
     return True
 
@@ -470,18 +453,18 @@ def gformula_eval(
     y_var, y_val = y
     x0_var, x0_val = x0
     x1_var, x1_val = x1
-    if obs.prob_of({x0_var: x0_val}) <= ZERO_TOL:
-        raise ModelError("positivity violation")
+    y_pos = obs._index({y_var: y_val})[obs.axis(y_var)]  # raises for an unknown name or value of y
     pz = obs.conditional([z_var], {x0_var: x0_val})
+    if pz is None:
+        raise ModelError("positivity violation")
     total = 0.0
-    for z_val in model.states[z_var]:
-        pz_val = float(pz[model.states[z_var].index(z_val)])
+    for z_val, pz_val in zip(model.states[z_var], pz.tolist()):
         if pz_val <= ZERO_TOL:
             continue
-        if obs.prob_of({x1_var: x1_val, z_var: z_val}) <= ZERO_TOL:
-            raise ModelError("positivity violation")
         py = obs.conditional([y_var], {x1_var: x1_val, z_var: z_val})
-        total += float(py[model.states[y_var].index(y_val)]) * pz_val
+        if py is None:
+            raise ModelError("positivity violation")
+        total += float(py[y_pos]) * pz_val
     return total
 
 
@@ -507,13 +490,8 @@ def ett(model: MultiRegimeModel, y: str, action: str) -> float:
     if len(states) != 2:
         raise ModelError("ETT requires a binary action")
     lo, hi = states
-    terms = []
-    for t in (hi, lo):
-        table = model.joint(_single_regime(model, regime, t))
-        if table.prob_of({itt: hi}) <= ZERO_TOL:
-            raise ModelError("ITT value has zero probability")
-        terms.append(table.expectation(y, {itt: hi}))
-    return terms[0] - terms[1]
+    hi_mean, lo_mean = (model.joint(_single_regime(model, regime, t)).expectation(y, {itt: hi}) for t in (hi, lo))
+    return hi_mean - lo_mean
 
 
 # -- study simulation ----------------------------------------------------

@@ -225,6 +225,25 @@ class TestVerify:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("pin", ["T*=0", "Q=1"])
+    def test_pin_on_non_regime_is_usage_error(self, capsys, pin):
+        code, _, err = run(
+            capsys, "verify", str(MODELS / "itt_example.json"), "--check", "eci", "--statement", f"Y _||_ T | {pin}",
+        )
+        name = pin.split("=")[0]
+        assert code == 2
+        assert f"'{name}' is not a regime of the model" in err
+        assert "Traceback" not in err
+
+    def test_consistency_unknown_variable_is_named(self, capsys):
+        code, _, err = run(
+            capsys, "verify", str(MODELS / "itt_example.json"), "--check", "consistency", "--vars", "Q", "--action", "T",
+        )
+        assert code == 2
+        assert "unknown variable 'Q'" in err
+        assert "Traceback" not in err
+
+
 class TestIdentify:
     def test_identified(self, capsys):
         code, out, _ = run(
@@ -260,6 +279,17 @@ class TestGFormula:
         )
         assert code == 2
         assert "NAME=VALUE" in err
+
+    @pytest.mark.parametrize(
+        "y, z, message", [("Y=7", "Z", "7 is not a state of 'Y'"), ("Y=1", "Q", "unknown variable 'Q'")],
+    )
+    def test_bad_lookup_is_named(self, capsys, y, z, message):
+        code, _, err = run(
+            capsys, "gformula", str(MODELS / "two_stage.json"), "--y", y, "--x0", "X0=1", "--x1", "X1=0", "--z", z,
+        )
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestAce:

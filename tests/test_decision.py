@@ -38,6 +38,10 @@ class TestFiniteDist:
         with pytest.raises(DecisionError):
             FiniteDist.of({"a": -0.1, "b": 1.1})
 
+    def test_nan_probability(self):
+        with pytest.raises(DecisionError, match="non-finite value nan"):
+            FiniteDist.of({0: float("nan"), 1: 0.5})
+
     def test_duplicate_outcome(self):
         with pytest.raises(DecisionError, match="duplicate"):
             FiniteDist((("a", 0.5), ("a", 0.5)))
@@ -188,6 +192,11 @@ class TestPriorPredictive:
         prior = {0.1: 0.2, 0.5: 0.3, 0.9: 0.5}
         out = prior_predictive(like, prior)
         assert out.mean() == pytest.approx(sum(w * p for p, w in prior.items()))
+
+    def test_nan_prior_weight(self):
+        like = {0.2: FiniteDist.of({1: 0.2, 0: 0.8}), 0.6: FiniteDist.of({1: 0.6, 0: 0.4})}
+        with pytest.raises(DecisionError, match="prior weights include a non-finite value nan"):
+            prior_predictive(like, {0.2: float("nan"), 0.6: 0.5})
 
     def test_prior_must_normalise(self):
         with pytest.raises(DecisionError):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from dtcausal.graph import IDLE, Dag, Edge
 from dtcausal.oracle import (
+    DEFAULT_TOL,
+    ZERO_TOL,
     Cpt,
     ModelError,
     MultiRegimeModel,
@@ -26,8 +28,10 @@ from dtcausal.oracle import (
     random_cpt,
     simulate_study,
     study_spec_from_json,
+    _coerce_state,
     total_variation,
 )
+from dtcausal.statements import EciStatement
 from dtcausal.statements import parse_statement as ps
 
 from conftest import (
@@ -94,6 +98,20 @@ class TestJoint:
         with pytest.raises(ModelError, match="cover"):
             m.joint({})
 
+    def test_conditional_checks_names_and_values(self):
+        j = random_itt_nonignorable_model(3).joint({"F_T": IDLE})
+        with pytest.raises(ModelError, match="unknown variable 'Q'"):
+            j.conditional(["Q"], {"T": 1})
+        with pytest.raises(ModelError, match="'T' is both a target and in the conditioning event"):
+            j.conditional(["T"], {"T": 1})
+        with pytest.raises(ModelError, match="7 is not a state of 'T'"):
+            j.conditional(["Y"], {"T": 7})
+
+    def test_conditional_on_zero_mass_event_is_none(self):
+        j = kernel_model(lambda t, ts: 0.5).joint({"F_T": IDLE})
+        assert j.conditional(["Y"], {"T": 1, "T*": 0}) is None
+        assert j.conditional(["Y"], {"T": 1, "T*": 1}) == pytest.approx([0.5, 0.5])
+
     def test_value_outside_domain(self):
         m = random_itt_nonignorable_model(3)
         with pytest.raises(ModelError, match="domain"):
@@ -144,20 +162,18 @@ def regime_parent_model(seed):
     return MultiRegimeModel("itt", base.states, dag=dag, cpts=cpts, regimes=base.regimes, itt_of=base.itt_of)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        random_itt_ignorable_model,
-        random_itt_nonignorable_model,
-        random_suffcov_model,
-        random_two_stage_model,
-        lambda seed: random_two_stage_model(seed, extra_confounding=True),
-        three_state_trio_model,
-        regime_parent_model,
-    ],
-    ids=["trio-ignorable", "trio-nonignorable", "suffcov", "two-stage", "two-stage-confounded", "three-state",
-         "regime-parent"],
-)
+FAMILIES = {
+    "trio-ignorable": random_itt_ignorable_model,
+    "trio-nonignorable": random_itt_nonignorable_model,
+    "suffcov": random_suffcov_model,
+    "two-stage": random_two_stage_model,
+    "two-stage-confounded": lambda seed: random_two_stage_model(seed, extra_confounding=True),
+    "three-state": three_state_trio_model,
+    "regime-parent": regime_parent_model,
+}
+
+
+@pytest.mark.parametrize("build", FAMILIES.values(), ids=list(FAMILIES))
 def test_tensor_joint_matches_state_loop(build):
     for seed in range(3):
         m = build(seed)
@@ -264,6 +280,96 @@ def test_unknown_regime_domain(mode, corpus_dir):
     assert m.regime_domain("F_T") == (IDLE, 0, 1)
     with pytest.raises(ModelError, match="unknown regime 'F_Q'"):
         m.regime_domain("F_Q")
+
+
+def loop_eci_holds(model, stmt, tol=DEFAULT_TOL):
+    """Reference: the ECI verdict by nested loops that build one joint per
+    (context, given value, right-regime value) and test each event's mass
+    before conditioning, as the oracle did before its single pass over the
+    regime assignments."""
+    regime_names = set(model.regime_names)
+    variables = set(model.variables)
+    pins = {
+        name: _coerce_state(value, model.regime_domain(name)) if name in regime_names else value
+        for name, value in dict(stmt.pinned).items()
+    }
+    for name in stmt.left:
+        if name not in variables:
+            raise ModelError(f"unknown or non-stochastic left variable {name!r}")
+    for name in stmt.right | stmt.given:
+        if name not in variables and name not in regime_names:
+            raise ModelError(f"unknown variable {name!r}")
+    # Conditioning dominates: a variable on both sides is redundant on the
+    # right (X _||_ Y | Y is vacuously true).
+    right = stmt.right - stmt.given - frozenset(pins)
+    right_regimes = sorted(right & regime_names)
+    stoch_right = sorted(right - regime_names)
+    stoch_given = sorted(stmt.given - regime_names)
+    left = sorted(stmt.left)
+    # Regimes that index the family: pinned, plain-conditioned, or unmentioned.
+    context_regimes = sorted(regime_names - set(right_regimes))
+    for ctx_combo in itertools.product(
+        *([pins[r]] if r in pins else list(model.regime_domain(r)) for r in context_regimes)
+    ):
+        ctx = dict(zip(context_regimes, ctx_combo))
+        for g_combo in itertools.product(*(model.states[v] for v in stoch_given)):
+            given_event = dict(zip(stoch_given, g_combo))
+            reference: np.ndarray | None = None
+            for vary_combo in itertools.product(*(model.regime_domain(r) for r in right_regimes)):
+                regime = {**ctx, **dict(zip(right_regimes, vary_combo))}
+                table = model.joint(regime)
+                for b_combo in itertools.product(*(model.states[v] for v in stoch_right)):
+                    event = {**given_event, **dict(zip(stoch_right, b_combo))}
+                    if event and table.prob_of(event) <= ZERO_TOL:
+                        continue
+                    dist = table.conditional(left, event)
+                    if dist is None:
+                        continue
+                    if reference is None:
+                        reference = dist
+                    elif total_variation(reference, dist) > tol:
+                        return False
+    return True
+
+
+def random_eci_statement(model, rng):
+    """A seeded statement over the model's names: one or two stochastic left
+    variables, every other variable on the right, in the conditioning or
+    absent, and every regime on the right, plainly conditioned, pinned to a
+    value of its domain (idle included) or absent."""
+    names = list(model.variables)
+    left_size = int(rng.integers(1, 3))
+    order = rng.permutation(len(names))
+    left = {names[i] for i in order[:left_size]}
+    places = {"right": set(), "given": set()}
+    pinned = []
+    for name in [names[i] for i in order[left_size:]] + list(model.regime_names):
+        where = ("right", "given", None, "pin")[int(rng.integers(4 if name in model.regime_names else 3))]
+        if where == "pin":
+            domain = model.regime_domain(name)
+            pinned.append((name, str(domain[int(rng.integers(len(domain)))])))
+        elif where is not None:
+            places[where].add(name)
+    return EciStatement(frozenset(left), frozenset(places["right"]), frozenset(places["given"]), tuple(pinned))
+
+
+def test_eci_holds_matches_loop_reference():
+    rng = np.random.default_rng(7)
+    verdicts, regime_roles = [], set()
+    for build in FAMILIES.values():
+        for seed in range(2):
+            m = build(seed)
+            for _ in range(12):
+                stmt = random_eci_statement(m, rng)
+                regime_roles |= {("right", r) for r in stmt.right if r in m.regime_names}
+                regime_roles |= {("given", r) for r in stmt.given if r in m.regime_names}
+                regime_roles |= {("pin", v) for _, v in stmt.pinned}
+                verdict = eci_holds(m, stmt)
+                assert verdict == loop_eci_holds(m, stmt), (seed, stmt)
+                verdicts.append(verdict)
+    roles = {role for role, _ in regime_roles}
+    assert roles == {"right", "given", "pin"} and ("pin", IDLE) in regime_roles
+    assert any(verdicts) and not all(verdicts)
 
 
 class TestEciHolds:
