@@ -92,6 +92,7 @@ def _cmd_derive(args) -> None:
     if not ok:
         _emit(args, {"derived": False}, "not derivable")
         raise _CliIncomplete
+    trace.replay(universe, premises=premises, regimes_as_stochastic=args.regimes_stochastic)
     steps = [
         {"axiom": st.axiom, "inputs": list(st.inputs), "statement": format_statement(st.output)}
         for st in trace.steps

@@ -19,6 +19,13 @@ purely stochastic left-hand side.  With `regimes_as_stochastic=True`
 regime indicators are treated as ordinary random variables (a purely
 instrumental device: conclusions whose left side stays stochastic
 remain valid for non-stochastic regimes).
+
+A universe holds at most `MAX_VARIABLES` = 9 variables.  The full closure
+grows about fourfold in size and fivefold in time per variable: on a
+2-core machine the 9-variable Markov chain closes in about 2 s (37,314
+triples) and the 10-variable one in about 12 s (142,824 triples).
+`derivable` stops as soon as its target is derived, so it often takes
+far less than a full closure.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 from dtcausal.graph import REGIME, STOCHASTIC
 from dtcausal.statements import EciStatement, StatementError
 
-MAX_VARIABLES = 16
+MAX_VARIABLES = 9
 
 Triple = tuple[int, int, int]  # (left, right, given) bit masks
 
@@ -102,12 +109,20 @@ class ProofStep:
 class ProofTrace:
     steps: tuple[ProofStep, ...]
 
-    def replay(self, universe: Universe, *, premises: list[EciStatement] | None = None) -> EciStatement:
+    def replay(
+        self,
+        universe: Universe,
+        *,
+        premises: list[EciStatement] | None = None,
+        regimes_as_stochastic: bool = True,
+    ) -> EciStatement:
         """Re-apply the named axioms in order; returns the final statement.
 
         Raises if any step does not follow from its inputs by its axiom, if
         a P2 step's right side is not inside its conditioning set, or, when
-        `premises` are given, if a Premise step is not one of them.
+        `premises` are given, if a Premise step is not one of them.  With
+        `regimes_as_stochastic=False`, as in the engine without that flag,
+        no P1, P3, P4 or P5 step may put a regime on the left.
         """
         allowed = None if premises is None else {_normalise(universe.to_triple(p)) for p in premises}
         produced: list[Triple] = []
@@ -121,7 +136,7 @@ class ProofTrace:
                 if target[1] & ~target[2]:
                     raise StatementError("trace step is not a redundancy instance")
             else:
-                candidates = _apply_axiom(step.axiom, ins, universe.regime_mask, regimes_as_stochastic=True)
+                candidates = _apply_axiom(step.axiom, ins, universe.regime_mask, regimes_as_stochastic)
                 if target not in candidates:
                     raise StatementError(f"trace step does not follow by {step.axiom}")
             produced.append(target)
@@ -180,7 +195,18 @@ class _Closure:
     regimes_as_stochastic: bool
     derivation: dict[Triple, tuple[str, tuple[Triple, ...]]] = field(default_factory=dict)
 
-    def run(self, premises: list[Triple]) -> None:
+    def run(self, premises: list[Triple], target: Triple | None = None) -> None:
+        """Grow the closure round by round, to the fixpoint or until `target`
+        (a normalised triple) is derived.
+
+        Each round applies P1, P3 and P4 to every frontier triple and pairs it
+        by P5 with the known triples it can contract with: P5 combines
+        (l, y, z) with (l, w, y|z), so a frontier triple (l, r, g) comes first
+        with the triples keyed (l, r|g) in `by_given` and second with those
+        keyed (l, g) in `by_span`.  No other pair emits anything.  A triple
+        keeps the first derivation found for it, so stopping at the target
+        leaves its trace as the full fixpoint would give it.
+        """
         reg = self.universe.regime_mask
         for p in premises:
             t = _normalise(p)
@@ -195,29 +221,33 @@ class _Closure:
                 if i != j:
                     t = (1 << i, 1 << j, 1 << j)
                     self.derivation.setdefault(t, ("P2", ()))
+        by_given: dict[tuple[int, int], list[Triple]] = {}
+        by_span: dict[tuple[int, int], list[Triple]] = {}
         frontier = sorted(self.derivation)
-        known = set(self.derivation)
-        while frontier:
+        while frontier and target not in self.derivation:
+            for t in frontier:
+                l, r, g = t
+                by_given.setdefault((l, g), []).append(t)
+                by_span.setdefault((l, r | g), []).append(t)
             new: dict[Triple, tuple[str, tuple[Triple, ...]]] = {}
 
             def emit(t: Triple, axiom: str, ins: tuple[Triple, ...]) -> None:
-                if t not in known and t not in new:
+                if t not in self.derivation and t not in new:
                     new[t] = (axiom, ins)
 
-            by_left: dict[int, list[Triple]] = {}
-            for t in known:
-                by_left.setdefault(t[0], []).append(t)
             for s in frontier:
                 for axiom in ("P1", "P3", "P4"):
                     for t in sorted(_apply_axiom(axiom, [s], reg, self.regimes_as_stochastic)):
                         emit(t, axiom, (s,))
-                # Contraction pairs s with every known same-left statement, both ways.
-                for other in sorted(by_left.get(s[0], ())):
+                l, r, g = s
+                partners = {*by_given.get((l, r | g), ()), *by_span.get((l, g), ())}
+                for other in sorted(partners):
                     for first, second in ((s, other), (other, s)):
                         for t in sorted(_apply_axiom("P5", [first, second], reg, self.regimes_as_stochastic)):
                             emit(t, "P5", (first, second))
+                if target in new:
+                    break
             self.derivation.update(new)
-            known |= set(new)
             frontier = sorted(new)
 
     def trace(self, target: Triple) -> ProofTrace:
@@ -269,11 +299,12 @@ def derivable(
     A False answer means "not derivable by this engine" (the engine is
     sound, not complete).
     """
-    engine = _Closure(universe, regimes_as_stochastic)
-    engine.run([universe.to_triple(p) for p in premises])
+    triples = [universe.to_triple(p) for p in premises]
     t = _normalise(universe.to_triple(target))
     if t is None:  # empty right side: vacuously true, a redundancy instance
         return True, ProofTrace((ProofStep("P2", (), target),))
+    engine = _Closure(universe, regimes_as_stochastic)
+    engine.run(triples, t)
     if t not in engine.derivation:
         return False, None
     return True, engine.trace(t)

@@ -453,6 +453,8 @@ def gformula_eval(
     y_var, y_val = y
     x0_var, x0_val = x0
     x1_var, x1_val = x1
+    if z_var == x1_var:
+        raise ModelError(f"the adjustment variable {z_var!r} is also the second treatment")
     y_pos = obs._index({y_var: y_val})[obs.axis(y_var)]  # raises for an unknown name or value of y
     pz = obs.conditional([z_var], {x0_var: x0_val})
     if pz is None:

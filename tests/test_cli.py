@@ -281,7 +281,12 @@ class TestGFormula:
         assert "NAME=VALUE" in err
 
     @pytest.mark.parametrize(
-        "y, z, message", [("Y=7", "Z", "7 is not a state of 'Y'"), ("Y=1", "Q", "unknown variable 'Q'")],
+        "y, z, message",
+        [
+            ("Y=7", "Z", "7 is not a state of 'Y'"),
+            ("Y=1", "Q", "unknown variable 'Q'"),
+            ("Y=1", "X1", "'X1' is also the second treatment"),  # z would overwrite x1's binding
+        ],
     )
     def test_bad_lookup_is_named(self, capsys, y, z, message):
         code, _, err = run(

@@ -1,7 +1,21 @@
+import random
+
 import numpy as np
 import pytest
 
-from dtcausal.eci import MAX_VARIABLES, ProofStep, ProofTrace, Universe, UniverseError, closure, derivable
+from dtcausal.eci import (
+    MAX_VARIABLES,
+    ProofStep,
+    ProofTrace,
+    Triple,
+    Universe,
+    UniverseError,
+    _apply_axiom,
+    _Closure,
+    _normalise,
+    closure,
+    derivable,
+)
 from dtcausal.graph import Dag, Edge, Node
 from dtcausal.statements import EciStatement, StatementError, parse_premise_file, parse_statement as ps
 
@@ -167,6 +181,132 @@ class TestTraceReplay:
         assert trace.replay(U4) == ps("X _||_ Y")  # unchecked without the premise list
         with pytest.raises(StatementError, match="premises"):
             trace.replay(U4, premises=[ps("X _||_ Y | Z")])
+
+    def test_regime_left_symmetry_rejected_without_flag(self):
+        uni = Universe.of(["W"], ["F"])
+        trace = ProofTrace((ProofStep("Premise", (), ps("W _||_ F")), ProofStep("P1", (0,), ps("F _||_ W"))))
+        assert trace.replay(uni) == ps("F _||_ W")
+        with pytest.raises(StatementError, match="P1"):
+            trace.replay(uni, regimes_as_stochastic=False)
+
+
+# -- the closure before indexed contraction, kept as a reference ---------------
+
+
+def loop_closure(self, premises: list[Triple]) -> None:
+    """Reference: `_Closure.run` as it was before contraction partners were
+    looked up by index; each round pairs every frontier triple with every
+    known triple of the same left side, and the run always reaches the
+    fixpoint.  Called with a `_Closure` as `self`."""
+    reg = self.universe.regime_mask
+    for p in premises:
+        t = _normalise(p)
+        if t is not None and t not in self.derivation:
+            self.derivation[t] = ("Premise", ())
+    # Redundancy (P2) instances over single variables.
+    n = len(self.universe.variables)
+    for i in range(n):
+        if not self.regimes_as_stochastic and (1 << i) & reg:
+            continue
+        for j in range(n):
+            if i != j:
+                t = (1 << i, 1 << j, 1 << j)
+                self.derivation.setdefault(t, ("P2", ()))
+    frontier = sorted(self.derivation)
+    known = set(self.derivation)
+    while frontier:
+        new: dict[Triple, tuple[str, tuple[Triple, ...]]] = {}
+
+        def emit(t: Triple, axiom: str, ins: tuple[Triple, ...]) -> None:
+            if t not in known and t not in new:
+                new[t] = (axiom, ins)
+
+        by_left: dict[int, list[Triple]] = {}
+        for t in known:
+            by_left.setdefault(t[0], []).append(t)
+        for s in frontier:
+            for axiom in ("P1", "P3", "P4"):
+                for t in sorted(_apply_axiom(axiom, [s], reg, self.regimes_as_stochastic)):
+                    emit(t, axiom, (s,))
+            # Contraction pairs s with every known same-left statement, both ways.
+            for other in sorted(by_left.get(s[0], ())):
+                for first, second in ((s, other), (other, s)):
+                    for t in sorted(_apply_axiom("P5", [first, second], reg, self.regimes_as_stochastic)):
+                        emit(t, "P5", (first, second))
+        self.derivation.update(new)
+        known |= set(new)
+        frontier = sorted(new)
+
+
+def reference_closure(premises, universe, flag) -> _Closure:
+    engine = _Closure(universe, flag)
+    loop_closure(engine, [universe.to_triple(p) for p in premises])
+    return engine
+
+
+def markov_chain(n):
+    v = [f"V{i}" for i in range(n)]
+    return [ps(f"{v[i + 1]} _||_ {', '.join(v[:i])} | {v[i]}") for i in range(1, n - 1)], Universe.of(v)
+
+
+def sequential_randomisation(stages):
+    """The bench's sequential-randomisation premises without the outcome."""
+    f = [f"F{i}" for i in range(1, stages + 1)]
+    w = [f"W{i}" for i in range(1, stages + 1)]
+    premises = [ps(f"{f[i]} _||_ {', '.join(f[:i])}") for i in range(1, stages)]
+    for i in range(stages):
+        others = [x for m, x in enumerate(f) if m != i] + w[: max(0, i - 1)]
+        cond = [f[i]] + ([w[i - 1]] if i else [])
+        premises.append(ps(f"{w[i]} _||_ {', '.join(others)} | {', '.join(cond)}"))
+    return premises, Universe.of(w, f)
+
+
+def random_premises(seed):
+    """Three to five random statements over five variables, one or two of them regimes."""
+    rng = random.Random(seed)
+    names = ["A", "B", "C", "D", "E"]
+    regimes = names[: rng.choice((1, 2))]
+    premises = []
+    for _ in range(rng.randint(3, 5)):
+        order = rng.sample(names, 5)
+        cut1, cut2 = sorted(rng.sample(range(1, 5), 2))
+        left, right, given = order[:cut1], order[cut1:cut2], order[cut2:][: rng.randint(0, 5 - cut2)]
+        text = f"{', '.join(left)} _||_ {', '.join(right)}" + (f" | {', '.join(given)}" if given else "")
+        premises.append(ps(text))
+    return premises, Universe.of(names[len(regimes):], regimes)
+
+
+REFERENCE_CASES = {
+    "chain5": (*markov_chain(5), False),
+    "chain6": (*markov_chain(6), False),
+    "nested": (NESTED_PREMISES, NESTED_UNIVERSE, False),
+    "nested-stochastic": (NESTED_PREMISES, NESTED_UNIVERSE, True),
+    "seqrand3": (*sequential_randomisation(3), False),
+    "seqrand3-stochastic": (*sequential_randomisation(3), True),
+    **{f"random{seed}": (*random_premises(seed), seed % 2 == 0) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_closure_matches_loop_reference(case):
+    premises, universe, flag = REFERENCE_CASES[case]
+    reference = reference_closure(premises, universe, flag)
+    engine = _Closure(universe, flag)
+    engine.run([universe.to_triple(p) for p in premises])
+    assert list(engine.derivation.items()) == list(reference.derivation.items())
+
+
+@pytest.mark.parametrize("case", ["chain5", "nested", "nested-stochastic", "random0"])
+def test_derivable_trace_matches_loop_reference(case):
+    """Stopping once the target is derived leaves its trace as the full fixpoint gives it."""
+    premises, universe, flag = REFERENCE_CASES[case]
+    reference = reference_closure(premises, universe, flag)
+    for t in reference.derivation:
+        target = universe.to_statement(t)
+        ok, trace = derivable(premises, target, universe, regimes_as_stochastic=flag)
+        assert ok
+        assert trace == reference.trace(t), target
+        assert trace.replay(universe, premises=premises, regimes_as_stochastic=flag) == target
 
 
 class TestPremiseFiles:
