@@ -81,11 +81,7 @@ def _cmd_derive(args) -> None:
     with open(args.premises) as fh:
         premises = parse_premise_file(fh.read())
     target = parse_statement(args.target)
-    names: set[str] = set()
-    for s in premises + [target]:
-        if s.pinned:
-            raise StatementError("pinned regime values are not supported by the symbolic engine")
-        names |= s.variables()
+    names = set().union(*(s.variables() for s in premises + [target]))
     regimes = set(args.regime or [])
     universe = eci.Universe.of(sorted(names - regimes), sorted(regimes & names))
     ok, trace = eci.derivable(premises, target, universe, regimes_as_stochastic=args.regimes_stochastic)

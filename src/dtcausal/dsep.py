@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from dtcausal.graph import STOCHASTIC, Dag, GraphError, moral_adjacency, restrict_to_regime
-from dtcausal.statements import EciStatement
+from dtcausal.statements import EciStatement, NameBits
 
 #: Hard cap on the nodes `implied_statements` and `separations_agree` enumerate over.
 ENUMERATION_BOUND = 14
@@ -65,21 +65,13 @@ def separated(dag: Dag, left: frozenset[str], right: frozenset[str], cond: froze
     return not (right & seen)
 
 
-def _compile(dag: Dag, first: Sequence[str] = ()) -> tuple[dict[str, int], list[int], list[int]]:
+def _compile(dag: Dag, first: Sequence[str] = ()) -> tuple[NameBits, list[int], list[int]]:
     """Index the nodes (`first` in its order, then the rest by name) and
-    return each name's bit and every node's parent and child masks."""
-    order = list(first) + sorted(dag.node_names - set(first))
-    bit = {name: 1 << i for i, name in enumerate(order)}
-    parents = [_mask(bit, dag.parents(v)) for v in order]
-    children = [_mask(bit, dag.children(v)) for v in order]
-    return bit, parents, children
-
-
-def _mask(bit: dict[str, int], names: Iterable[str]) -> int:
-    m = 0
-    for name in names:
-        m |= bit[name]
-    return m
+    return their bits and every node's parent and child masks."""
+    bits = NameBits(list(first) + sorted(dag.node_names - set(first)))
+    parents = [bits.mask(dag.parents(v)) for v in bits.order]
+    children = [bits.mask(dag.children(v)) for v in bits.order]
+    return bits, parents, children
 
 
 def _reachable(parents: list[int], children: list[int], sources: int, cond: int) -> int:
@@ -122,8 +114,8 @@ def d_separated_paths(dag: Dag, stmt: EciStatement) -> bool:
     graph, left, right, cond = _prepare(dag, stmt)
     if not right:
         return True
-    bit, parents, children = _compile(graph)
-    return not _reachable(parents, children, _mask(bit, left), _mask(bit, cond)) & _mask(bit, right)
+    bits, parents, children = _compile(graph)
+    return not _reachable(parents, children, bits.mask(left), bits.mask(cond)) & bits.mask(right)
 
 
 def _enumeration_names(over: Iterable[str], *dags: Dag) -> list[str]:
@@ -144,12 +136,12 @@ def implied_statements(dag: Dag, over: frozenset[str] | set[str]) -> list[EciSta
     on any subset of the remaining `over` nodes.  Deterministic order.
     """
     names = _enumeration_names(over, dag)
-    bit, parents, children = _compile(dag)
+    bits, parents, children = _compile(dag)
     out: list[EciStatement] = []
     for a in names:
         if dag.kind_of(a) != STOCHASTIC:
             continue
-        reached: dict[int, int] = {}  # conditioning mask -> nodes d-connected to a
+        reached: dict[tuple[str, ...], int] = {}  # conditioning set -> nodes d-connected to a
         for b in names:
             if b == a:
                 continue
@@ -158,12 +150,11 @@ def implied_statements(dag: Dag, over: frozenset[str] | set[str]) -> list[EciSta
                 continue
             rest = [v for v in names if v != a and v != b]
             for k in range(len(rest) + 1):
-                for cond in combinations(rest, k):
-                    m = _mask(bit, cond)
-                    reach = reached.get(m)
+                for cond in combinations(rest, k):  # sorted, so each set has one tuple
+                    reach = reached.get(cond)
                     if reach is None:
-                        reach = reached[m] = _reachable(parents, children, bit[a], m)
-                    if not reach & bit[b]:
+                        reach = reached[cond] = _reachable(parents, children, bits.bit[a], bits.mask(cond))
+                    if not reach & bits.bit[b]:
                         out.append(EciStatement(frozenset({a}), frozenset({b}), frozenset(cond)))
     return out
 
@@ -177,13 +168,13 @@ def separations_agree(dag: Dag, other: Dag, over: Iterable[str]) -> bool:
     a right-hand node, covers every listed pair.
     """
     names = _enumeration_names(over, dag, other)
-    _, parents, children = _compile(dag, names)
+    bits, parents, children = _compile(dag, names)
     _, other_parents, other_children = _compile(other, names)
-    full = (1 << len(names)) - 1
-    for i, a in enumerate(names):
+    full = bits.mask(names)
+    for a in names:
         if dag.kind_of(a) != STOCHASTIC:
             continue
-        source = 1 << i
+        source = bits.bit[a]
         rest = full & ~source
         cond = rest
         while cond:

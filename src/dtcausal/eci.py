@@ -31,9 +31,10 @@ far less than a full closure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from dtcausal.graph import REGIME, STOCHASTIC
-from dtcausal.statements import EciStatement, StatementError
+from dtcausal.statements import EciStatement, NameBits, StatementError
 
 MAX_VARIABLES = 9
 
@@ -51,10 +52,9 @@ class Universe:
     variables: tuple[tuple[str, str], ...]  # (name, kind)
 
     def __post_init__(self) -> None:
-        names = [n for n, _ in self.variables]
-        if len(set(names)) != len(names):
+        if len(self._bits.bit) != len(self.variables):
             raise UniverseError("duplicate variable names")
-        if len(names) > MAX_VARIABLES:
+        if len(self.variables) > MAX_VARIABLES:
             raise UniverseError(f"more than {MAX_VARIABLES} variables")
         for _, kind in self.variables:
             if kind not in (STOCHASTIC, REGIME):
@@ -64,29 +64,22 @@ class Universe:
     def of(stochastic: list[str] | tuple[str, ...] = (), regimes: list[str] | tuple[str, ...] = ()) -> "Universe":
         return Universe(tuple((n, STOCHASTIC) for n in stochastic) + tuple((n, REGIME) for n in regimes))
 
-    @property
-    def index(self) -> dict[str, int]:
-        return {name: i for i, (name, _) in enumerate(self.variables)}
+    @cached_property
+    def _bits(self) -> NameBits:
+        return NameBits(name for name, _ in self.variables)
 
-    @property
+    @cached_property
     def regime_mask(self) -> int:
-        mask = 0
-        for i, (_, kind) in enumerate(self.variables):
-            if kind == REGIME:
-                mask |= 1 << i
-        return mask
+        return self._bits.mask(name for name, kind in self.variables if kind == REGIME)
 
     def mask(self, names) -> int:
-        idx = self.index
-        m = 0
-        for name in names:
-            if name not in idx:
-                raise UniverseError(f"unknown variable {name!r}")
-            m |= 1 << idx[name]
-        return m
+        try:
+            return self._bits.mask(names)
+        except KeyError as exc:
+            raise UniverseError(f"unknown variable {exc.args[0]!r}") from None
 
     def names(self, mask: int) -> frozenset[str]:
-        return frozenset(name for i, (name, _) in enumerate(self.variables) if mask >> i & 1)
+        return self._bits.names(mask)
 
     def to_triple(self, stmt: EciStatement) -> Triple:
         if stmt.pinned:
@@ -213,14 +206,12 @@ class _Closure:
             if t is not None and t not in self.derivation:
                 self.derivation[t] = ("Premise", ())
         # Redundancy (P2) instances over single variables.
-        n = len(self.universe.variables)
-        for i in range(n):
-            if not self.regimes_as_stochastic and (1 << i) & reg:
-                continue
-            for j in range(n):
-                if i != j:
-                    t = (1 << i, 1 << j, 1 << j)
-                    self.derivation.setdefault(t, ("P2", ()))
+        singles = self.universe._bits.bit.values()
+        for a in singles:
+            if self.regimes_as_stochastic or not a & reg:
+                for b in singles:
+                    if a != b:
+                        self.derivation.setdefault((a, b, b), ("P2", ()))
         by_given: dict[tuple[int, int], list[Triple]] = {}
         by_span: dict[tuple[int, int], list[Triple]] = {}
         frontier = sorted(self.derivation)

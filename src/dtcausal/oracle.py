@@ -154,7 +154,6 @@ class MultiRegimeModel:
     regimes: dict[str, str] = field(default_factory=dict)  # regime name -> target
     itt_of: dict[str, str] = field(default_factory=dict)  # target -> ITT node
     raw_regimes: dict[tuple, np.ndarray] = field(default_factory=dict)
-    raw_order: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.mode not in ("itt", "raw"):
@@ -292,7 +291,7 @@ class MultiRegimeModel:
 
     def _compile_raw(self) -> _Compiled:
         """One factor: regime axes for every regime in name order, then every
-        variable of `raw_order`, stacking the tables over the full regime grid.
+        variable of `states` in its order, stacking the tables over the full regime grid.
         Regime names and domains come from the table keys; the optional
         `regimes`/`itt_of` metadata only serves the consistency checks."""
         names = [n for n, _ in next(iter(self.raw_regimes), ())]  # keys are sorted by name
@@ -303,7 +302,8 @@ class MultiRegimeModel:
             r: tuple(sorted({dict(key)[r] for key in self.raw_regimes}, key=lambda v: (v != IDLE, str(v))))
             for r in names
         }
-        shape = tuple(len(self.states[v]) for v in self.raw_order)
+        variables = tuple(self.states)
+        shape = tuple(len(self.states[v]) for v in variables)
         size = math.prod(shape)
         tables = []
         for combo in itertools.product(*domains.values()):
@@ -316,7 +316,7 @@ class MultiRegimeModel:
             _check_distribution(flat.tolist(), f"raw table for {assignment}")
             tables.append(flat)
         tensor = np.array(tables, dtype=float).reshape(tuple(len(d) for d in domains.values()) + shape)
-        return _Compiled(self.raw_order, domains, ((tuple(names), tensor, list(range(len(shape)))),))
+        return _Compiled(variables, domains, ((tuple(names), tensor, list(range(len(shape)))),))
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -633,6 +633,11 @@ def _model_fields(doc: Mapping) -> tuple[str, dict]:
     """The constructor arguments a model document spells out; a missing
     required key raises KeyError."""
     mode = doc.get("mode")
+    for what, entries in (("variable", doc["variables"]), ("regime", doc.get("regimes", []))):
+        names = [entry["name"] for entry in entries]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ModelError(f"{what} {name!r} is listed twice")
     states = {v["name"]: tuple(v["states"]) for v in doc["variables"]}
     regimes = {r["name"]: r["target"] for r in doc.get("regimes", [])}
     itt_of = {r["target"]: r["itt"] for r in doc.get("regimes", [])}
@@ -643,24 +648,22 @@ def _model_fields(doc: Mapping) -> tuple[str, dict]:
             )
             for c in doc.get("cpts", [])
         }
-        flags = {v["name"]: v for v in doc["variables"]}
         nodes = {
-            Node(n, STOCHASTIC, latent=bool(v.get("latent", False)), deterministic=n in itt_of)
-            for n, v in flags.items()
+            Node(v["name"], STOCHASTIC, latent=bool(v.get("latent", False)), deterministic=v["name"] in itt_of)
+            for v in doc["variables"]
         } | {Node(reg, REGIME) for reg in regimes}
         edges = {Edge(par, cpt.child) for cpt in cpts.values() for par in cpt.parents}
         for reg, target in regimes.items():
             edges |= {Edge(reg, target), Edge(itt_of[target], target, dashed=True)}
         return mode, dict(states=states, dag=Dag.of(nodes, edges), cpts=cpts, regimes=regimes, itt_of=itt_of)
     if mode == "raw":
-        order = tuple(v["name"] for v in doc["variables"])
         raw = {}
         for entry in doc["raw_regimes"]:
             key = _freeze_assignment(entry["assignment"])
             if key in raw:
                 raise ModelError(f"duplicate raw table for regime assignment {entry['assignment']}")
             raw[key] = np.asarray(entry["probs"], dtype=float)
-        return mode, dict(states=states, raw_regimes=raw, raw_order=order, regimes=regimes, itt_of=itt_of)
+        return mode, dict(states=states, raw_regimes=raw, regimes=regimes, itt_of=itt_of)
     raise ModelError(f"unknown mode {mode!r}")
 
 

@@ -98,6 +98,17 @@ class TestDerive:
         assert doc["derived"] is True
         assert all({"axiom", "inputs", "statement"} <= set(step) for step in doc["trace"])
 
+    def test_pinned_target_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "derive", str(CORPUS / "nested_randomisation.eci"),
+            "--target", "W2 _||_ F1 | F2=1",
+            "--regime", "F1", "--regime", "F2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestAugmentProject:
     def test_augment_uses_file_plan(self, capsys):
@@ -222,6 +233,26 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path), "--check", "consistency", "--y", "Y", "--action", "T")
         assert code == 2
         assert "missing" in err and "'raw_regimes'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "model, section, entry, action",
+        [
+            ("itt_example.json", "variables", {"name": "T*", "states": [0, 1]}, "T"),
+            ("raw_inconsistent.json", "variables", {"name": "T*", "states": [0, 1]}, "T"),
+            ("two_stage.json", "regimes", {"name": "F_X0", "target": "X0", "itt": "X0*"}, "X0"),
+            ("two_stage.json", "regimes", {"name": "F_X0", "target": "X1", "itt": "X1*"}, "X0"),
+        ],
+        ids=["itt-variable", "raw-variable", "regime-repeated", "regime-conflicting"],
+    )
+    def test_name_listed_twice_is_named(self, capsys, tmp_path, model, section, entry, action):
+        doc = json.loads((MODELS / model).read_text())
+        doc[section].append(entry)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", str(path), "--check", "consistency", "--y", "Y", "--action", action)
+        assert code == 2
+        assert f"{entry['name']!r} is listed twice" in err
         assert "Traceback" not in err
 
 

@@ -23,12 +23,21 @@ from conftest import ci_holds_in_table, random_model_from_dag
 
 
 U4 = Universe.of(["W", "X", "Y", "Z"])
+WIDE = Universe.of([f"V{i}" for i in range(MAX_VARIABLES - 2)], ["F1", "F2"])  # regimes on the top bits
 
 
 class TestUniverse:
     def test_mask_round_trip(self):
         m = U4.mask({"X", "Z"})
         assert U4.names(m) == frozenset({"X", "Z"})
+        assert m.bit_length() == len(U4.variables)  # the set holds the highest bit
+        assert U4.names(U4.regime_mask) == frozenset()
+
+    def test_mask_round_trip_widest_universe(self):
+        m = WIDE.mask({"V0", "V3", "F2"})
+        assert WIDE.names(m) == frozenset({"V0", "V3", "F2"})
+        assert m.bit_length() == len(WIDE.variables)  # the set holds the highest bit
+        assert WIDE.names(WIDE.regime_mask) == frozenset({"F1", "F2"})
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(UniverseError):
