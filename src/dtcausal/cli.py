@@ -151,12 +151,10 @@ def _cmd_verify(args) -> None:
         if not (args.y and args.action):
             raise StatementError("--check ignorability requires --y and --action")
         ok = oracle.check_ignorability(model, args.y, args.action, tol=tol)
-    elif args.check == "sufficient-covariate":
+    else:  # sufficient-covariate, the last choice argparse allows
         if not (args.x and args.y and args.action):
             raise StatementError("--check sufficient-covariate requires --x, --y and --action")
         ok = oracle.check_sufficient_covariate(model, args.x, args.y, args.action, tol=tol)
-    else:  # pragma: no cover - argparse restricts choices
-        raise StatementError(f"unknown check {args.check!r}")
     _emit(args, {"check": args.check, "holds": ok}, "holds" if ok else "does not hold")
     if not ok:
         raise _CliNo
@@ -196,11 +194,9 @@ def _cmd_gformula(args) -> None:
     x1 = _parse_binding(args.x1)
     try:
         value = oracle.gformula_eval(model, y, x0, x1, args.z)
-    except oracle.ModelError as exc:
-        if "positivity" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            raise _CliIncomplete from exc
-        raise
+    except oracle.PositivityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise _CliIncomplete from exc
     _emit(args, {"probability": value}, f"{value:.12g}")
 
 
@@ -220,9 +216,6 @@ def _cmd_ace(args) -> None:
         model = oracle.model_from_json(doc)
         if not (args.y and args.action):
             raise StatementError("model input requires --y and --action")
-        states = model.states.get(args.action)
-        if states is not None and len(states) != 2:
-            raise StatementError("--action must be binary")
         value = oracle.ace(model, args.y, args.action)
     _emit(args, {"ace": value}, f"{value:.12g}")
 

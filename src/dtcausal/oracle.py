@@ -2,9 +2,9 @@
 
 A model assigns one joint probability table over the stochastic
 variables to every regime assignment.  ITT-mode models are built from
-an intention-to-treat DAG plus a CPT bank (deterministic applied-
-treatment nodes carry no CPT: their value is the regime value when the
-regime is non-idle, else the ITT value).  Raw-mode models store one
+a CPT bank plus regimes, each setting one deterministic target that
+carries no CPT: its value is the regime value when the regime is non-
+idle, else its ITT source's value.  Raw-mode models store one
 joint table per regime assignment directly, for any regime-indexed
 family, consistent or not.
 
@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from dtcausal.graph import IDLE, REGIME, STOCHASTIC, Dag, Edge, Node, topological_order
+from dtcausal.graph import IDLE, REGIME, Dag, Edge, Node, topological_order
 from dtcausal.statements import EciStatement
 
 DEFAULT_TOL = 1e-9
@@ -43,6 +43,10 @@ State = object  # JSON scalar: str, int, float, bool
 
 class ModelError(ValueError):
     """Raised for malformed models, regimes or queries."""
+
+
+class PositivityError(ModelError):
+    """Raised when a query conditions on an event the model gives zero probability."""
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ class _Compiled(NamedTuple):
 class MultiRegimeModel:
     mode: str  # "itt" or "raw"
     states: dict[str, tuple[State, ...]]  # stochastic variables only
-    dag: Dag | None = None
+    latent: frozenset[str] = frozenset()  # unobserved variables, a label only
     cpts: dict[str, Cpt] = field(default_factory=dict)
     regimes: dict[str, str] = field(default_factory=dict)  # regime name -> target
     itt_of: dict[str, str] = field(default_factory=dict)  # target -> ITT node
@@ -160,6 +164,7 @@ class MultiRegimeModel:
             raise ModelError(f"unknown mode {self.mode!r}")
         if math.prod(len(s) for s in self.states.values()) > MAX_JOINT_STATES:
             raise ModelError("joint state space exceeds enumeration bound")
+        self.regime_of  # reading it checks the regimes of either mode: one per target, each with an ITT source
         # Reading `variables` compiles the model, which checks every CPT row and raw table.
         if len(self.variables) > MAX_VARIABLES:
             raise ModelError(f"more than {MAX_VARIABLES} stochastic variables")
@@ -179,6 +184,30 @@ class MultiRegimeModel:
     @property
     def variables(self) -> tuple[str, ...]:
         return self._compiled.variables
+
+    @cached_property
+    def regime_of(self) -> dict[str, str]:
+        """Target -> the one regime that sets it; every target has an ITT source."""
+        out: dict[str, str] = {}
+        for reg, target in sorted(self.regimes.items()):
+            if out.setdefault(target, reg) != reg:
+                raise ModelError(f"regimes {out[target]!r} and {reg!r} both target {target!r}")
+            if target not in self.itt_of:
+                raise ModelError(f"missing ITT source for target {target!r}")
+        return out
+
+    @cached_property
+    def dag(self) -> Dag | None:
+        """An ITT model's graph, derived from its CPTs and regimes: each CPT
+        parent points at its child, and each regime and its target's dashed
+        ITT source at the target.  None for a raw model."""
+        if self.mode != "itt":
+            return None
+        nodes = {Node(v, latent=v in self.latent, deterministic=v in self.regime_of) for v in self.states}
+        edges = {Edge(par, cpt.child) for cpt in self.cpts.values() for par in cpt.parents}
+        for target, reg in self.regime_of.items():
+            edges |= {Edge(reg, target), Edge(self.itt_of[target], target, dashed=True)}
+        return Dag.of(nodes | {Node(reg, REGIME) for reg in self.regimes}, edges)
 
     @cached_property
     def _variable_states(self) -> tuple[tuple[State, ...], ...]:
@@ -232,28 +261,19 @@ class MultiRegimeModel:
         return self._compile_itt() if self.mode == "itt" else self._compile_raw()
 
     def _compile_itt(self) -> _Compiled:
-        if self.dag is None:
-            raise ModelError("itt mode requires a DAG")
-        variables = tuple(v for v in topological_order(self.dag) if self.dag.kind_of(v) == STOCHASTIC)
-        for reg, target in self.regimes.items():
-            if self.dag.kind_of(reg) != REGIME:
-                raise ModelError(f"{reg!r} is not a regime node")
-            if not self.dag.node(target).deterministic:
-                raise ModelError(f"regime target {target!r} is not deterministic")
+        for target in self.regime_of:
             if target in self.cpts:
                 raise ModelError(f"deterministic target {target!r} must not carry a CPT")
-            if target not in self.itt_of:
-                raise ModelError(f"missing ITT source for target {target!r}")
-            if self.itt_of[target] not in variables:
-                raise ModelError(f"ITT source of {target!r} is not a stochastic variable")
+            if self.itt_of[target] not in self.states:
+                raise ModelError(f"ITT source {self.itt_of[target]!r} of {target!r} is not a stochastic variable")
+        variables = tuple(v for v in topological_order(self.dag) if v in self.states)
         domains = {r: (IDLE,) + tuple(self.states[self.regimes[r]]) for r in sorted(self.regimes)}
         axis = {v: i for i, v in enumerate(variables)}
-        regime_of_target = {t: r for r, t in self.regimes.items()}
         factors = []
         for v in variables:
-            if v in regime_of_target:
+            if v in self.regime_of:
                 # Applied treatment: the ITT value when the regime is idle, else the regime value.
-                reg, src = regime_of_target[v], self.itt_of[v]
+                reg, src = self.regime_of[v], self.itt_of[v]
                 indicator = [
                     [[float((s if f == IDLE else f) == t) for t in self.states[v]] for s in self.states[src]]
                     for f in domains[reg]
@@ -384,10 +404,7 @@ def check_distributional_consistency(
     model: MultiRegimeModel, v: Iterable[str], action: str, tol: float = DEFAULT_TOL
 ) -> bool:
     """dist(v | T=t, idle) == dist(v | T*=t, regime pinned to t), per t."""
-    regime = _regime_for_action(model, action)
-    itt = model.itt_of.get(action)
-    if itt is None:
-        raise ModelError(f"{action!r} has no ITT structure")
+    regime, itt = _regime_for_action(model, action)
     v = sorted(v)
     idle = _single_regime(model, regime, IDLE)
     obs = model.joint(idle)
@@ -399,11 +416,12 @@ def check_distributional_consistency(
     return True
 
 
-def _regime_for_action(model: MultiRegimeModel, action: str) -> str:
-    for reg, target in model.regimes.items():
-        if target == action:
-            return reg
-    raise ModelError(f"no regime controls {action!r}")
+def _regime_for_action(model: MultiRegimeModel, action: str) -> tuple[str, str]:
+    """The regime that sets `action`, and the action's ITT source."""
+    try:
+        return model.regime_of[action], model.itt_of[action]
+    except KeyError:
+        raise ModelError(f"no regime controls {action!r}") from None
 
 
 def _single_regime(model: MultiRegimeModel, regime: str, value: State) -> dict[str, State]:
@@ -414,8 +432,7 @@ def _single_regime(model: MultiRegimeModel, regime: str, value: State) -> dict[s
 
 def check_ignorability(model: MultiRegimeModel, y: str, action: str, tol: float = DEFAULT_TOL) -> bool:
     """Response independent of the ITT variable given applied treatment and regime."""
-    regime = _regime_for_action(model, action)
-    itt = model.itt_of[action]
+    regime, itt = _regime_for_action(model, action)
     stmt = EciStatement(frozenset({y}), frozenset({itt}), frozenset({action, regime}))
     return eci_holds(model, stmt, tol)
 
@@ -425,8 +442,7 @@ def check_sufficient_covariate(
 ) -> bool:
     """Conditional ignorability given x in each interventional regime, plus
     regime-invariance of the (x, ITT) joint."""
-    regime = _regime_for_action(model, action)
-    itt = model.itt_of[action]
+    regime, itt = _regime_for_action(model, action)
     for t in model.states[action]:
         stmt = EciStatement(frozenset({y}), frozenset({itt}), frozenset({x}), ((regime, t),))
         if not eci_holds(model, stmt, tol):
@@ -458,14 +474,14 @@ def gformula_eval(
     y_pos = obs._index({y_var: y_val})[obs.axis(y_var)]  # raises for an unknown name or value of y
     pz = obs.conditional([z_var], {x0_var: x0_val})
     if pz is None:
-        raise ModelError("positivity violation")
+        raise PositivityError("positivity violation")
     total = 0.0
     for z_val, pz_val in zip(model.states[z_var], pz.tolist()):
         if pz_val <= ZERO_TOL:
             continue
         py = obs.conditional([y_var], {x1_var: x1_val, z_var: z_val})
         if py is None:
-            raise ModelError("positivity violation")
+            raise PositivityError("positivity violation")
         total += float(py[y_pos]) * pz_val
     return total
 
@@ -474,7 +490,7 @@ def ace(model: MultiRegimeModel, y: str, action: str) -> float:
     """Average causal effect of a binary action on y: E(y) with the action's
     regime set to its second state minus E(y) with it set to the first, every
     other regime idle."""
-    regime = _regime_for_action(model, action)
+    regime, _ = _regime_for_action(model, action)
     states = model.states[action]
     if len(states) != 2:
         raise ModelError("ACE requires a binary action")
@@ -486,8 +502,7 @@ def ace(model: MultiRegimeModel, y: str, action: str) -> float:
 def ett(model: MultiRegimeModel, y: str, action: str) -> float:
     """Effect of treatment on those selected for treatment:
     E(y | ITT=1, regime=1) - E(y | ITT=1, regime=0)."""
-    regime = _regime_for_action(model, action)
-    itt = model.itt_of[action]
+    regime, itt = _regime_for_action(model, action)
     states = model.states[action]
     if len(states) != 2:
         raise ModelError("ETT requires a binary action")
@@ -586,14 +601,12 @@ def simulate_study(spec: StudySpec, n: int, seed: int) -> StudyResult:
 def model_to_json(model: MultiRegimeModel) -> dict:
     doc: dict = {"mode": model.mode}
     variables = []
-    order = model.variables
-    for name in order:
+    for name in model.variables:
         entry: dict = {"name": name, "states": list(model.states[name])}
         if model.mode == "itt":
-            node = model.dag.node(name)
-            if node.latent:
+            if name in model.latent:
                 entry["latent"] = True
-            if node.deterministic:
+            if name in model.regime_of:
                 entry["deterministic"] = True
         variables.append(entry)
     doc["variables"] = variables
@@ -640,7 +653,7 @@ def _model_fields(doc: Mapping) -> tuple[str, dict]:
                 raise ModelError(f"{what} {name!r} is listed twice")
     states = {v["name"]: tuple(v["states"]) for v in doc["variables"]}
     regimes = {r["name"]: r["target"] for r in doc.get("regimes", [])}
-    itt_of = {r["target"]: r["itt"] for r in doc.get("regimes", [])}
+    itt_of = {r["target"]: r["itt"] for r in doc.get("regimes", []) if "itt" in r}
     if mode == "itt":
         cpts = {
             c["child"]: Cpt(
@@ -648,14 +661,8 @@ def _model_fields(doc: Mapping) -> tuple[str, dict]:
             )
             for c in doc.get("cpts", [])
         }
-        nodes = {
-            Node(v["name"], STOCHASTIC, latent=bool(v.get("latent", False)), deterministic=v["name"] in itt_of)
-            for v in doc["variables"]
-        } | {Node(reg, REGIME) for reg in regimes}
-        edges = {Edge(par, cpt.child) for cpt in cpts.values() for par in cpt.parents}
-        for reg, target in regimes.items():
-            edges |= {Edge(reg, target), Edge(itt_of[target], target, dashed=True)}
-        return mode, dict(states=states, dag=Dag.of(nodes, edges), cpts=cpts, regimes=regimes, itt_of=itt_of)
+        latent = frozenset(v["name"] for v in doc["variables"] if v.get("latent"))
+        return mode, dict(states=states, latent=latent, cpts=cpts, regimes=regimes, itt_of=itt_of)
     if mode == "raw":
         raw = {}
         for entry in doc["raw_regimes"]:

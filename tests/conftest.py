@@ -101,7 +101,7 @@ def random_itt_nonignorable_model(seed: int) -> MultiRegimeModel:
         "Y": random_cpt(rng, "Y", ("T", "T*"), states),
     }
     return MultiRegimeModel(
-        "itt", states, dag=itt_nonignorable_dag(), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
+        "itt", states, latent=frozenset({"T*"}), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
     )
 
 
@@ -113,7 +113,7 @@ def random_itt_ignorable_model(seed: int) -> MultiRegimeModel:
         "Y": random_cpt(rng, "Y", ("T",), states),
     }
     return MultiRegimeModel(
-        "itt", states, dag=itt_ignorable_dag(), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
+        "itt", states, latent=frozenset({"T*"}), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
     )
 
 
@@ -126,7 +126,7 @@ def random_suffcov_model(seed: int) -> MultiRegimeModel:
         "Y": random_cpt(rng, "Y", ("X", "T"), states),
     }
     return MultiRegimeModel(
-        "itt", states, dag=suffcov_itt_dag(), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
+        "itt", states, latent=frozenset({"T*"}), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
     )
 
 
@@ -158,7 +158,7 @@ def random_two_stage_model(seed: int, extra_confounding: bool = False) -> MultiR
         "Y": random_cpt(rng, "Y", y_parents, states),
     }
     return MultiRegimeModel(
-        "itt", states, dag=two_stage_itt_dag(extra_confounding), cpts=cpts,
+        "itt", states, latent=frozenset({"X0*", "X1*", "H"}), cpts=cpts,
         regimes={"F_X0": "X0", "F_X1": "X1"}, itt_of={"X0": "X0*", "X1": "X1*"},
     )
 
@@ -170,7 +170,7 @@ def random_model_from_dag(dag: Dag, seed: int, n_states: int = 2) -> MultiRegime
     order = [n.name for n in sorted(dag.nodes) if n.kind == STOCHASTIC]
     states = {v: tuple(range(n_states)) for v in order}
     cpts = {v: random_cpt(rng, v, tuple(sorted(dag.parents(v))), states) for v in order}
-    return MultiRegimeModel("itt", states, dag=dag, cpts=cpts)
+    return MultiRegimeModel("itt", states, cpts=cpts)
 
 
 def ci_holds_in_table(

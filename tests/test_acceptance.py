@@ -53,7 +53,6 @@ from dtcausal.statements import EciStatement, parse_statement as ps
 from conftest import (
     CORPUS,
     ci_holds_in_table,
-    itt_nonignorable_dag,
     random_dag,
     random_itt_ignorable_model,
     random_itt_nonignorable_model,
@@ -161,9 +160,7 @@ def trio_model(seed: int) -> MultiRegimeModel:
         "T*": random_cpt(rng, "T*", (), states),
         "Y": random_cpt(rng, "Y", y_parents, states),
     }
-    return MultiRegimeModel(
-        "itt", states, dag=itt_nonignorable_dag(), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
-    )
+    return MultiRegimeModel("itt", states, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"})
 
 
 REGIME_SCREENING = ps("Y _||_ F_T | T, T*")  # holds in every such model

@@ -256,6 +256,56 @@ class TestVerify:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "model, mutate, message",
+        [
+            (
+                "two_stage.json",
+                lambda doc: doc["cpts"].append(
+                    {"child": "X0", "parents": [], "rows": [{"parents": [], "probs": [0.5, 0.5]}]}
+                ),
+                "deterministic target 'X0' must not carry a CPT",
+            ),
+            ("itt_example.json", lambda doc: doc["regimes"][0].pop("itt"), "missing ITT source for target 'T'"),
+            (
+                "itt_example.json",
+                lambda doc: doc["regimes"][0].update(itt="Q"),
+                "ITT source 'Q' of 'T' is not a stochastic variable",
+            ),
+            (
+                "two_stage.json",
+                lambda doc: doc["regimes"][1].update(itt="F_X0"),
+                "ITT source 'F_X0' of 'X1' is not a stochastic variable",
+            ),
+            ("two_stage.json", lambda doc: doc["regimes"][0].update(name="Z"), "duplicate node name 'Z'"),
+            ("itt_example.json", lambda doc: doc["cpts"][1].update(parents=["T", "Q"]), "dangling edge Q -> Y"),
+            (
+                "two_stage.json",
+                lambda doc: doc["regimes"].append({"name": "F_X0b", "target": "X0", "itt": "X0*"}),
+                "regimes 'F_X0' and 'F_X0b' both target 'X0'",
+            ),
+            (
+                "raw_inconsistent.json",
+                lambda doc: doc["regimes"].append({"name": "F_T2", "target": "T", "itt": "T*"}),
+                "regimes 'F_T' and 'F_T2' both target 'T'",
+            ),
+        ],
+        ids=[
+            "target-with-cpt", "no-itt-source", "itt-not-a-variable", "itt-is-a-regime", "regime-named-like-variable",
+            "dangling-cpt-parent", "two-regimes-one-target", "raw-two-regimes-one-target",
+        ],
+    )
+    def test_itt_structure_is_checked(self, capsys, tmp_path, model, mutate, message):
+        doc = json.loads((MODELS / model).read_text())
+        mutate(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        statement = {"two_stage.json": "X0 _||_ F_X0"}.get(model, "Y _||_ F_T | T")
+        code, _, err = run(capsys, "verify", str(path), "--check", "eci", "--statement", statement)
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("pin", ["T*=0", "Q=1"])
     def test_pin_on_non_regime_is_usage_error(self, capsys, pin):
         code, _, err = run(
@@ -317,6 +367,7 @@ class TestGFormula:
             ("Y=7", "Z", "7 is not a state of 'Y'"),
             ("Y=1", "Q", "unknown variable 'Q'"),
             ("Y=1", "X1", "'X1' is also the second treatment"),  # z would overwrite x1's binding
+            ("Y=1", "positivity", "unknown variable 'positivity'"),  # a name, not a positivity violation
         ],
     )
     def test_bad_lookup_is_named(self, capsys, y, z, message):
@@ -342,6 +393,22 @@ class TestAce:
     def test_model_missing_options(self, capsys):
         code, _, err = run(capsys, "ace", str(MODELS / "itt_example.json"))
         assert code == 2
+
+    def test_non_binary_action_is_usage_error(self, capsys, tmp_path):
+        doc = json.loads((MODELS / "itt_example.json").read_text())
+        for entry in doc["variables"]:
+            if entry["name"] in ("T*", "T"):
+                entry["states"] = [0, 1, 2]
+        doc["cpts"] = [
+            {"child": "T*", "parents": [], "rows": [{"parents": [], "probs": [0.2, 0.3, 0.5]}]},
+            {"child": "Y", "parents": ["T"], "rows": [{"parents": [t], "probs": [0.5, 0.5]} for t in range(3)]},
+        ]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "ace", str(path), "--y", "Y", "--action", "T")
+        assert code == 2
+        assert "ACE requires a binary action" in err
+        assert "Traceback" not in err
 
 
 class TestLognormal:

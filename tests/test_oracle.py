@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtcausal.graph import IDLE, Dag, Edge
+from dtcausal.graph import IDLE, Edge
 from dtcausal.oracle import (
     DEFAULT_TOL,
     ZERO_TOL,
@@ -41,6 +41,8 @@ from conftest import (
     random_itt_nonignorable_model,
     random_suffcov_model,
     random_two_stage_model,
+    suffcov_itt_dag,
+    two_stage_itt_dag,
 )
 
 BIN = (0, 1)
@@ -49,7 +51,6 @@ BIN = (0, 1)
 def kernel_model(py1, ignorable=False, p_star=0.6):
     """ITT model with response kernel p(Y=1 | t, t*) = py1(t, t*)."""
     states = {"T*": BIN, "T": BIN, "Y": BIN}
-    dag = itt_ignorable_dag() if ignorable else itt_nonignorable_dag()
     parents = ("T",) if ignorable else ("T", "T*")
     rows = {}
     for combo in itertools.product(BIN, repeat=len(parents)):
@@ -58,7 +59,7 @@ def kernel_model(py1, ignorable=False, p_star=0.6):
         p = py1(t, tstar)
         rows[combo] = (1 - p, p)
     cpts = {"T*": Cpt("T*", (), {(): (1 - p_star, p_star)}), "Y": Cpt("Y", parents, rows)}
-    return MultiRegimeModel("itt", states, dag=dag, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"})
+    return MultiRegimeModel("itt", states, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"})
 
 
 class TestCpt:
@@ -148,7 +149,7 @@ def three_state_trio_model(seed):
     states = {"T*": (0, 1, 2), "T": (0, 1, 2), "Y": BIN}
     cpts = {"T*": random_cpt(rng, "T*", (), states), "Y": random_cpt(rng, "Y", ("T", "T*"), states)}
     return MultiRegimeModel(
-        "itt", states, dag=itt_nonignorable_dag(), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
+        "itt", states, latent=frozenset({"T*"}), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
     )
 
 
@@ -156,10 +157,9 @@ def regime_parent_model(seed):
     """Suffcov model whose response also reads the regime indicator."""
     rng = np.random.default_rng(seed)
     base = random_suffcov_model(seed)
-    dag = Dag.of(base.dag.nodes, base.dag.edges | {Edge("F_T", "Y")})
     domains = {**base.states, "F_T": (IDLE, 0, 1)}
     cpts = {**base.cpts, "Y": random_cpt(rng, "Y", ("X", "F_T", "T"), domains)}
-    return MultiRegimeModel("itt", base.states, dag=dag, cpts=cpts, regimes=base.regimes, itt_of=base.itt_of)
+    return MultiRegimeModel("itt", base.states, cpts=cpts, regimes=base.regimes, itt_of=base.itt_of)
 
 
 FAMILIES = {
@@ -171,6 +171,29 @@ FAMILIES = {
     "three-state": three_state_trio_model,
     "regime-parent": regime_parent_model,
 }
+
+
+# Reference graphs that these families' CPTs and regimes must reproduce exactly.
+FIXTURE_DAGS = {
+    "trio-ignorable": itt_ignorable_dag,
+    "trio-nonignorable": itt_nonignorable_dag,
+    "suffcov": suffcov_itt_dag,
+    "two-stage": two_stage_itt_dag,
+    "two-stage-confounded": lambda: two_stage_itt_dag(extra_confounding=True),
+    "three-state": itt_nonignorable_dag,
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_derived_dag_states_cpts_and_regimes(family):
+    m = FAMILIES[family](0)
+    for child, cpt in m.cpts.items():
+        assert m.dag.parents(child) == frozenset(cpt.parents), child
+    for reg, target in m.regimes.items():
+        assert m.dag.parents(target) == {reg, m.itt_of[target]}, target
+        assert Edge(m.itt_of[target], target, dashed=True) in m.dag.edges
+    if family in FIXTURE_DAGS:
+        assert m.dag == FIXTURE_DAGS[family]()
 
 
 @pytest.mark.parametrize("build", FAMILIES.values(), ids=list(FAMILIES))
@@ -185,8 +208,7 @@ class TestCptValidation:
     def model(self, rows):
         cpts = {"T*": Cpt("T*", (), {(): (0.4, 0.6)}), "Y": Cpt("Y", ("T",), rows)}
         return MultiRegimeModel(
-            "itt", {"T*": BIN, "T": BIN, "Y": BIN}, dag=itt_ignorable_dag(), cpts=cpts, regimes={"F_T": "T"},
-            itt_of={"T": "T*"},
+            "itt", {"T*": BIN, "T": BIN, "Y": BIN}, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
         )
 
     def test_missing_row(self):
@@ -202,14 +224,11 @@ class TestCptValidation:
             self.model({(0,): (0.5, 0.5), (1,): (0.5, 0.5), (2,): (0.5, 0.5)})
 
     def test_regime_parent_needs_every_regime_value(self):
-        dag = itt_ignorable_dag()
-        dag = Dag.of(dag.nodes, dag.edges | {Edge("F_T", "Y")})
         rows = {(t, f): (0.5, 0.5) for t in BIN for f in BIN}  # no row for the idle regime
         cpts = {"T*": Cpt("T*", (), {(): (0.4, 0.6)}), "Y": Cpt("Y", ("T", "F_T"), rows)}
         with pytest.raises(ModelError, match="'Y' has no row"):
             MultiRegimeModel(
-                "itt", {"T*": BIN, "T": BIN, "Y": BIN}, dag=dag, cpts=cpts, regimes={"F_T": "T"},
-                itt_of={"T": "T*"},
+                "itt", {"T*": BIN, "T": BIN, "Y": BIN}, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
             )
 
     def test_nan_probability(self, corpus_dir):
@@ -450,27 +469,16 @@ class TestSufficientCovariate:
 
 
 def _with_covariate(seed, response_uses_itt=False, randomised=False):
-    from dtcausal.graph import Dag, Edge, Node, REGIME
-
     rng = np.random.default_rng(seed)
     states = {v: BIN for v in ("X", "T*", "T", "Y")}
-    nodes = {Node("F_T", REGIME), Node("T", deterministic=True), Node("T*", latent=True), Node("X"), Node("Y")}
-    edges = {Edge("X", "T*"), Edge("X", "Y"), Edge("T*", "T", dashed=True), Edge("F_T", "T"), Edge("T", "Y")}
-    y_parents = ("X", "T")
-    if response_uses_itt:
-        edges.add(Edge("T*", "Y"))
-        y_parents = ("X", "T", "T*")
+    y_parents = ("X", "T", "T*") if response_uses_itt else ("X", "T")
     t_star_parents = () if randomised else ("X",)
-    if randomised:
-        edges.discard(Edge("X", "T*"))
     cpts = {
         "X": random_cpt(rng, "X", (), states),
         "T*": random_cpt(rng, "T*", t_star_parents, states),
         "Y": random_cpt(rng, "Y", y_parents, states),
     }
-    return MultiRegimeModel(
-        "itt", states, dag=Dag.of(nodes, edges), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
-    )
+    return MultiRegimeModel("itt", states, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"})
 
 
 class TestInterventionalQuery:
@@ -555,9 +563,7 @@ class TestAce:
         rng = np.random.default_rng(0)
         states = {"T*": (0, 1, 2), "T": (0, 1, 2), "Y": BIN}
         cpts = {"T*": random_cpt(rng, "T*", (), states), "Y": random_cpt(rng, "Y", ("T",), states)}
-        m = MultiRegimeModel(
-            "itt", states, dag=itt_ignorable_dag(), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
-        )
+        m = MultiRegimeModel("itt", states, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"})
         with pytest.raises(ModelError, match="binary"):
             ace(m, "Y", "T")
 
