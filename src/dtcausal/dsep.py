@@ -5,8 +5,9 @@ Two permanently maintained, independent criteria:
 * `d_separated` (and `separated`, which skips the statement checks) —
   moralisation of the ancestral subgraph, then graph reachability
   around the conditioning set;
-* `d_separated_paths` — active trails: `_reachable` walks (node,
-  direction) states over parent/child bit masks and returns every node
+* `d_separated_paths` — active trails: `_reachable` moves whole
+  frontiers of node masks, one edge per round in each direction, through
+  memoised unions of parent and child masks, and returns every node
   d-connected to the sources (the "Reachable" procedure of Koller &
   Friedman 2009, Alg. 3.1; Shachter's 1998 Bayes-Ball).
 
@@ -65,48 +66,50 @@ def separated(dag: Dag, left: frozenset[str], right: frozenset[str], cond: froze
     return not (right & seen)
 
 
-def _compile(dag: Dag, first: Sequence[str] = ()) -> tuple[NameBits, list[int], list[int]]:
+class _Unions(dict):
+    """Node-set mask -> OR of its members' masks, memoised; starts with one
+    entry per node, keyed by the node's bit."""
+
+    def __missing__(self, nodes: int) -> int:
+        out = 0
+        rest = nodes
+        while rest:  # one step per set bit, lowest first
+            low = rest & -rest
+            out |= self[low]
+            rest ^= low
+        self[nodes] = out
+        return out
+
+
+def _compile(dag: Dag, first: Sequence[str] = ()) -> tuple[NameBits, _Unions, _Unions]:
     """Index the nodes (`first` in its order, then the rest by name) and
-    return their bits and every node's parent and child masks."""
+    return their bits and the parent and child unions of node sets."""
     bits = NameBits(list(first) + sorted(dag.node_names - set(first)))
-    parents = [bits.mask(dag.parents(v)) for v in bits.order]
-    children = [bits.mask(dag.children(v)) for v in bits.order]
+    parents = _Unions({bits.bit[v]: bits.mask(dag.parents(v)) for v in bits.order})
+    children = _Unions({bits.bit[v]: bits.mask(dag.children(v)) for v in bits.order})
     return bits, parents, children
 
 
-def _reachable(parents: list[int], children: list[int], sources: int, cond: int) -> int:
+def _reachable(parents: _Unions, children: _Unions, sources: int, cond: int) -> int:
     """Mask of the nodes outside `cond` with an active trail from `sources`
     given `cond` (sources outside `cond` count as reached)."""
     # Nodes with a descendant (or self) in the conditioning set.
-    anc = 0
-    todo = cond
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        anc |= low
-        todo |= parents[low.bit_length() - 1] & ~anc
+    anc = new = cond
+    while new:
+        new = parents[new] & ~anc
+        anc |= new
     # "up" = entered from a child (or a source); "down" = entered from a parent.
+    # A node entered up passes on both ways unless conditioned; one entered
+    # down passes on down unless conditioned, and up if it is a collider with
+    # a conditioned descendant.
+    free = ~cond
     up = down = 0
-    todo_up, todo_down = sources, 0
-    while todo_up or todo_down:
-        if todo_up:
-            low = todo_up & -todo_up
-            todo_up ^= low
-            up |= low
-            if not low & cond:
-                i = low.bit_length() - 1
-                todo_up |= parents[i] & ~up
-                todo_down |= children[i] & ~down
-        else:
-            low = todo_down & -todo_down
-            todo_down ^= low
-            down |= low
-            i = low.bit_length() - 1
-            if not low & cond:
-                todo_down |= children[i] & ~down
-            if low & anc:  # collider with conditioned descendant opens
-                todo_up |= parents[i] & ~up
-    return (up | down) & ~cond
+    fu, fd = sources, 0
+    while fu or fd:
+        up |= fu
+        down |= fd
+        fu, fd = parents[(fu & free) | (fd & anc)] & ~up, children[(fu | fd) & free] & ~down
+    return (up | down) & free
 
 
 def d_separated_paths(dag: Dag, stmt: EciStatement) -> bool:
@@ -137,25 +140,29 @@ def implied_statements(dag: Dag, over: frozenset[str] | set[str]) -> list[EciSta
     """
     names = _enumeration_names(over, dag)
     bits, parents, children = _compile(dag)
+    # Every subset of `names` once, by size and then in `combinations` order;
+    # the ones that avoid a and b come in the order of combinations(rest, k).
+    subsets = [(bits.mask(cond), frozenset(cond)) for k in range(len(names) + 1) for cond in combinations(names, k)]
     out: list[EciStatement] = []
     for a in names:
         if dag.kind_of(a) != STOCHASTIC:
             continue
-        reached: dict[tuple[str, ...], int] = {}  # conditioning set -> nodes d-connected to a
-        for b in names:
-            if b == a:
-                continue
-            # Stochastic pairs are emitted once, smaller name on the left.
-            if dag.kind_of(b) == STOCHASTIC and b < a:
-                continue
-            rest = [v for v in names if v != a and v != b]
-            for k in range(len(rest) + 1):
-                for cond in combinations(rest, k):  # sorted, so each set has one tuple
-                    reach = reached.get(cond)
-                    if reach is None:
-                        reach = reached[cond] = _reachable(parents, children, bits.bit[a], bits.mask(cond))
-                    if not reach & bits.bit[b]:
-                        out.append(EciStatement(frozenset({a}), frozenset({b}), frozenset(cond)))
+        source = bits.bit[a]
+        # Stochastic pairs are emitted once, smaller name on the left.
+        right = [b for b in names if b != a and not (dag.kind_of(b) == STOCHASTIC and b < a)]
+        right_mask = bits.mask(right)
+        # Per conditioning set without a: its mask joined with the nodes
+        # d-connected to a, so a clear bit b means "a _||_ b | cond" with b
+        # outside cond.  Sets that cover every right-hand node need no pass.
+        covered = [
+            (cond | _reachable(parents, children, source, cond) if right_mask & ~cond else cond, given)
+            for cond, given in subsets
+            if not cond & source
+        ]
+        left = frozenset({a})
+        for b in right:
+            bit, single = bits.bit[b], frozenset({b})
+            out.extend(EciStatement(left, single, given) for mask, given in covered if not mask & bit)
     return out
 
 

@@ -261,6 +261,9 @@ class MultiRegimeModel:
         return self._compile_itt() if self.mode == "itt" else self._compile_raw()
 
     def _compile_itt(self) -> _Compiled:
+        unknown = sorted(set(self.cpts) - set(self.states))
+        if unknown:
+            raise ModelError(f"CPT child {unknown[0]!r} is not a stochastic variable")
         for target in self.regime_of:
             if target in self.cpts:
                 raise ModelError(f"deterministic target {target!r} must not carry a CPT")
@@ -653,6 +656,9 @@ def _model_fields(doc: Mapping) -> tuple[str, dict]:
                 raise ModelError(f"{what} {name!r} is listed twice")
     states = {v["name"]: tuple(v["states"]) for v in doc["variables"]}
     regimes = {r["name"]: r["target"] for r in doc.get("regimes", [])}
+    for v in doc["variables"]:
+        if v.get("deterministic") and v["name"] not in regimes.values():
+            raise ModelError(f"variable {v['name']!r} is marked deterministic but no regime targets it")
     itt_of = {r["target"]: r["itt"] for r in doc.get("regimes", []) if "itt" in r}
     if mode == "itt":
         cpts = {

@@ -71,6 +71,11 @@ class EciStatement:
     def __post_init__(self) -> None:
         if not self.left:
             raise StatementError("left side must be nonempty")
+        if not self.pinned:  # the common case: only the overlap check applies
+            overlap = self.left & (self.right | self.given)
+            if overlap:
+                raise StatementError(f"left side overlaps other sets: {sorted(overlap)}")
+            return
         pinned_names = [name for name, _ in self.pinned]
         if len(set(pinned_names)) != len(pinned_names):
             raise StatementError("regime pinned twice")

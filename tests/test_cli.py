@@ -289,10 +289,23 @@ class TestVerify:
                 lambda doc: doc["regimes"].append({"name": "F_T2", "target": "T", "itt": "T*"}),
                 "regimes 'F_T' and 'F_T2' both target 'T'",
             ),
+            (
+                "itt_example.json",
+                lambda doc: doc["cpts"].append(
+                    {"child": "Q", "parents": [], "rows": [{"parents": [], "probs": [0.5, 0.5]}]}
+                ),
+                "CPT child 'Q' is not a stochastic variable",
+            ),
+            (
+                "itt_example.json",
+                lambda doc: doc["variables"][2].update(deterministic=True),
+                "variable 'Y' is marked deterministic but no regime targets it",
+            ),
         ],
         ids=[
             "target-with-cpt", "no-itt-source", "itt-not-a-variable", "itt-is-a-regime", "regime-named-like-variable",
-            "dangling-cpt-parent", "two-regimes-one-target", "raw-two-regimes-one-target",
+            "dangling-cpt-parent", "two-regimes-one-target", "raw-two-regimes-one-target", "parentless-cpt-unknown-child",
+            "deterministic-non-target",
         ],
     )
     def test_itt_structure_is_checked(self, capsys, tmp_path, model, mutate, message):

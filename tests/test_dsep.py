@@ -1,17 +1,20 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from dtcausal.dsep import (
     ENUMERATION_BOUND,
+    _compile,
+    _reachable,
     d_separated,
     d_separated_paths,
     implied_statements,
     separations_agree,
 )
 from dtcausal.graph import STOCHASTIC, Dag, Edge, GraphError, Node, topological_order
-from dtcausal.statements import EciStatement, StatementError, parse_statement
+from dtcausal.statements import EciStatement, NameBits, StatementError, parse_statement
 
 from conftest import (
     instrument_dag,
@@ -191,6 +194,74 @@ def test_agreement_exhaustive_small_graphs():
                     for cond in itertools.combinations(rest, k):
                         stmt = EciStatement(frozenset({a}), frozenset({b}), frozenset(cond))
                         assert d_separated(dag, stmt) == d_separated_paths(dag, stmt)
+
+
+# -- the frontier pass against the one-node-per-step walk it replaced -------
+
+
+def loop_compile(dag, first=()):
+    """Index the nodes (`first` in its order, then the rest by name) and
+    return their bits and every node's parent and child masks."""
+    bits = NameBits(list(first) + sorted(dag.node_names - set(first)))
+    parents = [bits.mask(dag.parents(v)) for v in bits.order]
+    children = [bits.mask(dag.children(v)) for v in bits.order]
+    return bits, parents, children
+
+
+def loop_reachable(parents, children, sources, cond):
+    """Mask of the nodes outside `cond` with an active trail from `sources`
+    given `cond` (sources outside `cond` count as reached)."""
+    # Nodes with a descendant (or self) in the conditioning set.
+    anc = 0
+    todo = cond
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        anc |= low
+        todo |= parents[low.bit_length() - 1] & ~anc
+    # "up" = entered from a child (or a source); "down" = entered from a parent.
+    up = down = 0
+    todo_up, todo_down = sources, 0
+    while todo_up or todo_down:
+        if todo_up:
+            low = todo_up & -todo_up
+            todo_up ^= low
+            up |= low
+            if not low & cond:
+                i = low.bit_length() - 1
+                todo_up |= parents[i] & ~up
+                todo_down |= children[i] & ~down
+        else:
+            low = todo_down & -todo_down
+            todo_down ^= low
+            down |= low
+            i = low.bit_length() - 1
+            if not low & cond:
+                todo_down |= children[i] & ~down
+            if low & anc:  # collider with conditioned descendant opens
+                todo_up |= parents[i] & ~up
+    return (up | down) & ~cond
+
+
+def test_reachable_matches_loop_walk():
+    # 3-20 nodes (21 with the regime founder), so masks reach past bit 16;
+    # sources are 1-3 nodes that may lie in `cond`, and every graph also
+    # gets the empty and the full conditioning set.
+    rng, pick = np.random.default_rng(7), random.Random(7)
+    queries = 0
+    while queries < 6000:
+        dag = random_dag(rng, max_nodes=20, regime_prob=0.5)
+        if len(dag.node_names) < 3:
+            continue
+        bits, parents, children = _compile(dag)
+        _, loop_parents, loop_children = loop_compile(dag)
+        n = len(bits.order)
+        for i in range(24):
+            sources = bits.mask(pick.sample(bits.order, pick.randint(1, 3)))
+            cond = (0, (1 << n) - 1)[i] if i < 2 else pick.getrandbits(n)
+            expected = loop_reachable(loop_parents, loop_children, sources, cond)
+            assert _reachable(parents, children, sources, cond) == expected, (sorted(dag.edges), sources, cond)
+            queries += 1
 
 
 # -- the enumerations against the per-query loop they replace ---------------

@@ -59,3 +59,29 @@ def test_rejected_everywhere(text, capsys):
     assert f"column {diag.column}" in str(exc.value)
     assert cli.main(["dsep", str(CORPUS / "itt_ignorable.cadt"), "--query", text]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+X, Y, F = frozenset({"X"}), frozenset({"Y"}), frozenset({"F"})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((frozenset(), Y), "left side must be nonempty"),
+        ((X, Y, frozenset(), (("F", "1"), ("F", "2"))), "regime pinned twice"),
+        ((X, X | Y), "left side overlaps other sets: ['X']"),
+        ((X, Y, X), "left side overlaps other sets: ['X']"),
+        ((F, Y, frozenset(), (("F", "1"),)), "left side overlaps other sets: ['F']"),
+        ((X, Y, F, (("F", "1"),)), "variable both pinned and plainly conditioned"),
+    ],
+    ids=["empty-left", "pinned-twice", "left-in-right", "left-in-given", "left-pinned", "pinned-and-given"],
+)
+def test_statement_construction_rejects(fields, message):
+    with pytest.raises(StatementError) as exc:
+        EciStatement(*fields)
+    assert str(exc.value) == message
+
+
+def test_pins_come_back_sorted():
+    stmt = EciStatement(X, Y, frozenset(), (("G", "~"), ("F", "1")))
+    assert stmt.pinned == (("F", "1"), ("G", "~"))
