@@ -207,8 +207,13 @@ def _cmd_ace(args) -> None:
         doc = json.load(fh)
     if "actions" in doc:
         problem = decision.problem_from_json(doc)
+        if len(problem.actions) < 2:
+            raise decision.DecisionError(f"ACE compares two actions; the problem has only {problem.actions[0]!r}")
         a1 = args.a1 or problem.actions[0]
         a0 = args.a0 or problem.actions[1]
+        for a in (a1, a0):
+            if a not in problem.actions:
+                raise decision.DecisionError(f"unknown action {a!r}; the problem's actions are {list(problem.actions)}")
         value = decision.ace(problem.hypothetical[a1], problem.hypothetical[a0])
     else:
         from dtcausal import oracle

@@ -213,9 +213,12 @@ def _dist_to_json(dist: FiniteDist | LognormalDist):
 
 
 def problem_from_json(doc: Mapping) -> DecisionProblem:
-    actions = tuple(doc["actions"])
-    hypo = {a: _dist_from_json(d) for a, d in doc["distributions"].items()}
-    loss = {(row["y"], row["a"]): float(row["loss"]) for row in doc["loss"]}
+    try:
+        actions = tuple(doc["actions"])
+        hypo = {a: _dist_from_json(d) for a, d in doc["distributions"].items()}
+        loss = {(row["y"], row["a"]): float(row["loss"]) for row in doc["loss"]}
+    except KeyError as exc:
+        raise DecisionError(f"decision problem document is missing required key {exc.args[0]!r}") from None
     return DecisionProblem(actions, hypo, loss)
 
 

@@ -130,10 +130,19 @@ class JointTable:
         return (flat / total).reshape(-1)
 
     def expectation(self, var: str, event: Mapping[str, State] | None = None) -> float:
-        dist = self.conditional([var], event or {})
-        if dist is None:
+        """E(var | event): the correctly rounded sum (math.fsum) of value times
+        mass over the event's cells, over that of their mass."""
+        event = event or {}
+        values = self.states[self.axis(var)]
+        if var in event:
+            raise ModelError(f"{var!r} is both a target and in the conditioning event")
+        remaining = [v for v in self.variables if v not in event]
+        cells = np.moveaxis(self.probs[self._index(event)], remaining.index(var), 0)
+        rows = cells.reshape(len(values), -1).tolist()  # one row of masses per value of var
+        total = math.fsum(itertools.chain.from_iterable(rows))
+        if total <= ZERO_TOL:
             raise ModelError("conditioning event has zero probability")
-        return float(np.array([float(s) for s in self.states[self.axis(var)]]) @ dist)
+        return math.fsum(float(s) * p for s, row in zip(values, rows) for p in row) / total
 
 
 _Factor = tuple[tuple[str, ...], np.ndarray, list[int]]  # (regime axes, tensor, variable axes)
@@ -528,25 +537,29 @@ class StudySpec:
     assignment: dict[State, float]  # P(selected for treatment | covariate)
     response: dict[tuple[State, int], dict[float, float]]  # (covariate, treatment) -> outcome dist
 
-    def interventional_mean(self, t: int) -> float:
-        return sum(
-            px * sum(y * py for y, py in self.response[(x, t)].items())
-            for x, px in self.covariate_dist.items()
+    @cached_property
+    def model(self) -> MultiRegimeModel:
+        """The study as a one-regime ITT model: covariate X, selection T* | X,
+        applied treatment T set by regime F_T with T* as its ITT source, and
+        response Y | X, T over every outcome any row names.  Building it checks
+        every row of the spec."""
+        outcomes = tuple(sorted(set().union(*self.response.values())))
+        cpts = [
+            Cpt("X", (), {(): tuple(self.covariate_dist.values())}),
+            Cpt("T*", ("X",), {(x,): (1.0 - a, a) for x, a in self.assignment.items()}),
+            Cpt("Y", ("X", "T"), {k: tuple(d.get(y, 0.0) for y in outcomes) for k, d in self.response.items()}),
+        ]
+        states = {"X": tuple(self.covariate_dist), "T*": (0, 1), "T": (0, 1), "Y": outcomes}
+        return MultiRegimeModel(
+            "itt", states, cpts={c.child: c for c in cpts}, regimes={"F_T": "T"}, itt_of={"T": "T*"}
         )
+
+    def interventional_mean(self, t: int) -> float:
+        return self.model.joint({"F_T": t}).expectation("Y")
 
     def observational_arm_mean(self, t: int) -> float:
         """Exact mean outcome among units selected for (and given) arm t."""
-        weights = {
-            x: px * (self.assignment[x] if t == 1 else 1.0 - self.assignment[x])
-            for x, px in self.covariate_dist.items()
-        }
-        total = sum(weights.values())
-        if total <= ZERO_TOL:
-            raise ModelError(f"arm {t} has zero probability")
-        return sum(
-            w / total * sum(y * py for y, py in self.response[(x, t)].items())
-            for x, w in weights.items()
-        )
+        return self.model.joint({"F_T": IDLE}).expectation("Y", {"T": t})
 
 
 @dataclass(frozen=True)
@@ -562,6 +575,7 @@ class StudyResult:
 def simulate_study(spec: StudySpec, n: int, seed: int) -> StudyResult:
     if n < 1:
         raise ModelError("n must be at least 1")
+    means = {t: spec.interventional_mean(t) for t in (0, 1)}  # builds spec.model, checking it before any draw
     rng = np.random.default_rng(seed)
     xs = list(spec.covariate_dist)
     px = np.array([spec.covariate_dist[x] for x in xs], dtype=float)
@@ -594,7 +608,7 @@ def simulate_study(spec: StudySpec, n: int, seed: int) -> StudyResult:
         control_mean=c_mean,
         treated_se=t_se,
         control_se=c_se,
-        interventional_means={t: spec.interventional_mean(t) for t in (0, 1)},
+        interventional_means=means,
     )
 
 
@@ -686,14 +700,13 @@ def load_model(path) -> MultiRegimeModel:
 
 
 def study_spec_from_json(doc: Mapping) -> StudySpec:
-    response = {}
-    for row in doc["response"]:
-        response[(row["x"], int(row["t"]))] = {float(y): float(p) for y, p in row["dist"].items()}
-    return StudySpec(
-        covariate_dist=dict(doc["covariate"]),
-        assignment=dict(doc["assignment"]),
-        response=response,
-    )
+    try:
+        response = {
+            (row["x"], int(row["t"])): {float(y): float(p) for y, p in row["dist"].items()} for row in doc["response"]
+        }
+        return StudySpec(covariate_dist=dict(doc["covariate"]), assignment=dict(doc["assignment"]), response=response)
+    except KeyError as exc:
+        raise ModelError(f"study spec document is missing required key {exc.args[0]!r}") from None
 
 
 # -- random model construction (flat simplex CPTs, explicit seeds) -------

@@ -396,7 +396,7 @@ class TestAce:
     def test_model_input(self, capsys):
         code, doc, _ = run_json(capsys, "ace", str(MODELS / "itt_example.json"), "--y", "Y", "--action", "T")
         assert code == 0
-        assert doc["ace"] == pytest.approx(0.3 + 0.4 * 0.6 - 0.4 * 0.6, abs=1e-9) or 0 <= abs(doc["ace"]) <= 1
+        assert doc["ace"] == pytest.approx(0.64 - 0.34, abs=1e-12)  # E(Y | F_T=1) - E(Y | F_T=0) from the CPTs
 
     def test_decision_problem_input_not_numeric(self, capsys):
         code, _, err = run(capsys, "ace", str(MODELS / "umbrella.json"))
@@ -406,6 +406,19 @@ class TestAce:
     def test_model_missing_options(self, capsys):
         code, _, err = run(capsys, "ace", str(MODELS / "itt_example.json"))
         assert code == 2
+
+    def test_decision_problem_needs_two_actions(self, capsys, tmp_path):
+        doc = {"actions": ["a"], "distributions": {"a": {"type": "table", "rows": [{"y": 1, "p": 1.0}]}}, "loss": []}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "ace", str(path))
+        assert code == 2
+        assert err == "error: ACE compares two actions; the problem has only 'a'\n"
+
+    def test_decision_problem_unknown_action(self, capsys):
+        code, _, err = run(capsys, "ace", str(MODELS / "umbrella.json"), "--a1", "zz")
+        assert code == 2
+        assert err == "error: unknown action 'zz'; the problem's actions are ['take', 'leave']\n"
 
     def test_non_binary_action_is_usage_error(self, capsys, tmp_path):
         doc = json.loads((MODELS / "itt_example.json").read_text())
@@ -456,6 +469,32 @@ class TestSimulate:
     def test_bad_n(self, capsys):
         code, _, err = run(capsys, "simulate", str(MODELS / "study_randomized.json"), "--n", "0", "--seed", "1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["covariate"].update(evening=0.4), "CPT row [] for 'X' does not sum to 1"),
+            (lambda d: d["response"][3]["dist"].update({"1": 0.4}), "CPT row ['evening', 1] for 'Y' does not sum to 1"),
+            (lambda d: d["assignment"].update(morning=1.5), "CPT row ['morning'] for 'T*' has a negative probability"),
+            (
+                lambda d: d["response"][3].update(t=2),
+                "CPT row ['evening', 2] for 'Y' names a parent value that is not a state",
+            ),
+            (lambda d: d["response"].pop(3), "CPT for 'Y' has no row for parents ['evening', 1]"),
+            (lambda d: d["assignment"].pop("evening"), "CPT for 'T*' has no row for parents ['evening']"),
+        ],
+        ids=["covariate-sum", "response-sum", "assignment-1.5", "treatment-2", "no-response-row", "no-assignment"],
+    )
+    def test_malformed_spec_is_rejected_before_drawing(self, capsys, tmp_path, mutate, message):
+        doc = json.loads((MODELS / "study_randomized.json").read_text())
+        mutate(doc)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "simulate", str(path), "--n", "1000", "--seed", "7")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 class TestRender:

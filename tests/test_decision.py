@@ -253,6 +253,10 @@ class TestJson:
         with pytest.raises(DecisionError):
             problem_to_json(prob)
 
+    def test_missing_key_is_named(self):
+        with pytest.raises(DecisionError, match="decision problem document is missing required key 'distributions'"):
+            problem_from_json({"actions": ["a"], "loss": []})
+
     def test_bad_distribution_doc(self):
         with pytest.raises(DecisionError):
             problem_from_json({"actions": ["a"], "distributions": {"a": {"type": "nope"}}, "loss": []})

@@ -108,10 +108,22 @@ class TestJoint:
         with pytest.raises(ModelError, match="7 is not a state of 'T'"):
             j.conditional(["Y"], {"T": 7})
 
+    def test_expectation_checks_names_and_values(self):
+        j = random_itt_nonignorable_model(3).joint({"F_T": IDLE})
+        with pytest.raises(ModelError, match="unknown variable 'Q'"):
+            j.expectation("Q", {"Q": 1})
+        with pytest.raises(ModelError, match="'T' is both a target and in the conditioning event"):
+            j.expectation("T", {"T": 1})
+        with pytest.raises(ModelError, match="7 is not a state of 'T'"):
+            j.expectation("Y", {"T": 7})
+
     def test_conditional_on_zero_mass_event_is_none(self):
         j = kernel_model(lambda t, ts: 0.5).joint({"F_T": IDLE})
         assert j.conditional(["Y"], {"T": 1, "T*": 0}) is None
         assert j.conditional(["Y"], {"T": 1, "T*": 1}) == pytest.approx([0.5, 0.5])
+        with pytest.raises(ModelError, match="conditioning event has zero probability"):
+            j.expectation("Y", {"T": 1, "T*": 0})
+        assert j.expectation("Y", {"T": 1, "T*": 1}) == 0.5
 
     def test_value_outside_domain(self):
         m = random_itt_nonignorable_model(3)
@@ -607,6 +619,53 @@ class TestSimulateStudy:
         assert biased.observational_arm_mean(1) == pytest.approx((0.2 * 0.9 + 0.8 * 0.5) / 1.0)
 
 
+def loop_interventional_mean(spec, t):
+    """Reference: E(Y | F_T=t) summed by hand over the spec's dicts, as
+    StudySpec did before it compiled to an ITT model."""
+    return sum(
+        px * sum(y * py for y, py in spec.response[(x, t)].items()) for x, px in spec.covariate_dist.items()
+    )
+
+
+def loop_arm_mean(spec, t):
+    """Reference: E(Y | T=t) in the observational regime, summed by hand."""
+    weights = {
+        x: px * (spec.assignment[x] if t == 1 else 1.0 - spec.assignment[x]) for x, px in spec.covariate_dist.items()
+    }
+    total = sum(weights.values())
+    return sum(w / total * sum(y * py for y, py in spec.response[(x, t)].items()) for x, w in weights.items())
+
+
+def random_study_spec(seed):
+    """1-4 covariate values; each response row over its own subset of four
+    outcomes, so the compiled response pads missing outcomes with 0."""
+    rng = np.random.default_rng(seed)
+    xs = [f"x{i}" for i in range(rng.integers(1, 5))]
+    outcomes = [-1.0, 0.0, 1.0, 2.5]
+    response = {}
+    for x in xs:
+        for t in (0, 1):
+            ys = rng.choice(outcomes, size=rng.integers(1, 5), replace=False)
+            response[(x, t)] = dict(zip(map(float, ys), rng.dirichlet(np.ones(len(ys))).tolist()))
+    return StudySpec(
+        covariate_dist=dict(zip(xs, rng.dirichlet(np.ones(len(xs))).tolist())),
+        assignment={x: float(rng.uniform(0.05, 0.95)) for x in xs},
+        response=response,
+    )
+
+
+def test_study_means_match_hand_sums(corpus_dir):
+    specs = [random_study_spec(seed) for seed in range(40)]
+    specs += [
+        study_spec_from_json(json.loads((corpus_dir / "models" / f"study_{name}.json").read_text()))
+        for name in ("randomized", "confounded")
+    ]
+    for spec in specs:
+        for t in (0, 1):
+            assert spec.interventional_mean(t) == pytest.approx(loop_interventional_mean(spec, t), rel=0, abs=1e-12)
+            assert spec.observational_arm_mean(t) == pytest.approx(loop_arm_mean(spec, t), rel=0, abs=1e-12)
+
+
 class TestJson:
     def test_itt_round_trip_bit_exact(self):
         m = random_two_stage_model(13)
@@ -636,6 +695,12 @@ class TestJson:
     def test_study_spec_from_json(self, corpus_dir):
         doc = json.loads((corpus_dir / "models" / "study_randomized.json").read_text())
         assert study_spec_from_json(doc) == SPEC
+
+    def test_study_spec_missing_key_is_named(self, corpus_dir):
+        doc = json.loads((corpus_dir / "models" / "study_randomized.json").read_text())
+        del doc["response"]
+        with pytest.raises(ModelError, match="study spec document is missing required key 'response'"):
+            study_spec_from_json(doc)
 
     def test_fixture_loads(self, corpus_dir):
         m = load_model(corpus_dir / "models" / "itt_example.json")
