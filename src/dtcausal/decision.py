@@ -216,7 +216,11 @@ def problem_from_json(doc: Mapping) -> DecisionProblem:
     try:
         actions = tuple(doc["actions"])
         hypo = {a: _dist_from_json(d) for a, d in doc["distributions"].items()}
-        loss = {(row["y"], row["a"]): float(row["loss"]) for row in doc["loss"]}
+        loss = {}
+        for row in doc["loss"]:
+            if (row["y"], row["a"]) in loss:
+                raise DecisionError(f"loss row for y={row['y']!r}, a={row['a']!r} is listed twice")
+            loss[row["y"], row["a"]] = float(row["loss"])
     except KeyError as exc:
         raise DecisionError(f"decision problem document is missing required key {exc.args[0]!r}") from None
     return DecisionProblem(actions, hypo, loss)

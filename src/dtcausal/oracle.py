@@ -9,12 +9,17 @@ joint table per regime assignment directly, for any regime-indexed
 family, consistent or not.
 
 Both modes compile once, at construction, into one form: the variables,
-each regime's domain, and a list of factors whose leading axes range
-over regime domains.  An ITT model has one tensor per CPT and one 0/1
-indicator per applied treatment; a raw model has a single factor that
-stacks its tables over the full regime grid.  A joint table slices the
-regime axes for one assignment and contracts the factors with a single
-einsum.  Distribution comparisons use total variation distance
+each regime's domain, and a list of factors.  A factor names the regimes
+that index it and holds one array per tuple of their values, laid out
+over every variable in order with a size-1 axis for each variable it
+does not involve.  An ITT model has one factor per CPT, indexed by its
+regime parents if any, and one 0/1 indicator per applied treatment,
+indexed by that treatment's regime; a raw model has a single factor
+indexed by every regime, one table per assignment.  The regime-free
+factors are the same in every regime, so the first joint table
+multiplies them into one product that the model keeps; every joint
+table is that product times the regime-indexed arrays of its
+assignment.  Distribution comparisons use total variation distance
 (default tolerance 1e-9) and conditioning events with probability below
 1e-12 impose no constraint.
 """
@@ -36,7 +41,7 @@ from dtcausal.statements import EciStatement
 DEFAULT_TOL = 1e-9
 ZERO_TOL = 1e-12
 MAX_JOINT_STATES = 10**7
-MAX_VARIABLES = 52  # np.einsum subscript limit
+MAX_VARIABLES = 52  # numpy 2 caps arrays at 64 axes; a factor's array has one per variable plus one over regime values
 
 State = object  # JSON scalar: str, int, float, bool
 
@@ -145,17 +150,34 @@ class JointTable:
         return math.fsum(float(s) * p for s, row in zip(values, rows) for p in row) / total
 
 
-_Factor = tuple[tuple[str, ...], np.ndarray, list[int]]  # (regime axes, tensor, variable axes)
+# (regimes indexing the factor, their values -> array over every variable); a
+# regime-free factor has one array, under ().
+_Factor = tuple[tuple[str, ...], dict[tuple, np.ndarray]]
 
 
 class _Compiled(NamedTuple):
-    """A model's joint laws as factors.  Each tensor's leading axes range
-    over the domains of its regime axes; the rest are positions in
-    `variables`."""
+    """A model's joint laws as factors: for each regime assignment, the
+    product of each factor's array at that assignment is its joint."""
 
     variables: tuple[str, ...]
     domains: dict[str, tuple[State, ...]]  # regime name -> domain, names sorted
     factors: tuple[_Factor, ...]
+
+
+def _factor(
+    regimes: tuple[str, ...], tensor: np.ndarray, axes: Sequence[int], domains: Mapping[str, tuple], shape: list[int]
+) -> _Factor:
+    """The factor of `tensor`, whose leading axes range over the domains of
+    `regimes` and the rest over the variables at positions `axes`: one array
+    per tuple of regime values, laid out over all of `shape` with its axes in
+    variable order and a size-1 axis for every other variable."""
+    k = len(regimes)
+    spread = [1] * len(shape)
+    for a in axes:
+        spread[a] = shape[a]
+    order = sorted(range(len(axes)), key=axes.__getitem__)
+    arrays = tensor.transpose([*range(k), *(k + i for i in order)]).reshape([-1] + spread)
+    return regimes, dict(zip(itertools.product(*(domains[r] for r in regimes)), arrays))
 
 
 @dataclass(frozen=True)
@@ -255,15 +277,20 @@ class MultiRegimeModel:
         return {}
 
     def _compute_joint(self, regime: Mapping[str, State]) -> JointTable:
-        variables, domains, factors = self._compiled
-        operands: list = []
-        for regime_axes, tensor, axes in factors:
-            operands += [tensor[tuple(domains[r].index(regime[r]) for r in regime_axes)], axes]
-        probs = np.einsum(*operands, list(range(len(variables)))) if operands else np.ones(())
+        probs = self._shared_product
+        for names, arrays in self._compiled.factors:
+            if names:
+                probs = probs * arrays[tuple(regime[r] for r in names)]
         total = probs.sum()
         if abs(total - 1.0) > 1e-9:
             raise ModelError("joint table does not normalise")
-        return JointTable(variables, self._variable_states, probs / total)
+        return JointTable(self.variables, self._variable_states, probs / total)
+
+    @cached_property
+    def _shared_product(self) -> np.ndarray:
+        """The product of the regime-free factors, the same in every regime:
+        built by the first joint table and the start of every one."""
+        return math.prod((arrays[()] for names, arrays in self._compiled.factors if not names), start=np.ones(()))
 
     @cached_property
     def _compiled(self) -> _Compiled:
@@ -278,9 +305,12 @@ class MultiRegimeModel:
                 raise ModelError(f"deterministic target {target!r} must not carry a CPT")
             if self.itt_of[target] not in self.states:
                 raise ModelError(f"ITT source {self.itt_of[target]!r} of {target!r} is not a stochastic variable")
+            if IDLE in self.states[target]:
+                raise ModelError(f"target {target!r} has the idle regime value {IDLE!r} as a state")
         variables = tuple(v for v in topological_order(self.dag) if v in self.states)
         domains = {r: (IDLE,) + tuple(self.states[self.regimes[r]]) for r in sorted(self.regimes)}
         axis = {v: i for i, v in enumerate(variables)}
+        shape = [len(self.states[v]) for v in variables]
         factors = []
         for v in variables:
             if v in self.regime_of:
@@ -290,12 +320,16 @@ class MultiRegimeModel:
                     [[float((s if f == IDLE else f) == t) for t in self.states[v]] for s in self.states[src]]
                     for f in domains[reg]
                 ]
-                factors.append(((reg,), np.array(indicator), [axis[src], axis[v]]))
+                factor = ((reg,), np.array(indicator), [axis[src], axis[v]])
             else:
-                factors.append(self._cpt_factor(v, axis, domains))
+                factor = self._cpt_factor(v, axis, domains)
+            factors.append(_factor(*factor, domains, shape))
         return _Compiled(variables, domains, tuple(factors))
 
-    def _cpt_factor(self, v: str, axis: Mapping[str, int], regime_domains: Mapping[str, tuple]) -> _Factor:
+    def _cpt_factor(
+        self, v: str, axis: Mapping[str, int], regime_domains: Mapping[str, tuple]
+    ) -> tuple[tuple[str, ...], np.ndarray, list[int]]:
+        """The CPT of `v` as `_factor` takes it: regime parents, tensor, variable axes."""
         cpt = self.cpts.get(v)
         if cpt is None:
             raise ModelError(f"missing CPT for {v!r}")
@@ -322,8 +356,8 @@ class MultiRegimeModel:
         )
 
     def _compile_raw(self) -> _Compiled:
-        """One factor: regime axes for every regime in name order, then every
-        variable of `states` in its order, stacking the tables over the full regime grid.
+        """One factor, indexed by every regime in name order, whose array for
+        each assignment is its table over the variables of `states` in order.
         Regime names and domains come from the table keys; the optional
         `regimes`/`itt_of` metadata only serves the consistency checks."""
         names = [n for n, _ in next(iter(self.raw_regimes), ())]  # keys are sorted by name
@@ -337,7 +371,7 @@ class MultiRegimeModel:
         variables = tuple(self.states)
         shape = tuple(len(self.states[v]) for v in variables)
         size = math.prod(shape)
-        tables = []
+        tables = {}
         for combo in itertools.product(*domains.values()):
             assignment = dict(zip(names, combo))
             flat = self.raw_regimes.get(_freeze_assignment(assignment))
@@ -346,9 +380,8 @@ class MultiRegimeModel:
             if flat.size != size:
                 raise ModelError(f"raw table for {assignment} has {flat.size} probabilities, expected {size}")
             _check_distribution(flat.tolist(), f"raw table for {assignment}")
-            tables.append(flat)
-        tensor = np.array(tables, dtype=float).reshape(tuple(len(d) for d in domains.values()) + shape)
-        return _Compiled(variables, domains, ((tuple(names), tensor, list(range(len(shape)))),))
+            tables[combo] = np.array(flat, dtype=float).reshape(shape)
+        return _Compiled(variables, domains, ((tuple(names), tables),))
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -663,24 +696,17 @@ def _model_fields(doc: Mapping) -> tuple[str, dict]:
     """The constructor arguments a model document spells out; a missing
     required key raises KeyError."""
     mode = doc.get("mode")
-    for what, entries in (("variable", doc["variables"]), ("regime", doc.get("regimes", []))):
-        names = [entry["name"] for entry in entries]
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                raise ModelError(f"{what} {name!r} is listed twice")
-    states = {v["name"]: tuple(v["states"]) for v in doc["variables"]}
-    regimes = {r["name"]: r["target"] for r in doc.get("regimes", [])}
+    states = _keyed(((v["name"], tuple(v["states"])) for v in doc["variables"]), lambda name: f"variable {name!r}")
+    regimes = _keyed(((r["name"], r["target"]) for r in doc.get("regimes", [])), lambda name: f"regime {name!r}")
     for v in doc["variables"]:
         if v.get("deterministic") and v["name"] not in regimes.values():
             raise ModelError(f"variable {v['name']!r} is marked deterministic but no regime targets it")
     itt_of = {r["target"]: r["itt"] for r in doc.get("regimes", []) if "itt" in r}
     if mode == "itt":
-        cpts = {
-            c["child"]: Cpt(
-                c["child"], tuple(c["parents"]), {tuple(r["parents"]): tuple(r["probs"]) for r in c["rows"]}
-            )
-            for c in doc.get("cpts", [])
-        }
+        cpts = _keyed(
+            ((c["child"], Cpt(c["child"], tuple(c["parents"]), _cpt_rows(c))) for c in doc.get("cpts", [])),
+            lambda child: f"CPT for {child!r}",
+        )
         latent = frozenset(v["name"] for v in doc["variables"] if v.get("latent"))
         return mode, dict(states=states, latent=latent, cpts=cpts, regimes=regimes, itt_of=itt_of)
     if mode == "raw":
@@ -694,6 +720,23 @@ def _model_fields(doc: Mapping) -> tuple[str, dict]:
     raise ModelError(f"unknown mode {mode!r}")
 
 
+def _cpt_rows(doc: Mapping) -> dict[tuple, tuple[float, ...]]:
+    return _keyed(
+        ((tuple(r["parents"]), tuple(r["probs"])) for r in doc["rows"]),
+        lambda key: f"CPT row {list(key)} for {doc['child']!r}",
+    )
+
+
+def _keyed(pairs: Iterable[tuple], what) -> dict:
+    """A dict of (key, value) pairs; a repeated key raises ModelError naming it as `what(key)`."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ModelError(f"{what(key)} is listed twice")
+        out[key] = value
+    return out
+
+
 def load_model(path) -> MultiRegimeModel:
     with open(path) as fh:
         return model_from_json(json.load(fh))
@@ -701,9 +744,10 @@ def load_model(path) -> MultiRegimeModel:
 
 def study_spec_from_json(doc: Mapping) -> StudySpec:
     try:
-        response = {
-            (row["x"], int(row["t"])): {float(y): float(p) for y, p in row["dist"].items()} for row in doc["response"]
-        }
+        response = _keyed(
+            (((r["x"], int(r["t"])), {float(y): float(p) for y, p in r["dist"].items()}) for r in doc["response"]),
+            lambda key: f"response row for x={key[0]!r}, t={key[1]}",
+        )
         return StudySpec(covariate_dist=dict(doc["covariate"]), assignment=dict(doc["assignment"]), response=response)
     except KeyError as exc:
         raise ModelError(f"study spec document is missing required key {exc.args[0]!r}") from None

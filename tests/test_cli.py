@@ -301,11 +301,22 @@ class TestVerify:
                 lambda doc: doc["variables"][2].update(deterministic=True),
                 "variable 'Y' is marked deterministic but no regime targets it",
             ),
+            (
+                "itt_example.json",
+                lambda doc: doc["cpts"][1]["rows"].append({"parents": [0, 0], "probs": [1.0, 0.0]}),
+                "CPT row [0, 0] for 'Y' is listed twice",
+            ),
+            ("itt_example.json", lambda doc: doc["cpts"].append(dict(doc["cpts"][1])), "CPT for 'Y' is listed twice"),
+            (
+                "itt_example.json",
+                lambda doc: doc["variables"][1].update(states=[0, "~"]),
+                "target 'T' has the idle regime value '~' as a state",
+            ),
         ],
         ids=[
             "target-with-cpt", "no-itt-source", "itt-not-a-variable", "itt-is-a-regime", "regime-named-like-variable",
             "dangling-cpt-parent", "two-regimes-one-target", "raw-two-regimes-one-target", "parentless-cpt-unknown-child",
-            "deterministic-non-target",
+            "deterministic-non-target", "repeated-cpt-row", "repeated-cpt", "idle-value-as-target-state",
         ],
     )
     def test_itt_structure_is_checked(self, capsys, tmp_path, model, mutate, message):

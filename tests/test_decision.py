@@ -257,6 +257,12 @@ class TestJson:
         with pytest.raises(DecisionError, match="decision problem document is missing required key 'distributions'"):
             problem_from_json({"actions": ["a"], "loss": []})
 
+    def test_repeated_loss_row_is_named(self, corpus_dir):
+        doc = json.loads((corpus_dir / "models" / "umbrella.json").read_text())
+        doc["loss"].append({"y": "wet", "a": "leave", "loss": 5.0})
+        with pytest.raises(DecisionError, match="loss row for y='wet', a='leave' is listed twice"):
+            problem_from_json(doc)
+
     def test_bad_distribution_doc(self):
         with pytest.raises(DecisionError):
             problem_from_json({"actions": ["a"], "distributions": {"a": {"type": "nope"}}, "loss": []})

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dtcausal.graph import IDLE, Edge
 from dtcausal.oracle import (
     DEFAULT_TOL,
+    MAX_VARIABLES,
     ZERO_TOL,
     Cpt,
     ModelError,
@@ -208,12 +209,53 @@ def test_derived_dag_states_cpts_and_regimes(family):
         assert m.dag == FIXTURE_DAGS[family]()
 
 
-@pytest.mark.parametrize("build", FAMILIES.values(), ids=list(FAMILIES))
+def chain_model(seed, states, regimes):
+    """An ITT model over `states` (in topological order) in which each CPT
+    variable's parents are up to two random earlier variables; `regimes`
+    maps each regime to (target, ITT source)."""
+    rng = np.random.default_rng(seed)
+    targets = {t for t, _ in regimes.values()}
+    names = list(states)
+    cpts = {}
+    for i, v in enumerate(names):
+        if v not in targets:
+            parents = tuple(rng.permutation(names[:i])[: rng.integers(0, 3)].tolist()) if i else ()
+            cpts[v] = random_cpt(rng, v, parents, states)
+    return MultiRegimeModel(
+        "itt", states, cpts=cpts, regimes={r: t for r, (t, _) in regimes.items()}, itt_of=dict(regimes.values())
+    )
+
+
+def childless_treatment_model(seed):
+    """The applied treatment has no children, so its axis enters the joint
+    only through its indicator."""
+    rng = np.random.default_rng(seed)
+    states = {"T*": BIN, "T": BIN, "Y": (0, 1, 2)}
+    cpts = {"T*": random_cpt(rng, "T*", (), states), "Y": random_cpt(rng, "Y", ("T*",), states)}
+    return MultiRegimeModel("itt", states, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"})
+
+
+JOINT_SHAPES = {
+    **FAMILIES,
+    "no-regimes": lambda seed: chain_model(seed, {"X": BIN, "Z": (0, 1, 2), "Y": BIN}, {}),
+    "childless-treatment": childless_treatment_model,
+    # MAX_VARIABLES variables, all but four of them single-state so the loop stays cheap.
+    "max-variables": lambda seed: chain_model(
+        seed,
+        {"X": BIN, "T*": BIN, "T": BIN, "Y": BIN, **{f"P{i}": (0,) for i in range(MAX_VARIABLES - 4)}},
+        {"F_T": ("T", "T*")},
+    ),
+}
+
+
+@pytest.mark.parametrize("build", JOINT_SHAPES.values(), ids=list(JOINT_SHAPES))
 def test_tensor_joint_matches_state_loop(build):
     for seed in range(3):
         m = build(seed)
+        assert "_shared_product" not in vars(m)  # built by the first joint table, not at construction
         for regime in m.all_regime_assignments():
             assert np.allclose(m.joint(regime).probs, loop_joint(m, regime), rtol=0, atol=1e-12), (seed, regime)
+        assert not any(np.shares_memory(t.probs, m._shared_product) for t in m._joint_cache.values())
 
 
 class TestCptValidation:
@@ -700,6 +742,12 @@ class TestJson:
         doc = json.loads((corpus_dir / "models" / "study_randomized.json").read_text())
         del doc["response"]
         with pytest.raises(ModelError, match="study spec document is missing required key 'response'"):
+            study_spec_from_json(doc)
+
+    def test_study_spec_repeated_response_row_is_named(self, corpus_dir):
+        doc = json.loads((corpus_dir / "models" / "study_randomized.json").read_text())
+        doc["response"].append({"x": "morning", "t": 0, "dist": {"1": 0.0, "0": 1.0}})
+        with pytest.raises(ModelError, match="response row for x='morning', t=0 is listed twice"):
             study_spec_from_json(doc)
 
     def test_fixture_loads(self, corpus_dir):
