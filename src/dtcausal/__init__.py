@@ -6,6 +6,8 @@ mechanical intention-to-treat node splitting, and a brute-force numeric
 oracle over finite discrete multi-regime models.
 """
 
+import json
+
 from dtcausal.graph import (
     IDLE,
     REGIME,
@@ -33,6 +35,7 @@ __all__ = [
     "Node",
     "StatementError",
     "format_statement",
+    "load_json",
     "moral_graph",
     "parse_statement",
     "restrict_to_regime",
@@ -40,3 +43,18 @@ __all__ = [
     "topological_order",
     "validate",
 ]
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
+def load_json(path):
+    """The JSON document at `path`; an object that repeats a key raises ValueError naming it."""
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)

@@ -221,9 +221,12 @@ class Certificate:
 
 def identify_two_stage(obs: Dag, x0: str, x1: str, z: str, y: str) -> Certificate:
     """Run the two-stage g-computation identification checks."""
-    for name in (x0, x1, z, y):
+    names = (x0, x1, z, y)
+    for name in names:
         if not obs.has_node(name):
             raise GraphError(f"unknown node {name!r}")
+        if names.count(name) > 1:
+            raise GraphError(f"node {name!r} is given twice")
     checks = []
 
     def run(name, rule, yv, xv, cond, rin, rout):

@@ -8,7 +8,8 @@ reported in one line).  Diagnostics go to standard error; `--json`
 switches machine-readable output with stable key order.
 
 Each command imports its own engine when it runs, so the symbolic
-commands never load numpy or the numeric oracle.
+commands never load numpy or the numeric oracle.  Handlers return their
+answer; `main` alone prints it and picks the exit code.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import sys
 
+from dtcausal import load_json
 from dtcausal.graph import IDLE, to_dot
 from dtcausal.statements import StatementError, format_statement, parse_premise_file, parse_statement
 
@@ -26,20 +28,16 @@ EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
 EXIT_INTERNAL = 4
 
+# The exit code of an exception, by the name of the first class in its MRO
+# listed here; names rather than classes, so that no engine is imported
+# before a command runs.  Any other exception is an internal error.
+_EXIT_OF_ERROR = {
+    "ProjectionError": EXIT_NO,
+    "PositivityError": EXIT_INCOMPLETE,
+    **dict.fromkeys(("ValueError", "OSError", "KeyError", "TypeError"), EXIT_USAGE),
+}
 
-class _CliNo(Exception):
-    """Negative-but-well-formed answer (exit 1)."""
-
-
-class _CliIncomplete(Exception):
-    """Not derivable / positivity violation (exit 3)."""
-
-
-def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif text:
-        print(text)
+Answer = tuple[int, dict, str]  # exit code, `--json` payload, text
 
 
 def _parse_value(raw: str):
@@ -61,7 +59,7 @@ def _parse_binding(raw: str) -> tuple[str, object]:
 # -- subcommand handlers ---------------------------------------------------
 
 
-def _cmd_dsep(args) -> None:
+def _cmd_dsep(args) -> Answer:
     from dtcausal import dsep, dsl
 
     doc = dsl.load_doc(args.file)
@@ -70,12 +68,11 @@ def _cmd_dsep(args) -> None:
     paths = dsep.d_separated_paths(doc.dag, stmt)
     if moral != paths:  # cross-check of the two engines; must never trigger
         raise RuntimeError("separation engines disagree")
-    _emit(args, {"statement": format_statement(stmt), "holds": moral}, "holds" if moral else "does not hold")
-    if not moral:
-        raise _CliNo
+    payload = {"statement": format_statement(stmt), "holds": moral}
+    return (EXIT_OK if moral else EXIT_NO), payload, "holds" if moral else "does not hold"
 
 
-def _cmd_derive(args) -> None:
+def _cmd_derive(args) -> Answer:
     from dtcausal import eci
 
     with open(args.premises) as fh:
@@ -86,8 +83,7 @@ def _cmd_derive(args) -> None:
     universe = eci.Universe.of(sorted(names - regimes), sorted(regimes & names))
     ok, trace = eci.derivable(premises, target, universe, regimes_as_stochastic=args.regimes_stochastic)
     if not ok:
-        _emit(args, {"derived": False}, "not derivable")
-        raise _CliIncomplete
+        return EXIT_INCOMPLETE, {"derived": False}, "not derivable"
     trace.replay(universe, premises=premises, regimes_as_stochastic=args.regimes_stochastic)
     steps = [
         {"axiom": st.axiom, "inputs": list(st.inputs), "statement": format_statement(st.output)}
@@ -97,10 +93,10 @@ def _cmd_derive(args) -> None:
         f"[{i}] {st.axiom}({', '.join(map(str, st.inputs))}): {format_statement(st.output)}"
         for i, st in enumerate(trace.steps)
     )
-    _emit(args, {"derived": True, "trace": steps}, "derived\n" + text)
+    return EXIT_OK, {"derived": True, "trace": steps}, "derived\n" + text
 
 
-def _cmd_augment(args) -> None:
+def _cmd_augment(args) -> Answer:
     from dtcausal import augment, dsl
 
     doc = dsl.load_doc(args.file)
@@ -113,24 +109,19 @@ def _cmd_augment(args) -> None:
     build = augment.build_itt_dag if args.itt else augment.build_augmented_dag
     out = build(doc.dag, augment.InterventionPlan(targets))
     text = dsl.canonical_graph_text(doc.name + ("_itt" if args.itt else "_aug"), out)
-    _emit(args, {"graph": text}, text.rstrip("\n"))
+    return EXIT_OK, {"graph": text}, text.rstrip("\n")
 
 
-def _cmd_project(args) -> None:
+def _cmd_project(args) -> Answer:
     from dtcausal import augment, dsl
 
     doc = dsl.load_doc(args.file)
     drop = frozenset(t.strip() for t in args.drop.split(","))
-    try:
-        out = augment.eliminate_nodes(doc.dag, drop)
-    except augment.ProjectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise _CliNo from exc
-    text = dsl.canonical_graph_text(doc.name + "_proj", out)
-    _emit(args, {"graph": text}, text.rstrip("\n"))
+    text = dsl.canonical_graph_text(doc.name + "_proj", augment.eliminate_nodes(doc.dag, drop))
+    return EXIT_OK, {"graph": text}, text.rstrip("\n")
 
 
-def _cmd_verify(args) -> None:
+def _cmd_verify(args) -> Answer:
     from dtcausal import oracle
 
     model = oracle.load_model(args.model)
@@ -155,12 +146,10 @@ def _cmd_verify(args) -> None:
         if not (args.x and args.y and args.action):
             raise StatementError("--check sufficient-covariate requires --x, --y and --action")
         ok = oracle.check_sufficient_covariate(model, args.x, args.y, args.action, tol=tol)
-    _emit(args, {"check": args.check, "holds": ok}, "holds" if ok else "does not hold")
-    if not ok:
-        raise _CliNo
+    return (EXIT_OK if ok else EXIT_NO), {"check": args.check, "holds": ok}, "holds" if ok else "does not hold"
 
 
-def _cmd_identify(args) -> None:
+def _cmd_identify(args) -> Answer:
     from dtcausal import augment, dsl
 
     doc = dsl.load_doc(args.file)
@@ -180,31 +169,24 @@ def _cmd_identify(args) -> None:
             for c in cert.checks
         ],
     }
-    _emit(args, payload, cert.report())
-    if not cert.identified:
-        raise _CliNo
+    return (EXIT_OK if cert.identified else EXIT_NO), payload, cert.report()
 
 
-def _cmd_gformula(args) -> None:
+def _cmd_gformula(args) -> Answer:
     from dtcausal import oracle
 
     model = oracle.load_model(args.model)
     y = _parse_binding(args.y)
     x0 = _parse_binding(args.x0)
     x1 = _parse_binding(args.x1)
-    try:
-        value = oracle.gformula_eval(model, y, x0, x1, args.z)
-    except oracle.PositivityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise _CliIncomplete from exc
-    _emit(args, {"probability": value}, f"{value:.12g}")
+    value = oracle.gformula_eval(model, y, x0, x1, args.z)
+    return EXIT_OK, {"probability": value}, f"{value:.12g}"
 
 
-def _cmd_ace(args) -> None:
+def _cmd_ace(args) -> Answer:
     from dtcausal import decision
 
-    with open(args.file) as fh:
-        doc = json.load(fh)
+    doc = load_json(args.file)
     if "actions" in doc:
         problem = decision.problem_from_json(doc)
         if len(problem.actions) < 2:
@@ -222,10 +204,10 @@ def _cmd_ace(args) -> None:
         if not (args.y and args.action):
             raise StatementError("model input requires --y and --action")
         value = oracle.ace(model, args.y, args.action)
-    _emit(args, {"ace": value}, f"{value:.12g}")
+    return EXIT_OK, {"ace": value}, f"{value:.12g}"
 
 
-def _cmd_lognormal(args) -> None:
+def _cmd_lognormal(args) -> Answer:
     from dtcausal import decision
 
     eff = decision.lognormal_effects(decision.NormalPair(args.mu1, args.mu0, args.sigma2))
@@ -237,15 +219,13 @@ def _cmd_lognormal(args) -> None:
         "var_z_0": eff.var_z_0,
     }
     text = "\n".join(f"{k} = {v:.12g}" for k, v in payload.items())
-    _emit(args, payload, text)
+    return EXIT_OK, payload, text
 
 
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args) -> Answer:
     from dtcausal import oracle
 
-    with open(args.spec) as fh:
-        spec = oracle.study_spec_from_json(json.load(fh))
-    result = oracle.simulate_study(spec, args.n, args.seed)
+    result = oracle.simulate_study(oracle.study_spec_from_json(load_json(args.spec)), args.n, args.seed)
     payload = {
         "n": result.n,
         "treated_mean": result.treated_mean,
@@ -265,10 +245,10 @@ def _cmd_simulate(args) -> None:
             lines.append(f"{label}: mean = {mean:.6g}" + (f", se = {se:.6g}" if se is not None else ""))
     for t, m in sorted(result.interventional_means.items()):
         lines.append(f"interventional mean (t={t}) = {m:.6g}")
-    _emit(args, payload, "\n".join(lines))
+    return EXIT_OK, payload, "\n".join(lines)
 
 
-def _cmd_render(args) -> None:
+def _cmd_render(args) -> Answer:
     from dtcausal import dsl
 
     doc = dsl.load_doc(args.file)
@@ -278,8 +258,7 @@ def _cmd_render(args) -> None:
     else:
         with open(args.dot, "w") as fh:
             fh.write(dot)
-    if getattr(args, "json", False):
-        print(json.dumps({"dot": dot}, indent=2, sort_keys=True))
+    return EXIT_OK, {"dot": dot}, ""
 
 
 # -- argument parsing ------------------------------------------------------
@@ -375,19 +354,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        args.func(args)
-    except _CliNo:
-        return EXIT_NO
-    except _CliIncomplete:
-        return EXIT_INCOMPLETE
-    except (ValueError, OSError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, payload, text = args.func(args)
     except Exception as exc:  # a crash must not exit 1, which means "does not hold"
-        message = " ".join(str(exc).split())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK
+        code = next((_EXIT_OF_ERROR[c.__name__] for c in type(exc).__mro__ if c.__name__ in _EXIT_OF_ERROR), None)
+        if code is None:
+            message = " ".join(str(exc).split())
+            print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+            return EXIT_INTERNAL
+        print(f"error: {exc}", file=sys.stderr)
+        return code
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif text:
+        print(text)
+    return code
 
 
 if __name__ == "__main__":

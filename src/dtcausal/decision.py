@@ -10,10 +10,11 @@ log-scale normal outcome shifted by treatment.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
+
+from dtcausal import load_json
 
 
 class DecisionError(ValueError):
@@ -126,16 +127,19 @@ class Solution:
 def solve(problem: DecisionProblem) -> Solution:
     """Expected loss per action and the lexicographically-first minimiser.
 
-    Lognormal outcomes are supported only with the identity loss L(y,a)=y
-    (expected loss = distribution mean); general losses need finite tables.
+    A lognormal outcome takes a callable loss, read as the identity loss
+    L(y,a)=y (expected loss = distribution mean), and raises DecisionError
+    with a loss table; general losses need finite tables.
     """
     losses: dict[str, float] = {}
     for a in problem.actions:
         dist = problem.hypothetical[a]
         if isinstance(dist, FiniteDist):
             losses[a] = dist.expected(lambda y: problem.loss_of(y, a))
-        else:
+        elif callable(problem.loss):
             losses[a] = dist.mean()
+        else:
+            raise DecisionError(f"lognormal outcome of action {a!r} has no expected loss under a loss table")
     best = min(sorted(problem.actions), key=lambda a: losses[a])
     return Solution(losses, best)
 
@@ -240,5 +244,4 @@ def problem_to_json(problem: DecisionProblem) -> dict:
 
 
 def load_problem(path) -> DecisionProblem:
-    with open(path) as fh:
-        return problem_from_json(json.load(fh))
+    return problem_from_json(load_json(path))

@@ -35,6 +35,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from dtcausal import load_json
 from dtcausal.graph import IDLE, REGIME, Dag, Edge, Node, topological_order
 from dtcausal.statements import EciStatement
 
@@ -738,8 +739,7 @@ def _keyed(pairs: Iterable[tuple], what) -> dict:
 
 
 def load_model(path) -> MultiRegimeModel:
-    with open(path) as fh:
-        return model_from_json(json.load(fh))
+    return model_from_json(load_json(path))
 
 
 def study_spec_from_json(doc: Mapping) -> StudySpec:

@@ -75,6 +75,15 @@ class TestDerive:
         assert code == 3
         assert out.strip() == "not derivable"
 
+    def test_refused_json(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "derive", str(CORPUS / "nested_randomisation.eci"),
+            "--target", "F2 _||_ F1 | W1",
+            "--regime", "F1", "--regime", "F2",
+        )
+        assert code == 3
+        assert doc == {"derived": False}
+
     def test_intersection_pattern_refused(self, capsys):
         code, out, _ = run(
             capsys, "derive", str(CORPUS / "invalid_intersection.eci"),
@@ -155,6 +164,17 @@ class TestAugmentProject:
         code, _, err = run(capsys, "project", str(source), "--drop", "H")
         assert code == 1
         assert "not DAG-projectable" in err
+
+    def test_project_failure_json(self, capsys, tmp_path):
+        source = tmp_path / "unprojectable.cadt"
+        source.write_text(
+            "graph g {\n  node H latent;\n  node A;\n  node B;\n  node C;\n  node D;\n"
+            "  edge H -> A;\n  edge H -> B;\n  edge C -> A;\n  edge D -> B;\n}\n"
+        )
+        code, out, err = run(capsys, "--json", "project", str(source), "--drop", "H")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not DAG-projectable" in err
 
 
 class TestVerify:
@@ -367,6 +387,15 @@ class TestIdentify:
         assert doc["identified"] is True
         assert len(doc["checks"]) == 3 and all(c["holds"] for c in doc["checks"])
 
+    @pytest.mark.parametrize("x0, x1, z, y, twice", [("X0", "X0", "Z", "Y", "X0"), ("X0", "X1", "Z", "X1", "X1")])
+    def test_name_given_twice_is_usage_error(self, capsys, x0, x1, z, y, twice):
+        code, out, err = run(
+            capsys, "identify", str(CORPUS / "two_stage_obs.cadt"), "--y", y, "--x0", x0, "--x1", x1, "--z", z,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: node {twice!r} is given twice\n"
+
 
 class TestGFormula:
     def test_value(self, capsys):
@@ -401,6 +430,19 @@ class TestGFormula:
         assert code == 2
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_positivity_violation_exits_3(self, capsys, tmp_path, flags):
+        doc = json.loads((MODELS / "two_stage.json").read_text())
+        next(c for c in doc["cpts"] if c["child"] == "X0*")["rows"][0]["probs"] = [1.0, 0.0]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, *flags, "gformula", str(path), "--y", "Y=1", "--x0", "X0=1", "--x1", "X1=1", "--z", "Z",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: positivity violation\n"
 
 
 class TestAce:
@@ -506,6 +548,45 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+
+DECISION_TEXT = (
+    '{"actions": ["a", "b"], "distributions": {"a": {"type": "table", "rows": [{"y": 1, "p": 1.0}]}, '
+    '"b": {"type": "table", "rows": [{"y": 0, "p": 1.0}]}}, "loss": []}'
+)
+
+
+class TestRepeatedJsonKey:
+    @pytest.mark.parametrize(
+        "text, old, new, key, argv",
+        [
+            (
+                (MODELS / "study_randomized.json").read_text(),
+                '"evening": 0.5}, "response"',
+                '"evening": 0.5, "morning": 0.9}, "response"',
+                "morning",
+                ("simulate", "--n", "1000", "--seed", "7"),
+            ),
+            (
+                (MODELS / "itt_example.json").read_text(),
+                '"mode": "itt"',
+                '"mode": "itt", "mode": "itt"',
+                "mode",
+                ("verify", "--check", "ignorability", "--y", "Y", "--action", "T"),
+            ),
+            (DECISION_TEXT, '"loss": []', '"loss": [], "loss": []', "loss", ("ace",)),
+        ],
+        ids=["study-spec", "model", "decision-problem"],
+    )
+    def test_repeated_key_is_named(self, capsys, tmp_path, text, old, new, key, argv):
+        source = json.dumps(json.loads(text))
+        assert source.count(old) == 1
+        path = tmp_path / "doc.json"
+        path.write_text(source.replace(old, new))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: JSON object repeats the key {key!r}\n"
 
 
 class TestRender:

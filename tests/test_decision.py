@@ -83,6 +83,18 @@ class TestSolve:
         assert sol.expected_loss["hi"] == pytest.approx(math.exp(1.25))
         assert sol.optimal_action == "lo"
 
+    def test_lognormal_with_loss_table_is_refused(self):
+        lognormal = {"type": "lognormal", "sigma2": 1}
+        prob = problem_from_json(
+            {
+                "actions": ["a", "b"],
+                "distributions": {"a": {**lognormal, "mu": 0}, "b": {**lognormal, "mu": 1}},
+                "loss": [{"y": 1, "a": "a", "loss": 100}],
+            }
+        )
+        with pytest.raises(DecisionError, match="lognormal outcome of action 'a' has no expected loss"):
+            solve(prob)
+
     def test_missing_distribution(self):
         with pytest.raises(DecisionError):
             DecisionProblem(("a",), {}, {})
@@ -256,6 +268,13 @@ class TestJson:
     def test_missing_key_is_named(self):
         with pytest.raises(DecisionError, match="decision problem document is missing required key 'distributions'"):
             problem_from_json({"actions": ["a"], "loss": []})
+
+    def test_repeated_key_is_named(self, corpus_dir, tmp_path):
+        text = json.dumps(json.loads((corpus_dir / "models" / "umbrella.json").read_text()))
+        path = tmp_path / "problem.json"
+        path.write_text(text.replace('"actions": [', '"actions": ["take"], "actions": [', 1))
+        with pytest.raises(ValueError, match="JSON object repeats the key 'actions'"):
+            load_problem(path)
 
     def test_repeated_loss_row_is_named(self, corpus_dir):
         doc = json.loads((corpus_dir / "models" / "umbrella.json").read_text())

@@ -16,7 +16,8 @@ from dtcausal.eci import (
     closure,
     derivable,
 )
-from dtcausal.graph import Dag, Edge, Node
+from dtcausal.dsep import implied_statements
+from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, Node, topological_order
 from dtcausal.statements import EciStatement, StatementError, parse_premise_file, parse_statement as ps
 
 from conftest import ci_holds_in_table, random_model_from_dag
@@ -368,3 +369,52 @@ def test_soundness_nested_randomisation_family():
         table = random_model_from_dag(NESTED_DAG, seed).joint({})
         for stmt in derived:
             assert ci_holds_in_table(table, set(stmt.left), set(stmt.right), set(stmt.given)), stmt
+
+
+# -- closure of a DAG's causal input list against d-separation ---------------
+
+
+def causal_input_dag(seed):
+    """Two to six stochastic nodes with random forward edges, and zero to two
+    regime founders, each pointing at one or two of them."""
+    rng = random.Random(seed)
+    names = [f"V{i}" for i in range(rng.randint(2, 6))]
+    nodes = {Node(v) for v in names}
+    edges = {Edge(a, b) for i, a in enumerate(names) for b in names[i + 1:] if rng.random() < 0.4}
+    for k in range(rng.randint(0, 2)):
+        nodes.add(Node(f"F{k}", REGIME))
+        edges |= {Edge(f"F{k}", t) for t in rng.sample(names, rng.randint(1, 2))}
+    return Dag.of(nodes, edges)
+
+
+def causal_input_list(dag):
+    """Each node, founders included, independent of its non-parent predecessors given its parents."""
+    order = topological_order(dag)
+    out = []
+    for i, v in enumerate(order):
+        rest = frozenset(order[:i]) - dag.parents(v)
+        if rest:
+            out.append(EciStatement(frozenset({v}), rest, dag.parents(v)))
+    return out
+
+
+def test_causal_input_closure_is_d_separation():
+    """The semigraphoid closure of a DAG's causal input list is its d-separation
+    (Verma & Pearl 1990): its elementary statements, listed as
+    `implied_statements` lists them, are exactly the implied ones."""
+    for seed in range(32):
+        dag = causal_input_dag(seed)
+        regimes = sorted(n.name for n in dag.nodes if n.kind == REGIME)
+        universe = Universe.of(sorted(dag.node_names - set(regimes)), regimes)
+        derived = closure(causal_input_list(dag), universe, regimes_as_stochastic=True)
+        # A stochastic left, a right outside the given set, and a stochastic
+        # pair once, the smaller name on the left.
+        elementary = {
+            s
+            for s in derived
+            if len(s.left) == len(s.right) == 1
+            and not s.right & s.given
+            and dag.kind_of(min(s.left)) == STOCHASTIC
+            and (dag.kind_of(min(s.right)) == REGIME or min(s.left) < min(s.right))
+        }
+        assert elementary == set(implied_statements(dag, dag.node_names)), seed
