@@ -60,27 +60,19 @@ def build_itt_dag(obs: Dag, plan: InterventionPlan) -> Dag:
     """Split each target X into (F_X founder, latent X* inheriting X's
     incoming arrows, deterministic X with parents {F_X, X*} keeping X's
     outgoing arrows; the X* -> X edge is dashed)."""
-    if any(n.kind == REGIME for n in obs.nodes):
-        raise GraphError("input must be a purely observational DAG")
-    plan.validate_against(obs)
-    nodes = set(obs.nodes)
-    edges = set(obs.edges)
+    nodes, edges = _with_regime_founders(obs, plan)
     for target in plan.targets:
-        star, reg = itt_name(target), regime_name(target)
-        for taken in (star, reg):
-            if obs.has_node(taken):
-                raise GraphError(f"name {taken!r} already in use")
+        star = itt_name(target)
+        if obs.has_node(star):
+            raise GraphError(f"name {star!r} already in use")
         old = obs.node(target)
         nodes.discard(old)
-        nodes.add(replace(old, deterministic=True))
-        nodes.add(Node(star, STOCHASTIC, latent=True))
-        nodes.add(Node(reg, REGIME))
+        nodes |= {replace(old, deterministic=True), Node(star, STOCHASTIC, latent=True)}
         for e in obs.edges:
             if e.dst == target:
                 edges.discard(e)
                 edges.add(Edge(e.src, star))
         edges.add(Edge(star, target, dashed=True))
-        edges.add(Edge(reg, target))
     return Dag.of(nodes, edges)
 
 
@@ -127,6 +119,12 @@ def eliminate_nodes(dag: Dag, drop: frozenset[str] | set[str]) -> Dag:
 
 def build_augmented_dag(obs: Dag, plan: InterventionPlan) -> Dag:
     """Observational DAG plus one regime founder per target."""
+    return Dag.of(*_with_regime_founders(obs, plan))
+
+
+def _with_regime_founders(obs: Dag, plan: InterventionPlan) -> tuple[set[Node], set[Edge]]:
+    """The nodes and edges of the observational DAG `obs` plus a founder F_X
+    and its edge F_X -> X for each target X of `plan`, checked against `obs`."""
     if any(n.kind == REGIME for n in obs.nodes):
         raise GraphError("input must be a purely observational DAG")
     plan.validate_against(obs)
@@ -138,7 +136,7 @@ def build_augmented_dag(obs: Dag, plan: InterventionPlan) -> Dag:
             raise GraphError(f"name {reg!r} already in use")
         nodes.add(Node(reg, REGIME))
         edges.add(Edge(reg, target))
-    return Dag.of(nodes, edges)
+    return nodes, edges
 
 
 def rule_applicability(

@@ -15,6 +15,7 @@ answer; `main` alone prints it and picks the exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -210,14 +211,7 @@ def _cmd_ace(args) -> Answer:
 def _cmd_lognormal(args) -> Answer:
     from dtcausal import decision
 
-    eff = decision.lognormal_effects(decision.NormalPair(args.mu1, args.mu0, args.sigma2))
-    payload = {
-        "ace_y": eff.ace_y,
-        "ace_z": eff.ace_z,
-        "ratio": eff.ratio,
-        "var_z_1": eff.var_z_1,
-        "var_z_0": eff.var_z_0,
-    }
+    payload = dataclasses.asdict(decision.lognormal_effects(decision.NormalPair(args.mu1, args.mu0, args.sigma2)))
     text = "\n".join(f"{k} = {v:.12g}" for k, v in payload.items())
     return EXIT_OK, payload, text
 
@@ -226,14 +220,6 @@ def _cmd_simulate(args) -> Answer:
     from dtcausal import oracle
 
     result = oracle.simulate_study(oracle.study_spec_from_json(load_json(args.spec)), args.n, args.seed)
-    payload = {
-        "n": result.n,
-        "treated_mean": result.treated_mean,
-        "control_mean": result.control_mean,
-        "treated_se": result.treated_se,
-        "control_se": result.control_se,
-        "interventional_means": {str(k): v for k, v in result.interventional_means.items()},
-    }
     lines = [f"n = {result.n}"]
     for label, mean, se in (
         ("treated", result.treated_mean, result.treated_se),
@@ -245,7 +231,7 @@ def _cmd_simulate(args) -> Answer:
             lines.append(f"{label}: mean = {mean:.6g}" + (f", se = {se:.6g}" if se is not None else ""))
     for t, m in sorted(result.interventional_means.items()):
         lines.append(f"interventional mean (t={t}) = {m:.6g}")
-    return EXIT_OK, payload, "\n".join(lines)
+    return EXIT_OK, dataclasses.asdict(result), "\n".join(lines)
 
 
 def _cmd_render(args) -> Answer:
@@ -265,7 +251,8 @@ def _cmd_render(args) -> Answer:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="dtcausal", description=__doc__)
+    # The help shows the summary and exit codes; the notes after them are for readers of the code.
+    top = argparse.ArgumentParser(prog="dtcausal", description="\n\n".join(__doc__.split("\n\n")[:2]))
     top.add_argument("--json", action="store_true", help="machine-readable output")
     sub = top.add_subparsers(dest="command", required=True)
 

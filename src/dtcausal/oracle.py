@@ -3,8 +3,8 @@
 A model assigns one joint probability table over the stochastic
 variables to every regime assignment.  ITT-mode models are built from
 a CPT bank plus regimes, each setting one deterministic target that
-carries no CPT: its value is the regime value when the regime is non-
-idle, else its ITT source's value.  Raw-mode models store one
+the bank gives no CPT: its value is the regime value when the regime is
+non-idle, else its ITT source's value.  Raw-mode models store one
 joint table per regime assignment directly, for any regime-indexed
 family, consistent or not.
 
@@ -13,9 +13,9 @@ each regime's domain, and a list of factors.  A factor names the regimes
 that index it and holds one array per tuple of their values, laid out
 over every variable in order with a size-1 axis for each variable it
 does not involve.  An ITT model has one factor per CPT, indexed by its
-regime parents if any, and one 0/1 indicator per applied treatment,
-indexed by that treatment's regime; a raw model has a single factor
-indexed by every regime, one table per assignment.  The regime-free
+regime parents if any; the applied treatment's CPT is deterministic,
+with its regime and its ITT source as parents.  A raw model has a single
+factor indexed by every regime, one table per assignment.  The regime-free
 factors are the same in every regime, so the first joint table
 multiplies them into one product that the model keeps; every joint
 table is that product times the regime-indexed arrays of its
@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,17 +65,18 @@ class Cpt:
         for key, probs in self.table.items():
             if len(key) != len(self.parents):
                 raise ModelError(f"CPT row for {self.child!r} has wrong parent arity")
-            _check_distribution(probs, f"CPT row {list(key)} for {self.child!r}")
+            _check_distribution(probs, lambda: f"CPT row {list(key)} for {self.child!r}")
 
 
-def _check_distribution(probs: Sequence[float], what: str) -> None:
-    """Every entry finite and nonnegative, and the entries sum to 1.  NaN
-    fails every comparison, so both tests are written to pass only on good input."""
+def _check_distribution(probs: Sequence[float], what: Callable[[], str]) -> None:
+    """Every entry finite and nonnegative, and the entries sum to 1; `what()`
+    names the distribution in the error, built only on failure.  NaN fails
+    every comparison, so both tests are written to pass only on good input."""
     bad = next((p for p in probs if not 0.0 <= p < math.inf), None)
     if bad is not None:
-        raise ModelError(f"{what} has a {'negative' if bad < 0 else 'non-finite'} probability {bad}")
+        raise ModelError(f"{what()} has a {'negative' if bad < 0 else 'non-finite'} probability {bad}")
     if not abs(math.fsum(probs) - 1.0) <= 1e-12:
-        raise ModelError(f"{what} does not sum to 1")
+        raise ModelError(f"{what()} does not sum to 1")
 
 
 def _freeze_assignment(assignment: Mapping[str, State]) -> tuple[tuple[str, State], ...]:
@@ -165,22 +166,6 @@ class _Compiled(NamedTuple):
     factors: tuple[_Factor, ...]
 
 
-def _factor(
-    regimes: tuple[str, ...], tensor: np.ndarray, axes: Sequence[int], domains: Mapping[str, tuple], shape: list[int]
-) -> _Factor:
-    """The factor of `tensor`, whose leading axes range over the domains of
-    `regimes` and the rest over the variables at positions `axes`: one array
-    per tuple of regime values, laid out over all of `shape` with its axes in
-    variable order and a size-1 axis for every other variable."""
-    k = len(regimes)
-    spread = [1] * len(shape)
-    for a in axes:
-        spread[a] = shape[a]
-    order = sorted(range(len(axes)), key=axes.__getitem__)
-    arrays = tensor.transpose([*range(k), *(k + i for i in order)]).reshape([-1] + spread)
-    return regimes, dict(zip(itertools.product(*(domains[r] for r in regimes)), arrays))
-
-
 @dataclass(frozen=True)
 class MultiRegimeModel:
     mode: str  # "itt" or "raw"
@@ -230,16 +215,47 @@ class MultiRegimeModel:
 
     @cached_property
     def dag(self) -> Dag | None:
-        """An ITT model's graph, derived from its CPTs and regimes: each CPT
-        parent points at its child, and each regime and its target's dashed
-        ITT source at the target.  None for a raw model."""
+        """An ITT model's graph, derived from its CPTs: each CPT parent points
+        at its child, dashed when it is the child's ITT source.  None for a
+        raw model."""
         if self.mode != "itt":
             return None
         nodes = {Node(v, latent=v in self.latent, deterministic=v in self.regime_of) for v in self.states}
-        edges = {Edge(par, cpt.child) for cpt in self.cpts.values() for par in cpt.parents}
-        for target, reg in self.regime_of.items():
-            edges |= {Edge(reg, target), Edge(self.itt_of[target], target, dashed=True)}
+        edges = {
+            Edge(par, cpt.child, dashed=cpt.child in self.regime_of and par == self.itt_of[cpt.child])
+            for cpt in self._itt_cpts.values()
+            for par in cpt.parents
+        }
         return Dag.of(nodes | {Node(reg, REGIME) for reg in self.regimes}, edges)
+
+    @cached_property
+    def _itt_cpts(self) -> dict[str, Cpt]:
+        """Every CPT of an ITT model: its bank, plus one per regime target,
+        the applied treatment's law given (regime, ITT source): the ITT value
+        when the regime is idle, else the regime value."""
+        unknown = sorted(set(self.cpts) - set(self.states))
+        if unknown:
+            raise ModelError(f"CPT child {unknown[0]!r} is not a stochastic variable")
+        out = dict(self.cpts)
+        for target, reg in self.regime_of.items():
+            if target not in self.states:
+                raise ModelError(f"target {target!r} of regime {reg!r} is not a stochastic variable")
+            src, states = self.itt_of[target], self.states[target]
+            if target in self.cpts:
+                raise ModelError(f"deterministic target {target!r} must not carry a CPT")
+            if src not in self.states:
+                raise ModelError(f"ITT source {src!r} of {target!r} is not a stochastic variable")
+            if IDLE in states:
+                raise ModelError(f"target {target!r} has the idle regime value {IDLE!r} as a state")
+            extra = [s for s in self.states[src] if s not in states]
+            if extra:
+                raise ModelError(
+                    f"ITT source {src!r} of {target!r} has state {extra[0]!r}, which is not a state of {target!r}"
+                )
+            onehot = {t: tuple(float(t == u) for u in states) for t in states}
+            rows = {(f, s): onehot[s if f == IDLE else f] for f in (IDLE, *states) for s in self.states[src]}
+            out[target] = Cpt(target, (reg, src), rows)
+        return out
 
     @cached_property
     def _variable_states(self) -> tuple[tuple[State, ...], ...]:
@@ -298,40 +314,16 @@ class MultiRegimeModel:
         return self._compile_itt() if self.mode == "itt" else self._compile_raw()
 
     def _compile_itt(self) -> _Compiled:
-        unknown = sorted(set(self.cpts) - set(self.states))
-        if unknown:
-            raise ModelError(f"CPT child {unknown[0]!r} is not a stochastic variable")
-        for target in self.regime_of:
-            if target in self.cpts:
-                raise ModelError(f"deterministic target {target!r} must not carry a CPT")
-            if self.itt_of[target] not in self.states:
-                raise ModelError(f"ITT source {self.itt_of[target]!r} of {target!r} is not a stochastic variable")
-            if IDLE in self.states[target]:
-                raise ModelError(f"target {target!r} has the idle regime value {IDLE!r} as a state")
         variables = tuple(v for v in topological_order(self.dag) if v in self.states)
         domains = {r: (IDLE,) + tuple(self.states[self.regimes[r]]) for r in sorted(self.regimes)}
         axis = {v: i for i, v in enumerate(variables)}
-        shape = [len(self.states[v]) for v in variables]
-        factors = []
-        for v in variables:
-            if v in self.regime_of:
-                # Applied treatment: the ITT value when the regime is idle, else the regime value.
-                reg, src = self.regime_of[v], self.itt_of[v]
-                indicator = [
-                    [[float((s if f == IDLE else f) == t) for t in self.states[v]] for s in self.states[src]]
-                    for f in domains[reg]
-                ]
-                factor = ((reg,), np.array(indicator), [axis[src], axis[v]])
-            else:
-                factor = self._cpt_factor(v, axis, domains)
-            factors.append(_factor(*factor, domains, shape))
-        return _Compiled(variables, domains, tuple(factors))
+        return _Compiled(variables, domains, tuple(self._cpt_factor(v, axis, domains) for v in variables))
 
-    def _cpt_factor(
-        self, v: str, axis: Mapping[str, int], regime_domains: Mapping[str, tuple]
-    ) -> tuple[tuple[str, ...], np.ndarray, list[int]]:
-        """The CPT of `v` as `_factor` takes it: regime parents, tensor, variable axes."""
-        cpt = self.cpts.get(v)
+    def _cpt_factor(self, v: str, axis: Mapping[str, int], regime_domains: Mapping[str, tuple]) -> _Factor:
+        """The CPT of `v` as a factor indexed by its regime parents: one array
+        per tuple of their values, with its axes in variable order and a
+        size-1 axis for every variable the CPT does not involve."""
+        cpt = self._itt_cpts.get(v)
         if cpt is None:
             raise ModelError(f"missing CPT for {v!r}")
         domains = [regime_domains.get(p) or self.states[p] for p in cpt.parents]
@@ -348,13 +340,13 @@ class MultiRegimeModel:
             if len(probs) != n:
                 raise ModelError(f"CPT row {list(config)} for {v!r} has {len(probs)} probabilities, not {n}")
         tensor = np.array([cpt.table[c] for c in configs], dtype=float).reshape([len(d) for d in domains] + [n])
+        dims = [*cpt.parents, v]  # the tensor's axes
         regime_pos = [i for i, p in enumerate(cpt.parents) if p in regime_domains]
-        var_pos = [i for i, p in enumerate(cpt.parents) if p not in regime_domains]
-        return (
-            tuple(cpt.parents[i] for i in regime_pos),
-            tensor.transpose(regime_pos + var_pos + [len(cpt.parents)]),
-            [axis[cpt.parents[i]] for i in var_pos] + [axis[v]],
-        )
+        var_pos = sorted((i for i, p in enumerate(dims) if p not in regime_domains), key=lambda i: axis[dims[i]])
+        spread = [len(self.states[u]) if u in dims else 1 for u in axis]
+        regimes = tuple(cpt.parents[i] for i in regime_pos)
+        arrays = tensor.transpose(regime_pos + var_pos).reshape([-1] + spread)
+        return regimes, dict(zip(itertools.product(*(regime_domains[r] for r in regimes)), arrays))
 
     def _compile_raw(self) -> _Compiled:
         """One factor, indexed by every regime in name order, whose array for
@@ -380,7 +372,7 @@ class MultiRegimeModel:
                 raise ModelError(f"no raw table for regime assignment {assignment}")
             if flat.size != size:
                 raise ModelError(f"raw table for {assignment} has {flat.size} probabilities, expected {size}")
-            _check_distribution(flat.tolist(), f"raw table for {assignment}")
+            _check_distribution(flat.tolist(), lambda: f"raw table for {assignment}")
             tables[combo] = np.array(flat, dtype=float).reshape(shape)
         return _Compiled(variables, domains, ((tuple(names), tables),))
 
@@ -510,14 +502,14 @@ def gformula_eval(
     z_var: str,
 ) -> float:
     """Evaluate sum_z p(y | x1, z) p(z | x0) in the all-idle joint."""
-    idle = {r: IDLE for r in model.regime_names}
-    obs = model.joint(idle)
-    y_var, y_val = y
-    x0_var, x0_val = x0
-    x1_var, x1_val = x1
-    if z_var == x1_var:
+    obs = model.joint({r: IDLE for r in model.regime_names})
+    if z_var == x1[0]:
         raise ModelError(f"the adjustment variable {z_var!r} is also the second treatment")
-    y_pos = obs._index({y_var: y_val})[obs.axis(y_var)]  # raises for an unknown name or value of y
+    # Bound values match states as statement pins do; an unknown name raises here.
+    (y_var, y_val), (x0_var, x0_val), (x1_var, x1_val) = (
+        (var, _coerce_state(val, obs.states[obs.axis(var)])) for var, val in (y, x0, x1)
+    )
+    y_pos = obs._index({y_var: y_val})[obs.axis(y_var)]  # raises for a value that is not a state of y
     pz = obs.conditional([z_var], {x0_var: x0_val})
     if pz is None:
         raise PositivityError("positivity violation")
@@ -536,24 +528,24 @@ def ace(model: MultiRegimeModel, y: str, action: str) -> float:
     """Average causal effect of a binary action on y: E(y) with the action's
     regime set to its second state minus E(y) with it set to the first, every
     other regime idle."""
-    regime, _ = _regime_for_action(model, action)
-    states = model.states[action]
-    if len(states) != 2:
-        raise ModelError("ACE requires a binary action")
-    lo, hi = states
-    hi_mean, lo_mean = (model.joint(_single_regime(model, regime, t)).expectation(y) for t in (hi, lo))
-    return hi_mean - lo_mean
+    return _regime_contrast(model, y, action, "ACE", treated_only=False)
 
 
 def ett(model: MultiRegimeModel, y: str, action: str) -> float:
     """Effect of treatment on those selected for treatment:
     E(y | ITT=1, regime=1) - E(y | ITT=1, regime=0)."""
+    return _regime_contrast(model, y, action, "ETT", treated_only=True)
+
+
+def _regime_contrast(model: MultiRegimeModel, y: str, action: str, name: str, treated_only: bool) -> float:
+    """The body of `ace` (empty event) and `ett` (ITT source at the second state)."""
     regime, itt = _regime_for_action(model, action)
     states = model.states[action]
     if len(states) != 2:
-        raise ModelError("ETT requires a binary action")
+        raise ModelError(f"{name} requires a binary action")
     lo, hi = states
-    hi_mean, lo_mean = (model.joint(_single_regime(model, regime, t)).expectation(y, {itt: hi}) for t in (hi, lo))
+    event = {itt: hi} if treated_only else {}
+    hi_mean, lo_mean = (model.joint(_single_regime(model, regime, t)).expectation(y, event) for t in (hi, lo))
     return hi_mean - lo_mean
 
 

@@ -332,11 +332,26 @@ class TestVerify:
                 lambda doc: doc["variables"][1].update(states=[0, "~"]),
                 "target 'T' has the idle regime value '~' as a state",
             ),
+            (
+                "itt_example.json",
+                lambda doc: (
+                    doc["variables"][0].update(states=[0, 1, 2]),
+                    doc["cpts"][0]["rows"][0].update(probs=[0.4, 0.3, 0.3]),
+                    doc["cpts"][1]["rows"].extend({"parents": [t, 2], "probs": [0.5, 0.5]} for t in (0, 1)),
+                ),
+                "ITT source 'T*' of 'T' has state 2, which is not a state of 'T'",
+            ),
+            (
+                "itt_example.json",
+                lambda doc: (doc["regimes"][0].update(target="Q"), doc["variables"][1].pop("deterministic")),
+                "target 'Q' of regime 'F_T' is not a stochastic variable",
+            ),
         ],
         ids=[
             "target-with-cpt", "no-itt-source", "itt-not-a-variable", "itt-is-a-regime", "regime-named-like-variable",
             "dangling-cpt-parent", "two-regimes-one-target", "raw-two-regimes-one-target", "parentless-cpt-unknown-child",
             "deterministic-non-target", "repeated-cpt-row", "repeated-cpt", "idle-value-as-target-state",
+            "itt-source-state-not-a-target-state", "target-not-a-variable",
         ],
     )
     def test_itt_structure_is_checked(self, capsys, tmp_path, model, mutate, message):
@@ -430,6 +445,24 @@ class TestGFormula:
         assert code == 2
         assert message in err
         assert "Traceback" not in err
+
+    def test_string_states_match_like_pins(self, capsys, tmp_path):
+        doc = json.loads((MODELS / "two_stage.json").read_text())
+        for v in doc["variables"]:
+            v["states"] = [str(s) for s in v["states"]]
+        for c in doc["cpts"]:
+            for row in c["rows"]:
+                row["parents"] = [str(p) for p in row["parents"]]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        query = ("--y", "Y=1", "--x0", "X0=1", "--x1", "X1=0", "--z", "Z")
+        _, want, _ = run_json(capsys, "gformula", str(MODELS / "two_stage.json"), *query)
+        code, got, _ = run_json(capsys, "gformula", str(path), *query)
+        assert code == 0
+        assert got == want
+        code, _, err = run(capsys, "gformula", str(path), "--y", "Y=1", "--x0", "Q=1", "--x1", "X1=0", "--z", "Z")
+        assert code == 2
+        assert "unknown variable 'Q'" in err
 
     @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
     def test_positivity_violation_exits_3(self, capsys, tmp_path, flags):
@@ -614,6 +647,13 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_help_lists_exit_codes_without_code_notes(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        help_text = " ".join(out.split())
+        assert code == 0
+        assert "4 = internal error" in help_text
+        assert "Handlers return their answer" not in help_text
 
     def test_parse_error_diagnostic_on_stderr(self, capsys, tmp_path):
         bad = tmp_path / "bad.cadt"

@@ -285,6 +285,14 @@ class TestCptValidation:
                 "itt", {"T*": BIN, "T": BIN, "Y": BIN}, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
             )
 
+    def test_itt_source_may_have_fewer_states_than_its_target(self):
+        cpts = {"T*": Cpt("T*", (), {(): (0.4, 0.6)}), "Y": Cpt("Y", ("T",), {(t,): (0.5, 0.5) for t in (0, 1, 2)})}
+        model = MultiRegimeModel(
+            "itt", {"T*": BIN, "T": (0, 1, 2), "Y": BIN}, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
+        )
+        assert model.joint({"F_T": IDLE}).marginal(["T"]).probs.tolist() == [0.4, 0.6, 0.0]
+        assert model.joint({"F_T": 2}).marginal(["T"]).probs.tolist() == [0.0, 0.0, 1.0]
+
     def test_nan_probability(self, corpus_dir):
         doc = json.loads((corpus_dir / "models" / "itt_example.json").read_text())
         next(c for c in doc["cpts"] if c["child"] == "Y")["rows"][0]["probs"] = [float("nan"), 0.5]
