@@ -55,6 +55,15 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def load_json(path):
-    """The JSON document at `path`; an object that repeats a key raises ValueError naming it."""
+    """The JSON object at `path`; an object that repeats a key, or a document
+    that is not an object, raises ValueError naming it."""
     with open(path) as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+        doc = json.load(fh, object_pairs_hook=_unique_keys)
+    return json_object(doc, f"the document in {str(path)!r}")
+
+
+def json_object(value, what: str) -> dict:
+    """`value` if it is a JSON object, else ValueError naming it as `what`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {json.dumps(value)[:40]}")
+    return value

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from dtcausal import load_json
+from dtcausal import json_object, load_json
 
 
 class DecisionError(ValueError):
@@ -118,6 +118,11 @@ class DecisionProblem:
         return value
 
 
+def identity_loss(y: object, a: str) -> object:
+    """L(y, a) = y: the loss under which an action's expected loss is its outcome's mean."""
+    return y
+
+
 @dataclass(frozen=True)
 class Solution:
     expected_loss: dict[str, float]
@@ -127,19 +132,18 @@ class Solution:
 def solve(problem: DecisionProblem) -> Solution:
     """Expected loss per action and the lexicographically-first minimiser.
 
-    A lognormal outcome takes a callable loss, read as the identity loss
-    L(y,a)=y (expected loss = distribution mean), and raises DecisionError
-    with a loss table; general losses need finite tables.
+    A lognormal outcome's expected loss is its mean under `identity_loss`;
+    any other loss raises DecisionError, as general losses need finite tables.
     """
     losses: dict[str, float] = {}
     for a in problem.actions:
         dist = problem.hypothetical[a]
         if isinstance(dist, FiniteDist):
             losses[a] = dist.expected(lambda y: problem.loss_of(y, a))
-        elif callable(problem.loss):
+        elif problem.loss is identity_loss:
             losses[a] = dist.mean()
         else:
-            raise DecisionError(f"lognormal outcome of action {a!r} has no expected loss under a loss table")
+            raise DecisionError(f"lognormal outcome of action {a!r} has no expected loss except under identity_loss")
     best = min(sorted(problem.actions), key=lambda a: losses[a])
     return Solution(losses, best)
 
@@ -219,7 +223,7 @@ def _dist_to_json(dist: FiniteDist | LognormalDist):
 def problem_from_json(doc: Mapping) -> DecisionProblem:
     try:
         actions = tuple(doc["actions"])
-        hypo = {a: _dist_from_json(d) for a, d in doc["distributions"].items()}
+        hypo = {a: _dist_from_json(d) for a, d in json_object(doc["distributions"], "'distributions'").items()}
         loss = {}
         for row in doc["loss"]:
             if (row["y"], row["a"]) in loss:

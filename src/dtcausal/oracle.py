@@ -5,8 +5,9 @@ variables to every regime assignment.  ITT-mode models are built from
 a CPT bank plus regimes, each setting one deterministic target that
 the bank gives no CPT: its value is the regime value when the regime is
 non-idle, else its ITT source's value.  Raw-mode models store one
-joint table per regime assignment directly, for any regime-indexed
-family, consistent or not.
+joint table per assignment of their declared regimes, for any
+regime-indexed family, consistent or not.  In either mode a regime's
+domain is the idle value plus the states of its target.
 
 Both modes compile once, at construction, into one form: the variables,
 each regime's domain, and a list of factors.  A factor names the regimes
@@ -35,7 +36,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from dtcausal import load_json
+from dtcausal import json_object, load_json
 from dtcausal.graph import IDLE, REGIME, Dag, Edge, Node, topological_order
 from dtcausal.statements import EciStatement
 
@@ -204,13 +205,19 @@ class MultiRegimeModel:
 
     @cached_property
     def regime_of(self) -> dict[str, str]:
-        """Target -> the one regime that sets it; every target has an ITT source."""
+        """Target -> the one regime that sets it; runs every per-regime check of either mode."""
         out: dict[str, str] = {}
         for reg, target in sorted(self.regimes.items()):
             if out.setdefault(target, reg) != reg:
                 raise ModelError(f"regimes {out[target]!r} and {reg!r} both target {target!r}")
             if target not in self.itt_of:
                 raise ModelError(f"missing ITT source for target {target!r}")
+            if target not in self.states:
+                raise ModelError(f"target {target!r} of regime {reg!r} is not a stochastic variable")
+            if self.itt_of[target] not in self.states:
+                raise ModelError(f"ITT source {self.itt_of[target]!r} of {target!r} is not a stochastic variable")
+            if IDLE in self.states[target]:
+                raise ModelError(f"target {target!r} has the idle regime value {IDLE!r} as a state")
         return out
 
     @cached_property
@@ -238,15 +245,9 @@ class MultiRegimeModel:
             raise ModelError(f"CPT child {unknown[0]!r} is not a stochastic variable")
         out = dict(self.cpts)
         for target, reg in self.regime_of.items():
-            if target not in self.states:
-                raise ModelError(f"target {target!r} of regime {reg!r} is not a stochastic variable")
             src, states = self.itt_of[target], self.states[target]
             if target in self.cpts:
                 raise ModelError(f"deterministic target {target!r} must not carry a CPT")
-            if src not in self.states:
-                raise ModelError(f"ITT source {src!r} of {target!r} is not a stochastic variable")
-            if IDLE in states:
-                raise ModelError(f"target {target!r} has the idle regime value {IDLE!r} as a state")
             extra = [s for s in self.states[src] if s not in states]
             if extra:
                 raise ModelError(
@@ -311,11 +312,11 @@ class MultiRegimeModel:
 
     @cached_property
     def _compiled(self) -> _Compiled:
-        return self._compile_itt() if self.mode == "itt" else self._compile_raw()
-
-    def _compile_itt(self) -> _Compiled:
-        variables = tuple(v for v in topological_order(self.dag) if v in self.states)
         domains = {r: (IDLE,) + tuple(self.states[self.regimes[r]]) for r in sorted(self.regimes)}
+        return self._compile_itt(domains) if self.mode == "itt" else self._compile_raw(domains)
+
+    def _compile_itt(self, domains: dict[str, tuple[State, ...]]) -> _Compiled:
+        variables = tuple(v for v in topological_order(self.dag) if v in self.states)
         axis = {v: i for i, v in enumerate(variables)}
         return _Compiled(variables, domains, tuple(self._cpt_factor(v, axis, domains) for v in variables))
 
@@ -348,19 +349,14 @@ class MultiRegimeModel:
         arrays = tensor.transpose(regime_pos + var_pos).reshape([-1] + spread)
         return regimes, dict(zip(itertools.product(*(regime_domains[r] for r in regimes)), arrays))
 
-    def _compile_raw(self) -> _Compiled:
+    def _compile_raw(self, domains: dict[str, tuple[State, ...]]) -> _Compiled:
         """One factor, indexed by every regime in name order, whose array for
-        each assignment is its table over the variables of `states` in order.
-        Regime names and domains come from the table keys; the optional
-        `regimes`/`itt_of` metadata only serves the consistency checks."""
-        names = [n for n, _ in next(iter(self.raw_regimes), ())]  # keys are sorted by name
+        each assignment of the declared regimes is its table over the variables
+        of `states` in order."""
+        names = list(domains)
         for key in self.raw_regimes:
-            if [n for n, _ in key] != names:
-                raise ModelError(f"raw table for {dict(key)} names regimes {[n for n, _ in key]}, not {names}")
-        domains = {
-            r: tuple(sorted({dict(key)[r] for key in self.raw_regimes}, key=lambda v: (v != IDLE, str(v))))
-            for r in names
-        }
+            if [n for n, _ in key] != names or any(v not in domains[n] for n, v in key):  # keys are sorted by name
+                raise ModelError(f"raw table for {dict(key)} is not an assignment of the regimes {names}")
         variables = tuple(self.states)
         shape = tuple(len(self.states[v]) for v in variables)
         size = math.prod(shape)
@@ -705,7 +701,7 @@ def _model_fields(doc: Mapping) -> tuple[str, dict]:
     if mode == "raw":
         raw = {}
         for entry in doc["raw_regimes"]:
-            key = _freeze_assignment(entry["assignment"])
+            key = _freeze_assignment(json_object(entry["assignment"], "'assignment'"))
             if key in raw:
                 raise ModelError(f"duplicate raw table for regime assignment {entry['assignment']}")
             raw[key] = np.asarray(entry["probs"], dtype=float)
@@ -736,13 +732,16 @@ def load_model(path) -> MultiRegimeModel:
 
 def study_spec_from_json(doc: Mapping) -> StudySpec:
     try:
-        response = _keyed(
-            (((r["x"], int(r["t"])), {float(y): float(p) for y, p in r["dist"].items()}) for r in doc["response"]),
-            lambda key: f"response row for x={key[0]!r}, t={key[1]}",
-        )
+        response = _keyed(map(_response_row, doc["response"]), lambda key: f"response row for x={key[0]!r}, t={key[1]}")
         return StudySpec(covariate_dist=dict(doc["covariate"]), assignment=dict(doc["assignment"]), response=response)
     except KeyError as exc:
         raise ModelError(f"study spec document is missing required key {exc.args[0]!r}") from None
+
+
+def _response_row(row: Mapping) -> tuple[tuple[State, int], dict[float, float]]:
+    if not isinstance(row["t"], int):  # int() would read 0.5 as 0, and fail on inf with an OverflowError
+        raise ModelError(f"response row 't' must be 0 or 1, not {row['t']!r}")
+    return (row["x"], int(row["t"])), {float(y): float(p) for y, p in json_object(row["dist"], "'dist'").items()}
 
 
 # -- random model construction (flat simplex CPTs, explicit seeds) -------

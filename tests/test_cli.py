@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -6,6 +8,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dtcausal
 from dtcausal import cli, dsep
@@ -346,12 +350,33 @@ class TestVerify:
                 lambda doc: (doc["regimes"][0].update(target="Q"), doc["variables"][1].pop("deterministic")),
                 "target 'Q' of regime 'F_T' is not a stochastic variable",
             ),
+            (
+                "raw_inconsistent.json",
+                lambda doc: doc["regimes"][0].update(target="Q"),
+                "target 'Q' of regime 'F_T' is not a stochastic variable",
+            ),
+            (
+                "raw_inconsistent.json",
+                lambda doc: doc["regimes"][0].update(itt="Z"),
+                "ITT source 'Z' of 'T' is not a stochastic variable",
+            ),
+            (
+                "raw_inconsistent.json",
+                lambda doc: doc.pop("regimes"),
+                "raw table for {'F_T': '~'} is not an assignment of the regimes []",
+            ),
+            (
+                "raw_inconsistent.json",
+                lambda doc: doc["regimes"][0].update(name="F_S"),
+                "raw table for {'F_T': '~'} is not an assignment of the regimes ['F_S']",
+            ),
         ],
         ids=[
             "target-with-cpt", "no-itt-source", "itt-not-a-variable", "itt-is-a-regime", "regime-named-like-variable",
             "dangling-cpt-parent", "two-regimes-one-target", "raw-two-regimes-one-target", "parentless-cpt-unknown-child",
             "deterministic-non-target", "repeated-cpt-row", "repeated-cpt", "idle-value-as-target-state",
-            "itt-source-state-not-a-target-state", "target-not-a-variable",
+            "itt-source-state-not-a-target-state", "target-not-a-variable", "raw-target-not-a-variable",
+            "raw-itt-not-a-variable", "raw-no-regimes", "raw-regime-not-in-tables",
         ],
     )
     def test_itt_structure_is_checked(self, capsys, tmp_path, model, mutate, message):
@@ -359,7 +384,9 @@ class TestVerify:
         mutate(doc)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        statement = {"two_stage.json": "X0 _||_ F_X0"}.get(model, "Y _||_ F_T | T")
+        statement = {"two_stage.json": "X0 _||_ F_X0", "raw_inconsistent.json": "Y _||_ T* | T, F_T"}.get(
+            model, "Y _||_ F_T | T"
+        )
         code, _, err = run(capsys, "verify", str(path), "--check", "eci", "--statement", statement)
         assert code == 2
         assert message in err
@@ -620,6 +647,105 @@ class TestRepeatedJsonKey:
         assert code == 2
         assert out == ""
         assert err == f"error: JSON object repeats the key {key!r}\n"
+
+
+# One README-style command per corpus JSON input; "{}" stands for the input's path.
+JSON_INPUTS = {
+    "itt_example.json": ("verify", "{}", "--check", "ignorability", "--y", "Y", "--action", "T"),
+    "raw_inconsistent.json": ("verify", "{}", "--check", "eci", "--statement", "Y _||_ T* | T, F_T"),
+    "two_stage.json": ("gformula", "{}", "--y", "Y=1", "--x0", "X0=1", "--x1", "X1=0", "--z", "Z"),
+    "umbrella.json": ("ace", "{}"),
+    "study_confounded.json": ("simulate", "{}", "--n", "50", "--seed", "7"),
+}
+
+
+def json_sites(value, path=()):
+    """(path, value) for `value` and every value nested in it; a path is a tuple of keys and indices."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from json_sites(child, path + (key,))
+
+
+def json_type(value) -> str:
+    return {bool: "boolean", int: "number", float: "number", str: "string", list: "array", dict: "object"}.get(
+        type(value), "null"
+    )
+
+
+def replaced(doc, path, value):
+    """A copy of `doc` with the value at `path` replaced by `value`."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "~", "T", "0"]),
+    st.lists(st.integers(0, 1), max_size=2),
+    st.dictionaries(st.sampled_from(["", "F_T", "0"]), st.integers(0, 1), max_size=2),
+)
+# Every (input, path, value at the path) of the corpus JSON inputs.
+JSON_SITES = [
+    (model, path, value)
+    for model in sorted(JSON_INPUTS)
+    for path, value in json_sites(json.loads((MODELS / model).read_text()))
+]
+# For each JSON type, the values of every other type.
+OTHER_TYPE_VALUES = {
+    t: JSON_VALUES.filter(lambda v, t=t: json_type(v) != t)
+    for t in ("null", "boolean", "number", "string", "array", "object")
+}
+
+
+class TestJsonShape:
+    @pytest.mark.parametrize(
+        "model, path, value, message",
+        [
+            ("itt_example.json", (), [], "must be a JSON object, not []"),
+            ("two_stage.json", (), [], "must be a JSON object, not []"),
+            ("umbrella.json", (), [], "must be a JSON object, not []"),
+            (
+                "raw_inconsistent.json",
+                ("raw_regimes", 0, "assignment"),
+                None,
+                "'assignment' must be a JSON object, not null",
+            ),
+            ("study_confounded.json", ("response", 0, "dist"), [0.5], "'dist' must be a JSON object, not [0.5]"),
+            ("umbrella.json", ("distributions",), "rain", "'distributions' must be a JSON object, not \"rain\""),
+        ],
+        ids=["verify-array", "gformula-array", "ace-array", "raw-assignment", "study-dist", "decision-distributions"],
+    )
+    def test_value_that_is_not_an_object_is_named(self, capsys, tmp_path, model, path, value, message):
+        target = tmp_path / model
+        target.write_text(json.dumps(replaced(json.loads((MODELS / model).read_text()), path, value)))
+        code, out, err = run(capsys, *(str(target) if a == "{}" else a for a in JSON_INPUTS[model]))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    @given(site=st.sampled_from(JSON_SITES), data=st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_value_of_another_type_is_not_an_internal_error(self, tmp_path_factory, site, data):
+        model, path, old = site
+        doc = json.loads((MODELS / model).read_text())
+        value = data.draw(OTHER_TYPE_VALUES[json_type(old)])
+        target = tmp_path_factory.getbasetemp() / model
+        target.write_text(json.dumps(replaced(doc, path, value)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([str(target) if a == "{}" else a for a in JSON_INPUTS[model]])
+        assert code in (0, 1, 2, 3), (model, path, value, err.getvalue())
+        assert "internal error" not in err.getvalue()
 
 
 class TestRender:

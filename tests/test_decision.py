@@ -14,6 +14,7 @@ from dtcausal.decision import (
     LognormalEffects,
     NormalPair,
     ace,
+    identity_loss,
     load_problem,
     lognormal_effects,
     plugin_estimate,
@@ -77,11 +78,19 @@ class TestSolve:
         prob = DecisionProblem(
             ("hi", "lo"),
             {"hi": LognormalDist(1.0, 0.5), "lo": LognormalDist(0.0, 0.5)},
-            lambda y, a: y,
+            identity_loss,
         )
         sol = solve(prob)
         assert sol.expected_loss["hi"] == pytest.approx(math.exp(1.25))
         assert sol.optimal_action == "lo"
+
+    @pytest.mark.parametrize(
+        "loss", [lambda y, a: 5.0, lambda y, a: 2 * y, lambda y, a: y], ids=["constant", "scaled", "identity-lambda"]
+    )
+    def test_lognormal_with_other_callable_is_refused(self, loss):
+        prob = DecisionProblem(("a",), {"a": LognormalDist(0.0, 1.0)}, loss)
+        with pytest.raises(DecisionError, match="lognormal outcome of action 'a' has no expected loss"):
+            solve(prob)
 
     def test_lognormal_with_loss_table_is_refused(self):
         lognormal = {"type": "lognormal", "sigma2": 1}

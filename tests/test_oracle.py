@@ -333,16 +333,19 @@ class TestRawValidation:
 
     def test_missing_assignment(self, corpus_dir):
         doc = raw_doc(corpus_dir)
+        doc["regimes"].append({"name": "F_S", "target": "T*", "itt": "T"})
         for entry in doc["raw_regimes"]:
             entry["assignment"]["F_S"] = IDLE
         doc["raw_regimes"].append({"assignment": {"F_T": 0, "F_S": 1}, "probs": [0.125] * 8})
-        with pytest.raises(ModelError, match=r"no raw table for regime assignment \{'F_S': 1, 'F_T': '~'\}"):
+        with pytest.raises(ModelError, match=r"no raw table for regime assignment \{'F_S': 0, 'F_T': '~'\}"):
             model_from_json(doc)
 
     def test_different_regime_names(self, corpus_dir):
         doc = raw_doc(corpus_dir)
         doc["raw_regimes"][2]["assignment"] = {"F_T": 1, "F_S": IDLE}
-        with pytest.raises(ModelError, match=r"raw table for \{'F_S': '~', 'F_T': 1\} names regimes"):
+        with pytest.raises(
+            ModelError, match=r"raw table for \{'F_S': '~', 'F_T': 1\} is not an assignment of the regimes \['F_T'\]"
+        ):
             model_from_json(doc)
 
     def test_joint_equals_stored_table(self, corpus_dir):
