@@ -48,6 +48,26 @@ class TestDsep:
         assert code == 0
         assert doc == {"statement": "Y _||_ F_T | T", "holds": True}
 
+    def test_non_idle_pin_fixes_its_treatment(self, capsys, tmp_path):
+        # T is constant under F_T=1, so its two children are independent.
+        source = tmp_path / "pinned.cadt"
+        source.write_text(textwrap.dedent("""
+            graph pinned {
+              node T deterministic;
+              node T* latent;
+              node W;
+              node Y;
+              regime F_T targets T;
+              edge T* -> T dashed;
+              edge T -> W;
+              edge T -> Y;
+            }
+        """))
+        code, out, _ = run(capsys, "dsep", str(source), "--query", "Y _||_ W | F_T=1")
+        assert (code, out.strip()) == (0, "holds")
+        code, out, _ = run(capsys, "dsep", str(source), "--query", "Y _||_ W | F_T=~")
+        assert (code, out.strip()) == (1, "does not hold")
+
     def test_bad_query_is_usage_error(self, capsys):
         code, _, err = run(capsys, "dsep", str(CORPUS / "itt_ignorable.cadt"), "--query", "Y _||_")
         assert code == 2

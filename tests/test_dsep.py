@@ -6,14 +6,13 @@ import pytest
 
 from dtcausal.dsep import (
     ENUMERATION_BOUND,
-    _compile,
-    _reachable,
+    _active_trails,
     d_separated,
     d_separated_paths,
     implied_statements,
     separations_agree,
 )
-from dtcausal.graph import STOCHASTIC, Dag, Edge, GraphError, Node, topological_order
+from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, GraphError, Node, topological_order
 from dtcausal.statements import EciStatement, NameBits, StatementError, parse_statement
 
 from conftest import (
@@ -88,6 +87,18 @@ class TestPinnedRegimes:
     def test_pinned_regime_joins_conditioning(self):
         dag = two_stage_itt_dag()
         assert both_agree(dag, "Y _||_ X1* | Z, F_X1=1")
+
+    def test_non_idle_pin_fixes_its_treatment(self):
+        # Under F_T=1 the applied treatment is a constant, so it screens its
+        # children from each other unconditioned; under the idle regime not.
+        dag = Dag.of(
+            {Node("F_T", REGIME), Node("T", deterministic=True), Node("T*", latent=True), Node("W"), Node("Y")},
+            {Edge("F_T", "T"), Edge("T*", "T", dashed=True), Edge("T", "W"), Edge("T", "Y")},
+        )
+        assert both_agree(dag, "Y _||_ W | F_T=1")
+        assert both_agree(dag, "Y _||_ T | F_T=1")
+        assert not both_agree(dag, "Y _||_ W | F_T=~")
+        assert not both_agree(dag, "Y _||_ W")
 
     def test_pin_on_non_regime_rejected(self):
         with pytest.raises(StatementError):
@@ -196,7 +207,7 @@ def test_agreement_exhaustive_small_graphs():
                         assert d_separated(dag, stmt) == d_separated_paths(dag, stmt)
 
 
-# -- the frontier pass against the one-node-per-step walk it replaced -------
+# -- the sliced pass against a one-node-per-step walk on one set -----------
 
 
 def loop_compile(dag, first=()):
@@ -243,25 +254,29 @@ def loop_reachable(parents, children, sources, cond):
     return (up | down) & ~cond
 
 
-def test_reachable_matches_loop_walk():
-    # 3-20 nodes (21 with the regime founder), so masks reach past bit 16;
-    # sources are 1-3 nodes that may lie in `cond`, and every graph also
-    # gets the empty and the full conditioning set.
+def test_sliced_pass_matches_loop_walk():
+    # 3-20 nodes (21 with the regime founder); each pass packs 24 random
+    # conditioning sets (the empty and the full set among them) and answers
+    # for every one at once, from 1-3 sources that may lie in a set.
     rng, pick = np.random.default_rng(7), random.Random(7)
     queries = 0
     while queries < 6000:
         dag = random_dag(rng, max_nodes=20, regime_prob=0.5)
         if len(dag.node_names) < 3:
             continue
-        bits, parents, children = _compile(dag)
-        _, loop_parents, loop_children = loop_compile(dag)
+        bits, loop_parents, loop_children = loop_compile(dag)
         n = len(bits.order)
-        for i in range(24):
-            sources = bits.mask(pick.sample(bits.order, pick.randint(1, 3)))
-            cond = (0, (1 << n) - 1)[i] if i < 2 else pick.getrandbits(n)
-            expected = loop_reachable(loop_parents, loop_children, sources, cond)
-            assert _reachable(parents, children, sources, cond) == expected, (sorted(dag.edges), sources, cond)
-            queries += 1
+        conds = [0, (1 << n) - 1] + [pick.getrandbits(n) for _ in range(22)]
+        in_cond = {v: sum(1 << k for k, cond in enumerate(conds) if cond & bits.bit[v]) for v in bits.order}
+        reach = _active_trails(dag, in_cond, (1 << len(conds)) - 1)
+        for _ in range(4):
+            sources = pick.sample(bits.order, pick.randint(1, 3))
+            reached = reach(sources)
+            for k, cond in enumerate(conds):
+                expected = loop_reachable(loop_parents, loop_children, bits.mask(sources), cond)
+                got = bits.mask(v for v in bits.order if reached[v] >> k & 1)
+                assert got == expected, (sorted(dag.edges), sources, cond)
+                queries += 1
 
 
 # -- the enumerations against the per-query loop they replace ---------------
@@ -351,6 +366,30 @@ def test_projection_check_matches_set_comparison():
         agreed += same
         disagreed += not same
     assert disagreed >= 10 and agreed + disagreed >= 30
+
+
+def test_separations_agree_with_dropped_latents():
+    # `other` drops stochastic nodes of `dag`, as latent ones, which no
+    # enumerated set conditions on; the answer must match comparing the two
+    # enumerations as sets.
+    rng = np.random.default_rng(5)
+    agreed = disagreed = 0
+    for _ in range(60):
+        dag = random_dag(rng, max_nodes=7, regime_prob=0.3)
+        latent = {n.name for n in dag.nodes if n.kind == STOCHASTIC and rng.random() < 0.35}
+        retained = dag.node_names - latent
+        if not latent or len(retained) < 2:
+            continue
+        other = Dag.of(
+            {n for n in dag.nodes if n.name in retained},
+            {e for e in dag.edges if e.src in retained and e.dst in retained},
+        )
+        same = set(loop_implied(dag, retained)) == set(loop_implied(other, retained))
+        assert separations_agree(dag, other, retained) == same
+        assert separations_agree(other, dag, retained) == same
+        agreed += same
+        disagreed += not same
+    assert agreed >= 5 and disagreed >= 5
 
 
 def test_separations_agree_checks_names_and_bound():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtcausal.graph import IDLE, Edge
+from dtcausal.dsep import d_separated, separated
+from dtcausal.graph import IDLE, Edge, restrict_to_regime
 from dtcausal.oracle import (
     DEFAULT_TOL,
     MAX_VARIABLES,
@@ -256,6 +257,31 @@ def test_tensor_joint_matches_state_loop(build):
         for regime in m.all_regime_assignments():
             assert np.allclose(m.joint(regime).probs, loop_joint(m, regime), rtol=0, atol=1e-12), (seed, regime)
         assert not any(np.shares_memory(t.probs, m._shared_product) for t in m._joint_cache.values())
+
+
+def test_statements_certified_by_a_fixed_treatment_hold():
+    # A non-idle pin makes its applied treatment a constant, which
+    # d-separation counts as conditioned; every statement that certifies
+    # beyond conditioning on the pins alone must hold numerically.
+    states = {v: BIN for v in ("A", "S*", "S", "T*", "T", "Y")}
+    regimes = {"F_S": ("S", "S*"), "F_T": ("T", "T*")}
+    added = 0
+    for seed in range(3):
+        model = chain_model(seed, states, regimes)
+        for pins in ({"F_S": "1"}, {"F_T": "0"}, {"F_S": IDLE, "F_T": "1"}):
+            graph = restrict_to_regime(model.dag, pins)
+            names = sorted(model.dag.node_names - pins.keys())
+            for a, b in itertools.permutations(names, 2):
+                if a not in states or (b in states and b < a):
+                    continue
+                rest = [v for v in names if v not in (a, b)]
+                for k in range(len(rest) + 1):
+                    for given in itertools.combinations(rest, k):
+                        stmt = EciStatement(frozenset({a}), frozenset({b}), frozenset(given), tuple(pins.items()))
+                        if d_separated(model.dag, stmt) and not separated(graph, {a}, {b}, stmt.given | pins.keys()):
+                            assert eci_holds(model, stmt), (seed, stmt)
+                            added += 1
+    assert added >= 20
 
 
 class TestCptValidation:
