@@ -45,11 +45,12 @@ __all__ = [
 ]
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+def keyed(pairs, repeated) -> dict:
+    """A dict of (key, value) pairs; a repeated key raises `repeated(key)`."""
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError(f"JSON object repeats the key {key!r}")
+            raise repeated(key)
         out[key] = value
     return out
 
@@ -58,8 +59,12 @@ def load_json(path):
     """The JSON object at `path`; an object that repeats a key, or a document
     that is not an object, raises ValueError naming it."""
     with open(path) as fh:
-        doc = json.load(fh, object_pairs_hook=_unique_keys)
+        doc = json.load(fh, object_pairs_hook=lambda pairs: keyed(pairs, _repeated_key))
     return json_object(doc, f"the document in {str(path)!r}")
+
+
+def _repeated_key(key: str) -> ValueError:
+    return ValueError(f"JSON object repeats the key {key!r}")
 
 
 def json_object(value, what: str) -> dict:

@@ -50,6 +50,18 @@ def _parse_value(raw: str):
         return raw
 
 
+def _tolerance(raw: str) -> float:
+    """`--tol`: a finite number >= 0.  With NaN or inf no difference exceeds
+    it, so every check would hold."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = float("nan")
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {raw!r}")
+    return value
+
+
 def _parse_binding(raw: str) -> tuple[str, object]:
     if "=" not in raw:
         raise StatementError(f"expected NAME=VALUE, got {raw!r}")
@@ -240,10 +252,9 @@ def _cmd_render(args) -> Answer:
     doc = dsl.load_doc(args.file)
     dot = to_dot(doc.dag, doc.name)
     if args.dot == "-":
-        sys.stdout.write(dot)
-    else:
-        with open(args.dot, "w") as fh:
-            fh.write(dot)
+        return EXIT_OK, {"dot": dot}, dot.rstrip("\n")
+    with open(args.dot, "w") as fh:
+        fh.write(dot)
     return EXIT_OK, {"dot": dot}, ""
 
 
@@ -287,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y")
     p.add_argument("--action")
     p.add_argument("--vars")
-    p.add_argument("--tol", type=float, help="numeric tolerance (default: oracle.DEFAULT_TOL)")
+    p.add_argument("--tol", type=_tolerance, help="numeric tolerance (default: oracle.DEFAULT_TOL)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("identify", help="two-stage identification certificate")

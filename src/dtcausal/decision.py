@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from dtcausal import json_object, load_json
+from dtcausal import json_object, keyed, load_json
 
 
 class DecisionError(ValueError):
@@ -60,6 +60,15 @@ class FiniteDist:
         return sum(f(y) * p for y, p in self.probs)
 
 
+def _check_log_scale(params: Mapping[str, float]) -> None:
+    """Every log-scale parameter finite, and the variance `sigma2` positive."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DecisionError(f"{name} must be finite, not {value}")
+    if params["sigma2"] <= 0:
+        raise DecisionError("sigma2 must be positive")
+
+
 @dataclass(frozen=True)
 class LognormalDist:
     """exp(N(mu, sigma2)) outcome."""
@@ -68,11 +77,13 @@ class LognormalDist:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if self.sigma2 <= 0:
-            raise DecisionError("sigma2 must be positive")
+        _check_log_scale(vars(self))
 
     def mean(self) -> float:
-        return math.exp(self.mu + self.sigma2 / 2)
+        try:
+            return math.exp(self.mu + self.sigma2 / 2)
+        except OverflowError:
+            raise DecisionError(f"the mean for mu={self.mu}, sigma2={self.sigma2} overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -84,8 +95,7 @@ class NormalPair:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if self.sigma2 <= 0:
-            raise DecisionError("sigma2 must be positive")
+        _check_log_scale(vars(self))
 
 
 @dataclass(frozen=True)
@@ -163,14 +173,22 @@ class LognormalEffects:
 
 
 def lognormal_effects(np_: NormalPair) -> LognormalEffects:
+    """The effect suite; one that overflows a float, in `math.exp` or in a
+    product, raises DecisionError naming the parameters."""
     mu1, mu0, s2 = np_.mu1, np_.mu0, np_.sigma2
-    return LognormalEffects(
-        ace_y=mu1 - mu0,
-        ace_z=math.exp(s2 / 2) * (math.exp(mu1) - math.exp(mu0)),
-        ratio=math.exp(mu1 - mu0),
-        var_z_1=math.exp(2 * mu1) * (math.exp(2 * s2) - math.exp(s2)),
-        var_z_0=math.exp(2 * mu0) * (math.exp(2 * s2) - math.exp(s2)),
-    )
+    try:
+        effects = LognormalEffects(
+            ace_y=mu1 - mu0,
+            ace_z=math.exp(s2 / 2) * (math.exp(mu1) - math.exp(mu0)),
+            ratio=math.exp(mu1 - mu0),
+            var_z_1=math.exp(2 * mu1) * (math.exp(2 * s2) - math.exp(s2)),
+            var_z_0=math.exp(2 * mu0) * (math.exp(2 * s2) - math.exp(s2)),
+        )
+    except OverflowError:
+        effects = None
+    if effects is None or not all(map(math.isfinite, vars(effects).values())):
+        raise DecisionError(f"the lognormal effects for mu1={mu1}, mu0={mu0}, sigma2={s2} overflow a float")
+    return effects
 
 
 def prior_predictive(likelihood: Mapping[object, FiniteDist], prior: Mapping[object, float]) -> FiniteDist:
@@ -224,11 +242,10 @@ def problem_from_json(doc: Mapping) -> DecisionProblem:
     try:
         actions = tuple(doc["actions"])
         hypo = {a: _dist_from_json(d) for a, d in json_object(doc["distributions"], "'distributions'").items()}
-        loss = {}
-        for row in doc["loss"]:
-            if (row["y"], row["a"]) in loss:
-                raise DecisionError(f"loss row for y={row['y']!r}, a={row['a']!r} is listed twice")
-            loss[row["y"], row["a"]] = float(row["loss"])
+        loss = keyed(
+            (((row["y"], row["a"]), float(row["loss"])) for row in doc["loss"]),
+            lambda key: DecisionError(f"loss row for y={key[0]!r}, a={key[1]!r} is listed twice"),
+        )
     except KeyError as exc:
         raise DecisionError(f"decision problem document is missing required key {exc.args[0]!r}") from None
     return DecisionProblem(actions, hypo, loss)

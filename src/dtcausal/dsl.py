@@ -13,10 +13,10 @@ Grammar of a `.cadt` document (``#`` starts a line comment)::
 ``regime F targets T`` declares the regime node F and the edge F -> T in
 one line.  The lexer and the statement grammar live in
 `dtcausal.statements`; this module adds the graph and plan grammar.
-Parsing never raises anything but `DslError`, whose diagnostic carries a
-line, a column and the expected-token set.  The canonical printer sorts
-every section; canonical text equality is the graph-equality convention
-used by golden tests.
+Parsing never raises anything but `StatementError`, whose diagnostic
+carries a line, a column and the expected-token set, as it does for a
+statement.  The canonical printer sorts every section; canonical text
+equality is the graph-equality convention used by golden tests.
 """
 
 from __future__ import annotations
@@ -24,13 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, GraphError, Node
-from dtcausal.statements import Diagnostic, EciStatement, Parser, StatementError, Token, format_statement
+from dtcausal.statements import EciStatement, Parser, StatementError, Token, format_statement
 
-
-class DslError(ValueError):
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(str(diagnostic))
-        self.diagnostic = diagnostic
+DslError = StatementError  # the older name; `except DslError` still catches every parse fault
 
 
 @dataclass(frozen=True)
@@ -42,11 +38,8 @@ class GraphDoc:
 
 
 def parse(source: str) -> GraphDoc:
-    """Parse one document; raises DslError with a position on any failure."""
-    try:
-        return _parse_doc(Parser(source))
-    except StatementError as exc:  # every error raised while parsing carries a position
-        raise DslError(exc.diagnostic) from None
+    """Parse one document; raises StatementError with a position on any failure."""
+    return _parse_doc(Parser(source))
 
 
 def _parse_doc(p: Parser) -> GraphDoc:

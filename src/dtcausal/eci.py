@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from dtcausal.graph import REGIME, STOCHASTIC
-from dtcausal.statements import EciStatement, NameBits, StatementError
+from dtcausal.statements import EciStatement, StatementError
 
 MAX_VARIABLES = 9
 
@@ -47,12 +47,12 @@ class UniverseError(ValueError):
 
 @dataclass(frozen=True)
 class Universe:
-    """Ordered variable list; sets are fixed-width bit masks over it."""
+    """Ordered variable list; a set is a bit mask, bit i for the i-th variable."""
 
     variables: tuple[tuple[str, str], ...]  # (name, kind)
 
     def __post_init__(self) -> None:
-        if len(self._bits.bit) != len(self.variables):
+        if len(self.bit) != len(self.variables):
             raise UniverseError("duplicate variable names")
         if len(self.variables) > MAX_VARIABLES:
             raise UniverseError(f"more than {MAX_VARIABLES} variables")
@@ -65,21 +65,29 @@ class Universe:
         return Universe(tuple((n, STOCHASTIC) for n in stochastic) + tuple((n, REGIME) for n in regimes))
 
     @cached_property
-    def _bits(self) -> NameBits:
-        return NameBits(name for name, _ in self.variables)
+    def bit(self) -> dict[str, int]:
+        return {name: 1 << i for i, (name, _) in enumerate(self.variables)}
 
     @cached_property
     def regime_mask(self) -> int:
-        return self._bits.mask(name for name, kind in self.variables if kind == REGIME)
+        return self.mask(name for name, kind in self.variables if kind == REGIME)
 
     def mask(self, names) -> int:
+        m = 0
         try:
-            return self._bits.mask(names)
+            for name in names:
+                m |= self.bit[name]
         except KeyError as exc:
             raise UniverseError(f"unknown variable {exc.args[0]!r}") from None
+        return m
 
     def names(self, mask: int) -> frozenset[str]:
-        return self._bits.names(mask)
+        out = []
+        while mask:  # one step per set bit, lowest first
+            low = mask & -mask
+            out.append(self.variables[low.bit_length() - 1][0])
+            mask ^= low
+        return frozenset(out)
 
     def to_triple(self, stmt: EciStatement) -> Triple:
         if stmt.pinned:
@@ -206,7 +214,7 @@ class _Closure:
             if t is not None and t not in self.derivation:
                 self.derivation[t] = ("Premise", ())
         # Redundancy (P2) instances over single variables.
-        singles = self.universe._bits.bit.values()
+        singles = self.universe.bit.values()
         for a in singles:
             if self.regimes_as_stochastic or not a & reg:
                 for b in singles:

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from dtcausal import json_object, load_json
+from dtcausal import json_object, keyed, load_json
 from dtcausal.graph import IDLE, REGIME, Dag, Edge, Node, topological_order
 from dtcausal.statements import EciStatement
 
@@ -182,10 +182,10 @@ class MultiRegimeModel:
             raise ModelError(f"unknown mode {self.mode!r}")
         if math.prod(len(s) for s in self.states.values()) > MAX_JOINT_STATES:
             raise ModelError("joint state space exceeds enumeration bound")
-        self.regime_of  # reading it checks the regimes of either mode: one per target, each with an ITT source
-        # Reading `variables` compiles the model, which checks every CPT row and raw table.
-        if len(self.variables) > MAX_VARIABLES:
+        if len(self.states) > MAX_VARIABLES:
             raise ModelError(f"more than {MAX_VARIABLES} stochastic variables")
+        self.regime_of  # reading it checks the regimes of either mode: one per target, each with an ITT source
+        self.variables  # reading it compiles the model, which checks every CPT row and raw table
 
     # -- regime bookkeeping --------------------------------------------
 
@@ -699,14 +699,16 @@ def _model_fields(doc: Mapping) -> tuple[str, dict]:
         latent = frozenset(v["name"] for v in doc["variables"] if v.get("latent"))
         return mode, dict(states=states, latent=latent, cpts=cpts, regimes=regimes, itt_of=itt_of)
     if mode == "raw":
-        raw = {}
-        for entry in doc["raw_regimes"]:
-            key = _freeze_assignment(json_object(entry["assignment"], "'assignment'"))
-            if key in raw:
-                raise ModelError(f"duplicate raw table for regime assignment {entry['assignment']}")
-            raw[key] = np.asarray(entry["probs"], dtype=float)
+        raw = keyed(
+            map(_raw_table, doc["raw_regimes"]),
+            lambda key: ModelError(f"duplicate raw table for regime assignment {dict(key)}"),
+        )
         return mode, dict(states=states, raw_regimes=raw, regimes=regimes, itt_of=itt_of)
     raise ModelError(f"unknown mode {mode!r}")
+
+
+def _raw_table(entry: Mapping) -> tuple[tuple, np.ndarray]:
+    return _freeze_assignment(json_object(entry["assignment"], "'assignment'")), np.asarray(entry["probs"], dtype=float)
 
 
 def _cpt_rows(doc: Mapping) -> dict[tuple, tuple[float, ...]]:
@@ -718,12 +720,7 @@ def _cpt_rows(doc: Mapping) -> dict[tuple, tuple[float, ...]]:
 
 def _keyed(pairs: Iterable[tuple], what) -> dict:
     """A dict of (key, value) pairs; a repeated key raises ModelError naming it as `what(key)`."""
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise ModelError(f"{what(key)} is listed twice")
-        out[key] = value
-    return out
+    return keyed(pairs, lambda key: ModelError(f"{what(key)} is listed twice"))
 
 
 def load_model(path) -> MultiRegimeModel:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 from dtcausal.graph import REGIME, Dag
 
@@ -41,9 +40,6 @@ class Diagnostic:
     @property
     def detail(self) -> str:
         return self.message + (" (expected " + ", ".join(self.expected) + ")" if self.expected else "")
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.detail}"
 
 
 class StatementError(ValueError):
@@ -102,30 +98,6 @@ class EciStatement:
         for name, _ in self.pinned:
             if dag.kind_of(name) != REGIME:
                 raise StatementError(f"pinned node {name!r} is not a regime")
-
-
-class NameBits:
-    """The one mapping between name sets and bit masks, shared by `dsep` and
-    `eci`: bit i of a mask stands for `order[i]`."""
-
-    def __init__(self, order: Iterable[str]):
-        self.order = tuple(order)
-        self.bit = {name: 1 << i for i, name in enumerate(self.order)}
-
-    def mask(self, names: Iterable[str]) -> int:
-        """Raises KeyError for a name outside `order`."""
-        m = 0
-        for name in names:
-            m |= self.bit[name]
-        return m
-
-    def names(self, mask: int) -> frozenset[str]:
-        out = []
-        while mask:  # one step per set bit, lowest first
-            low = mask & -mask
-            out.append(self.order[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
 
 
 # One alternative per token kind; `bad` catches the first unexpected character.

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dtcausal
-from dtcausal import cli, dsep
+from dtcausal import cli, decision, dsep, oracle
 from dtcausal.cli import main
 
 from conftest import CORPUS
@@ -202,6 +203,16 @@ class TestAugmentProject:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_must_be_finite_and_nonnegative(self, capsys, tol):
+        # With NaN or inf no difference exceeds the tolerance, so this failing check would hold.
+        argv = ["verify", str(MODELS / "itt_example.json"), "--check", "ignorability", "--y", "Y", "--action", "T"]
+        assert run(capsys, *argv)[0] == 1
+        code, out, err = run(capsys, *argv, "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert f"argument --tol: must be a finite number >= 0, not '{tol}'" in err
+
     def test_eci_holds(self, capsys):
         code, out, _ = run(
             capsys, "verify", str(MODELS / "itt_example.json"),
@@ -548,6 +559,21 @@ class TestAce:
         assert code == 2
         assert err == "error: ACE compares two actions; the problem has only 'a'\n"
 
+    @pytest.mark.parametrize(
+        "mu, message",
+        [("NaN", "mu must be finite, not nan"), ("1000", "the mean for mu=1000.0, sigma2=1.0 overflows a float")],
+    )
+    def test_lognormal_decision_problem_rejects_bad_mu(self, capsys, tmp_path, mu, message):
+        path = tmp_path / "problem.json"
+        path.write_text(
+            '{"actions": ["a", "b"], "loss": [], "distributions": {"a": {"type": "lognormal", "mu": %s, "sigma2": 1}, '
+            '"b": {"type": "lognormal", "mu": 0, "sigma2": 1}}}' % mu
+        )
+        code, out, err = run(capsys, "ace", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_decision_problem_unknown_action(self, capsys):
         code, _, err = run(capsys, "ace", str(MODELS / "umbrella.json"), "--a1", "zz")
         assert code == 2
@@ -584,6 +610,19 @@ class TestLognormal:
     def test_bad_sigma(self, capsys):
         code, _, err = run(capsys, "lognormal", "--mu1", "1", "--mu0", "0", "--sigma2", "0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "mu1, sigma2, message",
+        [
+            ("0", "nan", "sigma2 must be finite, not nan"),
+            ("1000", "1", "the lognormal effects for mu1=1000.0, mu0=0.0, sigma2=1.0 overflow a float"),
+        ],
+    )
+    def test_non_finite_or_overflowing_input_exits_2(self, capsys, mu1, sigma2, message):
+        code, out, err = run(capsys, "lognormal", "--mu1", mu1, "--mu0", "0", "--sigma2", sigma2)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestSimulate:
@@ -667,6 +706,58 @@ class TestRepeatedJsonKey:
         assert code == 2
         assert out == ""
         assert err == f"error: JSON object repeats the key {key!r}\n"
+
+
+@pytest.mark.parametrize(
+    "name, edit, argv, key, error, message",
+    [
+        (
+            "raw_inconsistent.json",
+            lambda doc: json.dumps({**doc, "raw_regimes": doc["raw_regimes"] + doc["raw_regimes"][1:2]}),
+            ("verify", "--check", "eci", "--statement", "Y _||_ T* | T, F_T"),
+            (("F_T", 0),),
+            oracle.ModelError,
+            "duplicate raw table for regime assignment {'F_T': 0}",
+        ),
+        (
+            "umbrella.json",
+            lambda doc: json.dumps({**doc, "loss": doc["loss"] + doc["loss"][:1]}),
+            ("ace",),
+            ("dry", "take"),
+            decision.DecisionError,
+            "loss row for y='dry', a='take' is listed twice",
+        ),
+        (
+            "umbrella.json",
+            lambda doc: json.dumps(doc).replace('"actions": [', '"actions": ["take"], "actions": [', 1),
+            ("ace",),
+            "actions",
+            ValueError,
+            "JSON object repeats the key 'actions'",
+        ),
+    ],
+    ids=["raw-table", "loss-row", "json-key"],
+)
+def test_repeated_entries_raise_through_keyed(capsys, monkeypatch, tmp_path, name, edit, argv, key, error, message):
+    # Each repeated-entry check is a `keyed` call: a spy on every module's name
+    # for it sees the one key rejected and the class of the error it raises.
+    real, rejected = dtcausal.keyed, []
+
+    def spy(pairs, repeated):
+        def record(k):
+            exc = repeated(k)
+            rejected.append((k, type(exc)))
+            return exc
+
+        return real(pairs, record)
+
+    for module in (dtcausal, oracle, decision):
+        monkeypatch.setattr(module, "keyed", spy)
+    path = tmp_path / name
+    path.write_text(edit(json.loads((MODELS / name).read_text())))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert rejected == [(key, error)]
 
 
 # One README-style command per corpus JSON input; "{}" stands for the input's path.
@@ -774,6 +865,13 @@ class TestRender:
         assert code == 0
         assert out.startswith("digraph") and '"F_T" [shape=box]' in out
 
+    def test_json_stdout_is_one_document(self, capsys):
+        argv = ("render", str(CORPUS / "instrument.cadt"), "--dot", "-")
+        _, text, _ = run(capsys, *argv)
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert doc == {"dot": text}
+
     def test_file_output(self, capsys, tmp_path):
         target = tmp_path / "out.dot"
         code, out, _ = run(capsys, "render", str(CORPUS / "simple_treatment.cadt"), "--dot", str(target))
@@ -868,3 +966,15 @@ def test_symbolic_commands_do_not_load_numpy():
         [sys.executable, "-c", script], cwd=CORPUS.parent, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_examples_print_one_json_document_each(capsys, monkeypatch):
+    readme = (CORPUS.parent / "README.md").read_text()
+    examples = [shlex.split(line)[1:] for line in readme.splitlines() if line.startswith("dtcausal ")]
+    assert len(examples) == 11
+    monkeypatch.chdir(CORPUS.parent)
+    for argv in examples:
+        code = main(["--json", *argv])
+        out = capsys.readouterr().out
+        assert code in (0, 1), argv
+        assert isinstance(json.loads(out), dict), argv  # one document, nothing printed beside it

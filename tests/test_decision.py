@@ -171,6 +171,29 @@ class TestLognormalEffects:
         with pytest.raises(DecisionError):
             NormalPair(1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: NormalPair(0.0, 0.0, math.nan), "sigma2 must be finite, not nan"),
+            (lambda: NormalPair(math.inf, 0.0, 1.0), "mu1 must be finite, not inf"),
+            (lambda: LognormalDist(math.nan, 1.0), "mu must be finite, not nan"),
+            (lambda: LognormalDist(0.0, -math.inf), "sigma2 must be finite, not -inf"),
+        ],
+        ids=["pair-sigma2", "pair-mu1", "dist-mu", "dist-sigma2"],
+    )
+    def test_parameters_must_be_finite(self, build, message):
+        with pytest.raises(DecisionError, match=message):
+            build()
+
+    @pytest.mark.parametrize("mu1, sigma2", [(1000.0, 1.0), (354.0, 354.0)])  # math.exp overflows; a product does
+    def test_overflow_names_the_parameters(self, mu1, sigma2):
+        with pytest.raises(DecisionError, match=f"mu1={mu1}, mu0=0.0, sigma2={sigma2} overflow a float"):
+            lognormal_effects(NormalPair(mu1, 0.0, sigma2))
+
+    def test_mean_overflow_names_the_parameters(self):
+        with pytest.raises(DecisionError, match="mean for mu=1000.0, sigma2=1.0 overflows a float"):
+            LognormalDist(1000.0, 1.0).mean()
+
 
 class TestArgminInvariance:
     @given(

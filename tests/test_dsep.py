@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dtcausal.dsep import (
     separations_agree,
 )
 from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, GraphError, Node, topological_order
-from dtcausal.statements import EciStatement, NameBits, StatementError, parse_statement
+from dtcausal.statements import EciStatement, StatementError, parse_statement
 
 from conftest import (
     instrument_dag,
@@ -213,7 +214,9 @@ def test_agreement_exhaustive_small_graphs():
 def loop_compile(dag, first=()):
     """Index the nodes (`first` in its order, then the rest by name) and
     return their bits and every node's parent and child masks."""
-    bits = NameBits(list(first) + sorted(dag.node_names - set(first)))
+    order = tuple(first) + tuple(sorted(dag.node_names - set(first)))
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    bits = SimpleNamespace(order=order, bit=bit, mask=lambda names: sum(bit[v] for v in set(names)))
     parents = [bits.mask(dag.parents(v)) for v in bits.order]
     children = [bits.mask(dag.children(v)) for v in bits.order]
     return bits, parents, children

@@ -319,6 +319,12 @@ class TestCptValidation:
         assert model.joint({"F_T": IDLE}).marginal(["T"]).probs.tolist() == [0.4, 0.6, 0.0]
         assert model.joint({"F_T": 2}).marginal(["T"]).probs.tolist() == [0.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("n", [MAX_VARIABLES + 1, 70])  # 70 variables exceed numpy's 64 axes
+    def test_variable_cap_is_checked_before_compiling(self, n):
+        # No CPTs: compiling would fail with "missing CPT", so the cap must come first.
+        with pytest.raises(ModelError, match=f"more than {MAX_VARIABLES} stochastic variables"):
+            MultiRegimeModel("itt", {f"V{i}": (0,) for i in range(n)})
+
     def test_nan_probability(self, corpus_dir):
         doc = json.loads((corpus_dir / "models" / "itt_example.json").read_text())
         next(c for c in doc["cpts"] if c["child"] == "Y")["rows"][0]["probs"] = [float("nan"), 0.5]
