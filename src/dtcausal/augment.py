@@ -87,31 +87,23 @@ def eliminate_nodes(dag: Dag, drop: frozenset[str] | set[str]) -> Dag:
     """
     drop = frozenset(drop)
     for name in drop:
-        if not dag.has_node(name):
-            raise GraphError(f"unknown node {name!r}")
+        dag.node(name)
     if not drop:
         return dag
     retained = [v for v in topological_order(dag) if v not in drop]
-    edges: set[Edge] = set()
+    edges: set[tuple[str, str]] = set()
     for i, v in enumerate(retained):
-        pre = retained[:i]
-        parents = list(pre)
-        # Greedy minimal parent set: u stays iff v depends on u given the rest.
-        for u in pre:
-            rest = frozenset(p for p in parents if p != u)
-            if separated(dag, frozenset({v}), frozenset({u}), rest):
-                parents.remove(u)
-        for u in parents:
-            edges.add(Edge(u, v))
-    nodes = frozenset(n for n in dag.nodes if n.name not in drop)
+        # v's parents are its Markov boundary among its predecessors: each u
+        # that v depends on given the rest.  d-separation satisfies
+        # intersection, so that boundary is unique, and greedy backward
+        # elimination from all predecessors reaches the same set.
+        pre = frozenset(retained[:i])
+        edges.update((u, v) for u in pre if not separated(dag, frozenset({v}), frozenset({u}), pre - {u}))
     # Dropped ITT parents leave the deterministic/dashed annotations moot.
-    cleaned = set()
-    for n in nodes:
-        if n.deterministic and not any(e.dashed and e.dst == n.name for e in dag.edges if e.src not in drop):
-            n = replace(n, deterministic=False)
-        cleaned.add(n)
     kept_dashed = {(e.src, e.dst) for e in dag.edges if e.dashed and e.src not in drop and e.dst not in drop}
-    out = Dag.of(cleaned, {replace(e, dashed=(e.src, e.dst) in kept_dashed) for e in edges})
+    heads = {dst for _, dst in kept_dashed}
+    nodes = {replace(n, deterministic=n.deterministic and n.name in heads) for n in dag.nodes if n.name not in drop}
+    out = Dag.of(nodes, {Edge(u, v, dashed=(u, v) in kept_dashed) for u, v in edges})
     if not separations_agree(dag, out, retained):
         raise ProjectionError("not DAG-projectable")
     return out
@@ -221,8 +213,7 @@ def identify_two_stage(obs: Dag, x0: str, x1: str, z: str, y: str) -> Certificat
     """Run the two-stage g-computation identification checks."""
     names = (x0, x1, z, y)
     for name in names:
-        if not obs.has_node(name):
-            raise GraphError(f"unknown node {name!r}")
+        obs.node(name)
         if names.count(name) > 1:
             raise GraphError(f"node {name!r} is given twice")
     checks = []

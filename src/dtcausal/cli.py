@@ -20,7 +20,7 @@ import json
 import sys
 
 from dtcausal import load_json
-from dtcausal.graph import IDLE, to_dot
+from dtcausal.graph import to_dot
 from dtcausal.statements import StatementError, format_statement, parse_premise_file, parse_statement
 
 EXIT_OK = 0
@@ -41,15 +41,6 @@ _EXIT_OF_ERROR = {
 Answer = tuple[int, dict, str]  # exit code, `--json` payload, text
 
 
-def _parse_value(raw: str):
-    if raw == IDLE:
-        return IDLE
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
-
-
 def _tolerance(raw: str) -> float:
     """`--tol`: a finite number >= 0.  With NaN or inf no difference exceeds
     it, so every check would hold."""
@@ -62,11 +53,11 @@ def _tolerance(raw: str) -> float:
     return value
 
 
-def _parse_binding(raw: str) -> tuple[str, object]:
+def _parse_binding(raw: str) -> tuple[str, str]:
     if "=" not in raw:
         raise StatementError(f"expected NAME=VALUE, got {raw!r}")
     name, value = raw.split("=", 1)
-    return name.strip(), _parse_value(value.strip())
+    return name.strip(), value.strip()
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -93,7 +84,10 @@ def _cmd_derive(args) -> Answer:
     target = parse_statement(args.target)
     names = set().union(*(s.variables() for s in premises + [target]))
     regimes = set(args.regime or [])
-    universe = eci.Universe.of(sorted(names - regimes), sorted(regimes & names))
+    unknown = sorted(regimes - names)
+    if unknown:
+        raise StatementError(f"--regime {unknown[0]!r} names no variable of the premises or the target")
+    universe = eci.Universe.of(sorted(names - regimes), sorted(regimes))
     ok, trace = eci.derivable(premises, target, universe, regimes_as_stochastic=args.regimes_stochastic)
     if not ok:
         return EXIT_INCOMPLETE, {"derived": False}, "not derivable"

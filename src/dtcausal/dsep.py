@@ -138,8 +138,7 @@ def _enumeration_names(over: Iterable[str], *dags: Dag) -> list[str]:
     names = sorted(set(over))
     for dag in dags:
         for name in names:
-            if not dag.has_node(name):
-                raise GraphError(f"unknown node {name!r}")
+            dag.node(name)
     if len(names) > ENUMERATION_BOUND:
         raise GraphError("enumeration bound exceeded")
     return names

@@ -115,27 +115,13 @@ class Dag:
     def ancestors(self, names: Iterable[str]) -> frozenset[str]:
         """Ancestral closure of `names` (includes the given nodes)."""
         seen = set()
-        stack = list(names)
-        for n in stack:
-            if not self.has_node(n):
-                raise GraphError(f"unknown node {n!r}")
+        stack = [self.node(n).name for n in names]
         while stack:
             v = stack.pop()
             if v in seen:
                 continue
             seen.add(v)
             stack.extend(self.parents(v))
-        return frozenset(seen)
-
-    def descendants(self, name: str) -> frozenset[str]:
-        seen: set[str] = set()
-        stack = list(self.children(name))
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(self.children(v))
         return frozenset(seen)
 
 
@@ -146,15 +132,14 @@ def validate(dag: Dag) -> list[str]:
     for name in names:
         if names.count(name) > 1:
             errors.append(f"duplicate node name {name!r}")
-    name_set = set(names)
     for n in dag.nodes:
         if n.kind == REGIME and n.latent:
             errors.append(f"regime node {n.name!r} marked latent")
         if n.kind == REGIME and n.deterministic:
             errors.append(f"regime node {n.name!r} marked deterministic")
-    by_name = {n.name: n for n in dag.nodes}
+    by_name = dag._by_name
     for e in dag.edges:
-        if e.src not in name_set or e.dst not in name_set:
+        if e.src not in by_name or e.dst not in by_name:
             errors.append(f"dangling edge {e.src} -> {e.dst}")
             continue
         if e.src == e.dst:
@@ -222,8 +207,7 @@ def surgery(dag: Dag, remove_incoming: Iterable[str] = (), remove_outgoing: Iter
     rin = frozenset(remove_incoming)
     rout = frozenset(remove_outgoing)
     for name in rin | rout:
-        if not dag.has_node(name):
-            raise GraphError(f"unknown node {name!r}")
+        dag.node(name)
     edges = frozenset(e for e in dag.edges if e.dst not in rin and e.src not in rout)
     return Dag(dag.nodes, edges)
 

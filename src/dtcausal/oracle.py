@@ -208,6 +208,8 @@ class MultiRegimeModel:
         """Target -> the one regime that sets it; runs every per-regime check of either mode."""
         out: dict[str, str] = {}
         for reg, target in sorted(self.regimes.items()):
+            if reg in self.states:
+                raise ModelError(f"regime {reg!r} has the name of a variable")
             if out.setdefault(target, reg) != reg:
                 raise ModelError(f"regimes {out[target]!r} and {reg!r} both target {target!r}")
             if target not in self.itt_of:

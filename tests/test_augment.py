@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from dtcausal.augment import (
     regime_name,
     rule_applicability,
 )
-from dtcausal.dsep import implied_statements
-from dtcausal.graph import Dag, Edge, GraphError, Node, surgery
+from dtcausal.dsep import implied_statements, separated, separations_agree
+from dtcausal.graph import Dag, Edge, GraphError, Node, surgery, topological_order
 
 from conftest import (
     itt_ignorable_dag,
@@ -28,6 +30,42 @@ from conftest import (
 
 def chain_dag() -> Dag:
     return Dag.of({Node("T"), Node("Y")}, {Edge("T", "Y")})
+
+
+def loop_eliminate(dag: Dag, drop: frozenset[str] | set[str]) -> Dag:
+    """Reference projection: greedy backward elimination of each retained
+    node's predecessors, and a scan of the input's edges per retained node
+    for its dashed edge."""
+    drop = frozenset(drop)
+    for name in drop:
+        if not dag.has_node(name):
+            raise GraphError(f"unknown node {name!r}")
+    if not drop:
+        return dag
+    retained = [v for v in topological_order(dag) if v not in drop]
+    edges: set[Edge] = set()
+    for i, v in enumerate(retained):
+        pre = retained[:i]
+        parents = list(pre)
+        # Greedy minimal parent set: u stays iff v depends on u given the rest.
+        for u in pre:
+            rest = frozenset(p for p in parents if p != u)
+            if separated(dag, frozenset({v}), frozenset({u}), rest):
+                parents.remove(u)
+        for u in parents:
+            edges.add(Edge(u, v))
+    nodes = frozenset(n for n in dag.nodes if n.name not in drop)
+    # Dropped ITT parents leave the deterministic/dashed annotations moot.
+    cleaned = set()
+    for n in nodes:
+        if n.deterministic and not any(e.dashed and e.dst == n.name for e in dag.edges if e.src not in drop):
+            n = replace(n, deterministic=False)
+        cleaned.add(n)
+    kept_dashed = {(e.src, e.dst) for e in dag.edges if e.dashed and e.src not in drop and e.dst not in drop}
+    out = Dag.of(cleaned, {replace(e, dashed=(e.src, e.dst) in kept_dashed) for e in edges})
+    if not separations_agree(dag, out, retained):
+        raise ProjectionError("not DAG-projectable")
+    return out
 
 
 class TestPlan:
@@ -138,6 +176,32 @@ class TestEliminate:
             accepted += 1
             assert set(implied_statements(out, retained)) == set(implied_statements(dag, retained))
         assert accepted >= 50
+
+    def test_agrees_with_greedy_elimination(self):
+        # Observational DAGs and their ITT splits, dropping random nodes, and
+        # dropping the ITT nodes together with random others.
+        rng = np.random.default_rng(20)
+        outcomes = []
+        for _ in range(60):
+            obs = random_dag(rng, max_nodes=6, regime_prob=0.0)
+            plan = InterventionPlan(tuple(v for v in topological_order(obs) if rng.random() < 0.5))
+            itt = build_itt_dag(obs, plan)
+            stars = {itt_name(t) for t in plan.targets}
+            for dag, always in ((obs, set()), (itt, set()), (itt, stars)):
+                drop = always | {v for v in dag.node_names if rng.random() < 0.35}
+                if len(drop) == len(dag.nodes):
+                    continue
+                try:
+                    want = loop_eliminate(dag, drop)
+                except ProjectionError:
+                    with pytest.raises(ProjectionError):
+                        eliminate_nodes(dag, drop)
+                    outcomes.append("refused")
+                    continue
+                got = eliminate_nodes(dag, drop)
+                assert got == want  # node flags and dashed edges included
+                outcomes.append("dashed" if any(e.dashed for e in got.edges) else "projected")
+        assert set(outcomes) == {"refused", "dashed", "projected"}
 
 
 class TestBuildAugmented:

@@ -123,6 +123,16 @@ class TestDerive:
         )
         assert code == 0
 
+    def test_unused_regime_is_usage_error(self, capsys):
+        # A misspelt --regime must not leave the intended regime stochastic.
+        code, out, err = run(
+            capsys, "derive", str(CORPUS / "contraction.eci"),
+            "--target", "X _||_ Y, W | Z", "--regime", "Nope",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --regime 'Nope' names no variable of the premises or the target\n"
+
     def test_json_trace(self, capsys):
         code, doc, _ = run_json(
             capsys, "derive", str(CORPUS / "contraction.eci"),
@@ -332,7 +342,7 @@ class TestVerify:
                 lambda doc: doc["regimes"][1].update(itt="F_X0"),
                 "ITT source 'F_X0' of 'X1' is not a stochastic variable",
             ),
-            ("two_stage.json", lambda doc: doc["regimes"][0].update(name="Z"), "duplicate node name 'Z'"),
+            ("two_stage.json", lambda doc: doc["regimes"][0].update(name="Z"), "regime 'Z' has the name of a variable"),
             ("itt_example.json", lambda doc: doc["cpts"][1].update(parents=["T", "Q"]), "dangling edge Q -> Y"),
             (
                 "two_stage.json",
@@ -401,13 +411,22 @@ class TestVerify:
                 lambda doc: doc["regimes"][0].update(name="F_S"),
                 "raw table for {'F_T': '~'} is not an assignment of the regimes ['F_S']",
             ),
+            (
+                # Otherwise eci_holds would read every "Y" of a statement as the regime.
+                "raw_inconsistent.json",
+                lambda doc: (
+                    doc["regimes"][0].update(name="Y"),
+                    [table.update(assignment={"Y": table["assignment"]["F_T"]}) for table in doc["raw_regimes"]],
+                ),
+                "regime 'Y' has the name of a variable",
+            ),
         ],
         ids=[
             "target-with-cpt", "no-itt-source", "itt-not-a-variable", "itt-is-a-regime", "regime-named-like-variable",
             "dangling-cpt-parent", "two-regimes-one-target", "raw-two-regimes-one-target", "parentless-cpt-unknown-child",
             "deterministic-non-target", "repeated-cpt-row", "repeated-cpt", "idle-value-as-target-state",
             "itt-source-state-not-a-target-state", "target-not-a-variable", "raw-target-not-a-variable",
-            "raw-itt-not-a-variable", "raw-no-regimes", "raw-regime-not-in-tables",
+            "raw-itt-not-a-variable", "raw-no-regimes", "raw-regime-not-in-tables", "raw-regime-named-like-variable",
         ],
     )
     def test_itt_structure_is_checked(self, capsys, tmp_path, model, mutate, message):
@@ -490,7 +509,10 @@ class TestGFormula:
     @pytest.mark.parametrize(
         "y, z, message",
         [
-            ("Y=7", "Z", "7 is not a state of 'Y'"),
+            ("Y=7", "Z", "'7' is not a state of 'Y'"),
+            # The state is the number 1; as in a pin, only the text "1" names it.
+            ("Y=true", "Z", "'true' is not a state of 'Y'"),
+            ("Y=1.0", "Z", "'1.0' is not a state of 'Y'"),
             ("Y=1", "Q", "unknown variable 'Q'"),
             ("Y=1", "X1", "'X1' is also the second treatment"),  # z would overwrite x1's binding
             ("Y=1", "positivity", "unknown variable 'positivity'"),  # a name, not a positivity violation

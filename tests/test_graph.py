@@ -169,11 +169,10 @@ class TestDagQueries:
     def test_ancestors_and_descendants(self):
         dag = two_stage_obs_dag()
         assert "X0" in dag.ancestors({"Y"})
-        assert "Y" in dag.descendants("X0")
 
     def test_unknown_name_raises(self):
         dag = two_stage_obs_dag()
-        for query in (dag.parents, dag.children, dag.descendants):
+        for query in (dag.parents, dag.children):
             with pytest.raises(GraphError, match="unknown node"):
                 query("nope")
 
