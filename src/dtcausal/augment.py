@@ -229,6 +229,6 @@ def identify_two_stage(obs: Dag, x0: str, x1: str, z: str, y: str) -> Certificat
     run("response-exchange", "Rule2", {y}, {x0, x1}, {z}, (), (x0, x1))
     # p(z | do(x0), do(x1)) = p(z | x0, do(x1))
     run("first-stage-exchange", "Rule2", {z}, {x0}, {x1}, (x1,), (x0,))
-    # p(z | x0, do(x1)) = p(z | x0)
-    run("second-stage-deletion", "Rule3", {z}, {x1}, {x0}, (x1,), ())
+    # p(z | x0, do(x1)) = p(z | x0); Rule 3 cuts the arrows into x1 only when x1 is no ancestor of x0
+    run("second-stage-deletion", "Rule3", {z}, {x1}, {x0}, () if x1 in obs.ancestors({x0}) else (x1,), ())
     return Certificate(all(c.holds for c in checks), y, x0, x1, z, tuple(checks))

@@ -107,7 +107,7 @@ def _cmd_augment(args) -> Answer:
     from dtcausal import augment, dsl
 
     doc = dsl.load_doc(args.file)
-    if args.plan:
+    if args.plan is not None:
         targets = tuple(t.strip() for t in args.plan.split(","))
     elif doc.plan is None:
         raise StatementError("file declares no plan; pass --plan")

@@ -47,9 +47,6 @@ class FiniteDist:
     def of(table: Mapping[object, float]) -> "FiniteDist":
         return FiniteDist(tuple(sorted(table.items(), key=lambda kv: repr(kv[0]))))
 
-    def as_dict(self) -> dict:
-        return dict(self.probs)
-
     def mean(self) -> float:
         try:
             return sum(float(y) * p for y, p in self.probs)
@@ -221,7 +218,7 @@ def plugin_mean(samples: Sequence[float]) -> float:
     return sum(samples) / len(samples)
 
 
-# -- JSON serialisation ---------------------------------------------------
+# -- JSON documents ------------------------------------------------------
 
 
 def _dist_from_json(doc) -> FiniteDist | LognormalDist:
@@ -230,12 +227,6 @@ def _dist_from_json(doc) -> FiniteDist | LognormalDist:
     if isinstance(doc, Mapping) and doc.get("type") == "table":
         return FiniteDist(tuple((row["y"], float(row["p"])) for row in doc["rows"]))
     raise DecisionError("distribution must be a 'table' or 'lognormal' object")
-
-
-def _dist_to_json(dist: FiniteDist | LognormalDist):
-    if isinstance(dist, LognormalDist):
-        return {"type": "lognormal", "mu": dist.mu, "sigma2": dist.sigma2}
-    return {"type": "table", "rows": [{"y": y, "p": p} for y, p in dist.probs]}
 
 
 def problem_from_json(doc: Mapping) -> DecisionProblem:
@@ -249,19 +240,6 @@ def problem_from_json(doc: Mapping) -> DecisionProblem:
     except KeyError as exc:
         raise DecisionError(f"decision problem document is missing required key {exc.args[0]!r}") from None
     return DecisionProblem(actions, hypo, loss)
-
-
-def problem_to_json(problem: DecisionProblem) -> dict:
-    if callable(problem.loss):
-        raise DecisionError("callable losses cannot be serialised")
-    return {
-        "actions": list(problem.actions),
-        "distributions": {a: _dist_to_json(problem.hypothetical[a]) for a in problem.actions},
-        "loss": [
-            {"y": y, "a": a, "loss": v}
-            for (y, a), v in sorted(problem.loss.items(), key=lambda kv: (repr(kv[0][0]), kv[0][1]))
-        ],
-    }
 
 
 def load_problem(path) -> DecisionProblem:

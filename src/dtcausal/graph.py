@@ -127,17 +127,14 @@ class Dag:
 
 def validate(dag: Dag) -> list[str]:
     """Return all invariant violations; an empty list means the graph is well formed."""
-    errors: list[str] = []
-    names = [n.name for n in dag.nodes]
-    for name in names:
-        if names.count(name) > 1:
-            errors.append(f"duplicate node name {name!r}")
+    by_name = dag._by_name  # one node per name: a node it does not hold repeats a name
+    duplicates = sorted({n.name for n in dag.nodes if by_name[n.name] is not n})
+    errors = [f"duplicate node name {name!r}" for name in duplicates]
     for n in dag.nodes:
         if n.kind == REGIME and n.latent:
             errors.append(f"regime node {n.name!r} marked latent")
         if n.kind == REGIME and n.deterministic:
             errors.append(f"regime node {n.name!r} marked deterministic")
-    by_name = dag._by_name
     for e in dag.edges:
         if e.src not in by_name or e.dst not in by_name:
             errors.append(f"dangling edge {e.src} -> {e.dst}")
@@ -148,7 +145,8 @@ def validate(dag: Dag) -> list[str]:
             errors.append(f"regime node {e.dst!r} has parent {e.src!r}")
         if e.dashed and not by_name[e.dst].deterministic:
             errors.append(f"dashed edge into non-deterministic node {e.dst!r}")
-    if not any(err.startswith("dangling") or err.startswith("self-loop") for err in errors):
+    # topological_order counts by name: a repeated name, a dangling edge or a self-loop would read as a cycle.
+    if not duplicates and not any(err.startswith("dangling") or err.startswith("self-loop") for err in errors):
         try:
             topological_order(dag)
         except GraphError as exc:

@@ -28,7 +28,6 @@ assignment.  Distribution comparisons use total variation distance
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -499,10 +498,11 @@ def gformula_eval(
     x1: tuple[str, State],
     z_var: str,
 ) -> float:
-    """Evaluate sum_z p(y | x1, z) p(z | x0) in the all-idle joint."""
+    """Evaluate sum_z p(y | x1, z) p(z | x0) in the all-idle joint; y, x0, x1 and z
+    must be four different variables."""
+    names = (y[0], x0[0], x1[0], z_var)
+    keyed(zip(names, names), lambda name: ModelError(f"variable {name!r} is given twice"))
     obs = model.joint({r: IDLE for r in model.regime_names})
-    if z_var == x1[0]:
-        raise ModelError(f"the adjustment variable {z_var!r} is also the second treatment")
     # Bound values match states as statement pins do; an unknown name raises here.
     (y_var, y_val), (x0_var, x0_val), (x1_var, x1_val) = (
         (var, _coerce_state(val, obs.states[obs.axis(var)])) for var, val in (y, x0, x1)
@@ -636,43 +636,7 @@ def simulate_study(spec: StudySpec, n: int, seed: int) -> StudyResult:
     )
 
 
-# -- JSON serialisation ---------------------------------------------------
-
-
-def model_to_json(model: MultiRegimeModel) -> dict:
-    doc: dict = {"mode": model.mode}
-    variables = []
-    for name in model.variables:
-        entry: dict = {"name": name, "states": list(model.states[name])}
-        if model.mode == "itt":
-            if name in model.latent:
-                entry["latent"] = True
-            if name in model.regime_of:
-                entry["deterministic"] = True
-        variables.append(entry)
-    doc["variables"] = variables
-    if model.regimes:
-        doc["regimes"] = [
-            {"name": r, "target": t, "itt": model.itt_of[t]} for r, t in sorted(model.regimes.items())
-        ]
-    if model.mode == "itt":
-        doc["cpts"] = [
-            {
-                "child": cpt.child,
-                "parents": list(cpt.parents),
-                "rows": [
-                    {"parents": list(key), "probs": list(probs)}
-                    for key, probs in sorted(cpt.table.items(), key=lambda kv: json.dumps(kv[0]))
-                ],
-            }
-            for cpt in (model.cpts[c] for c in sorted(model.cpts))
-        ]
-    else:
-        doc["raw_regimes"] = [
-            {"assignment": dict(key), "probs": list(map(float, flat))}
-            for key, flat in sorted(model.raw_regimes.items(), key=lambda kv: json.dumps(kv[0]))
-        ]
-    return doc
+# -- JSON documents ------------------------------------------------------
 
 
 def model_from_json(doc: Mapping) -> MultiRegimeModel:

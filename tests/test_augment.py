@@ -277,6 +277,17 @@ class TestIdentifyTwoStage:
         )
         assert identify_two_stage(dag, "X0", "X1", "Z", "Y").identified
 
+    def test_rule3_keeps_the_arrows_into_an_ancestor_of_x0(self):
+        # Z -> X1 -> X0 -> Y: X1 is an ancestor of X0, so Rule 3 keeps Z -> X1 and Z _||_ X1 | X0 fails.
+        dag = Dag.of(
+            {Node("Z"), Node("X1"), Node("X0"), Node("Y")},
+            {Edge("Z", "X1"), Edge("X1", "X0"), Edge("X0", "Y")},
+        )
+        cert = identify_two_stage(dag, "X0", "X1", "Z", "Y")
+        deletion = cert.checks[2]
+        assert (deletion.name, deletion.remove_incoming, deletion.holds) == ("second-stage-deletion", (), False)
+        assert not cert.identified
+
     def test_report_text(self):
         cert = identify_two_stage(two_stage_obs_dag(), "X0", "X1", "Z", "Y")
         report = cert.report()

@@ -155,6 +155,10 @@ class TestDerive:
 
 
 class TestAugmentProject:
+    def test_empty_plan_is_unknown_node(self, capsys):
+        code, out, err = run(capsys, "augment", str(CORPUS / "two_stage_obs.cadt"), "--plan", "")
+        assert (code, out, err) == (2, "", "error: unknown node ''\n")
+
     def test_augment_uses_file_plan(self, capsys):
         code, out, _ = run(capsys, "augment", str(CORPUS / "two_stage_obs.cadt"))
         assert code == 0
@@ -479,6 +483,17 @@ class TestIdentify:
         assert doc["identified"] is True
         assert len(doc["checks"]) == 3 and all(c["holds"] for c in doc["checks"])
 
+    def test_rule3_keeps_the_arrows_into_an_ancestor_of_x0(self, capsys, tmp_path):
+        path = tmp_path / "chain.cadt"
+        path.write_text(
+            "graph chain {\n  node Z;\n  node X1;\n  node X0;\n  node Y;\n"
+            "  edge Z -> X1;\n  edge X1 -> X0;\n  edge X0 -> Y;\n}\n"
+        )
+        code, out, _ = run(capsys, "identify", str(path), "--y", "Y", "--x0", "X0", "--x1", "X1", "--z", "Z")
+        assert code == 1
+        assert out.startswith("NOT IDENTIFIED: check second-stage-deletion fails\n")
+        assert "  second-stage-deletion (Rule3; no surgery): Z _||_ X1 | X0 -> FAILS\n" in out
+
     @pytest.mark.parametrize("x0, x1, z, y, twice", [("X0", "X0", "Z", "Y", "X0"), ("X0", "X1", "Z", "X1", "X1")])
     def test_name_given_twice_is_usage_error(self, capsys, x0, x1, z, y, twice):
         code, out, err = run(
@@ -514,13 +529,17 @@ class TestGFormula:
             ("Y=true", "Z", "'true' is not a state of 'Y'"),
             ("Y=1.0", "Z", "'1.0' is not a state of 'Y'"),
             ("Y=1", "Q", "unknown variable 'Q'"),
-            ("Y=1", "X1", "'X1' is also the second treatment"),  # z would overwrite x1's binding
+            ("Y=1", "X1", "variable 'X1' is given twice"),  # z would overwrite x1's binding
             ("Y=1", "positivity", "unknown variable 'positivity'"),  # a name, not a positivity violation
+            # Given after the defaults --x0 X0=1 --x1 X1=0, a binding in `y` overrides them.
+            ("Y=1 --x0 Y=1", "Z", "variable 'Y' is given twice"),
+            ("Y=1 --x0 X1=1", "Z", "variable 'X1' is given twice"),
         ],
     )
     def test_bad_lookup_is_named(self, capsys, y, z, message):
         code, _, err = run(
-            capsys, "gformula", str(MODELS / "two_stage.json"), "--y", y, "--x0", "X0=1", "--x1", "X1=0", "--z", z,
+            capsys, "gformula", str(MODELS / "two_stage.json"),
+            "--x0", "X0=1", "--x1", "X1=0", "--y", *y.split(), "--z", z,
         )
         assert code == 2
         assert message in err

@@ -21,7 +21,6 @@ from dtcausal.decision import (
     plugin_mean,
     prior_predictive,
     problem_from_json,
-    problem_to_json,
     solve,
 )
 
@@ -224,12 +223,12 @@ class TestPriorPredictive:
     def test_point_mass_prior_returns_component(self):
         like = {0.2: FiniteDist.of({1: 0.2, 0: 0.8}), 0.7: FiniteDist.of({1: 0.7, 0: 0.3})}
         out = prior_predictive(like, {0.7: 1.0})
-        assert out.as_dict()[1] == pytest.approx(0.7)
+        assert dict(out.probs)[1] == pytest.approx(0.7)
 
     def test_even_mixture(self):
         like = {0.2: FiniteDist.of({1: 0.2, 0: 0.8}), 0.6: FiniteDist.of({1: 0.6, 0: 0.4})}
         out = prior_predictive(like, {0.2: 0.5, 0.6: 0.5})
-        assert out.as_dict()[1] == pytest.approx(0.4)
+        assert dict(out.probs)[1] == pytest.approx(0.4)
 
     def test_mean_is_linear_in_prior(self):
         like = {p: FiniteDist.of({1: p, 0: 1 - p}) for p in (0.1, 0.5, 0.9)}
@@ -254,7 +253,7 @@ class TestPriorPredictive:
 class TestPlugin:
     def test_empirical_distribution(self):
         est = plugin_estimate([1, 1, 0, 1])
-        assert est.as_dict() == {0: 0.25, 1: 0.75}
+        assert dict(est.probs) == {0: 0.25, 1: 0.75}
 
     def test_mean(self):
         assert plugin_mean([1.0, 2.0, 6.0]) == pytest.approx(3.0)
@@ -270,12 +269,24 @@ class TestPlugin:
         assert plugin_estimate(samples).mean() == pytest.approx(plugin_mean(samples))
 
 
+def assert_problem_built_from(problem: DecisionProblem, doc: dict) -> None:
+    """`problem` holds exactly the actions, distributions and loss rows that
+    the decision-problem document `doc` spells out."""
+
+    def dist(d):
+        if d["type"] == "lognormal":
+            return LognormalDist(d["mu"], d["sigma2"])
+        return FiniteDist(tuple((row["y"], row["p"]) for row in d["rows"]))
+
+    assert problem.actions == tuple(doc["actions"])
+    assert problem.hypothetical == {a: dist(d) for a, d in doc["distributions"].items()}
+    assert problem.loss == {(row["y"], row["a"]): row["loss"] for row in doc["loss"]}
+
+
 class TestJson:
-    def test_round_trip(self):
-        prob = umbrella_problem(0.3)
-        doc = problem_to_json(prob)
-        again = problem_to_json(problem_from_json(json.loads(json.dumps(doc))))
-        assert again == doc
+    def test_umbrella_loads_exactly(self, corpus_dir):
+        doc = json.loads((corpus_dir / "models" / "umbrella.json").read_text())
+        assert_problem_built_from(load_problem(corpus_dir / "models" / "umbrella.json"), doc)
 
     def test_fixture_loads(self, corpus_dir):
         prob = load_problem(corpus_dir / "models" / "umbrella.json")
@@ -283,19 +294,16 @@ class TestJson:
         assert sol.optimal_action == "take"
         assert sol.expected_loss["leave"] == pytest.approx(0.3)
 
-    def test_lognormal_round_trip(self):
-        prob = DecisionProblem(
-            ("t", "c"), {"t": LognormalDist(1.0, 0.3), "c": LognormalDist(0.2, 0.3)}, {}
-        )
-        doc = problem_to_json(prob)
-        back = problem_from_json(doc)
-        assert back.hypothetical["t"] == LognormalDist(1.0, 0.3)
-
-    def test_callable_loss_rejected(self):
-        dist = FiniteDist.of({0: 1.0})
-        prob = DecisionProblem(("a",), {"a": dist}, lambda y, a: 0.0)
-        with pytest.raises(DecisionError):
-            problem_to_json(prob)
+    def test_lognormal_problem_loads_exactly(self):
+        doc = {
+            "actions": ["t", "c"],
+            "distributions": {
+                "t": {"type": "lognormal", "mu": 1.0, "sigma2": 0.3},
+                "c": {"type": "lognormal", "mu": 0.2, "sigma2": 0.3},
+            },
+            "loss": [],
+        }
+        assert_problem_built_from(problem_from_json(doc), doc)
 
     def test_missing_key_is_named(self):
         with pytest.raises(DecisionError, match="decision problem document is missing required key 'distributions'"):

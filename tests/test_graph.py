@@ -48,6 +48,13 @@ class TestValidate:
         dag = Dag(frozenset({Node("A"), Node("B")}), frozenset({Edge("A", "B"), Edge("B", "A")}))
         assert any("cycle" in e for e in validate(dag))
 
+    def test_duplicate_name_is_reported_once_and_not_as_a_cycle(self):
+        with pytest.raises(GraphError) as exc:
+            Dag.of({Node("Y"), Node("Y", REGIME)}, set())
+        assert str(exc.value) == "duplicate node name 'Y'"
+        dag = Dag(frozenset({Node("Y"), Node("Y", REGIME), Node("X"), Node("X", latent=True)}), frozenset())
+        assert validate(dag) == ["duplicate node name 'X'", "duplicate node name 'Y'"]
+
     def test_dangling_edge(self):
         dag = Dag(frozenset({Node("A")}), frozenset({Edge("A", "B")}))
         assert any("dangling" in e for e in validate(dag))

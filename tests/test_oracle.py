@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from dtcausal.oracle import (
     interventional_query,
     load_model,
     model_from_json,
-    model_to_json,
     random_cpt,
     simulate_study,
     study_spec_from_json,
@@ -37,6 +37,7 @@ from dtcausal.statements import EciStatement
 from dtcausal.statements import parse_statement as ps
 
 from conftest import (
+    CORPUS,
     itt_ignorable_dag,
     itt_nonignorable_dag,
     random_itt_ignorable_model,
@@ -617,10 +618,11 @@ class TestGFormula:
         assert worst > 1e-3
 
     def test_positivity_violation(self):
-        m = kernel_model(lambda t, ts: 0.5, p_star=1.0)
-        # T=0 never happens observationally
+        m = random_two_stage_model(0)
+        m = replace(m, cpts={**m.cpts, "X0*": Cpt("X0*", (), {(): (0.0, 1.0)})})
+        # X0=0 never happens observationally
         with pytest.raises(ModelError, match="positivity"):
-            gformula_eval(m, ("Y", 1), ("T", 0), ("T", 0), "T*")
+            gformula_eval(m, ("Y", 1), ("X0", 0), ("X1", 0), "Z")
 
 
 class TestEtt:
@@ -751,16 +753,46 @@ def test_study_means_match_hand_sums(corpus_dir):
             assert spec.observational_arm_mean(t) == pytest.approx(loop_arm_mean(spec, t), rel=0, abs=1e-12)
 
 
-class TestJson:
-    def test_itt_round_trip_bit_exact(self):
-        m = random_two_stage_model(13)
-        doc = model_to_json(m)
-        again = model_to_json(model_from_json(json.loads(json.dumps(doc))))
-        assert again == doc
+MODEL_DOCUMENTS = sorted(
+    path.name for path in (CORPUS / "models").glob("*.json") if "mode" in json.loads(path.read_text())
+)
 
-    def test_raw_round_trip_bit_exact(self, corpus_dir):
-        doc = raw_doc(corpus_dir)
-        assert model_to_json(model_from_json(doc)) == doc
+
+def assert_built_from(model: MultiRegimeModel, doc: dict) -> None:
+    """`model` holds exactly the variables, regimes, CPTs and raw tables that
+    the model document `doc` spells out, and nothing more."""
+    variables, regimes = doc["variables"], doc.get("regimes", [])
+    assert model.mode == doc["mode"]
+    assert list(model.states.items()) == [(v["name"], tuple(v["states"])) for v in variables]
+    assert model.regimes == {r["name"]: r["target"] for r in regimes}
+    assert model.itt_of == {r["target"]: r["itt"] for r in regimes if "itt" in r}
+    if doc["mode"] == "itt":
+        assert model.latent == {v["name"] for v in variables if v.get("latent")}
+        assert {n.name for n in model.dag.nodes if n.deterministic} == {
+            v["name"] for v in variables if v.get("deterministic")
+        }
+        rows = {c["child"]: {tuple(r["parents"]): tuple(r["probs"]) for r in c["rows"]} for c in doc["cpts"]}
+        assert model.cpts == {c["child"]: Cpt(c["child"], tuple(c["parents"]), rows[c["child"]]) for c in doc["cpts"]}
+        assert model.raw_regimes == {}
+    else:
+        assert model.latent == frozenset() and model.cpts == {}
+        tables = {tuple(sorted(t["assignment"].items())): t["probs"] for t in doc["raw_regimes"]}
+        assert {key: table.tolist() for key, table in model.raw_regimes.items()} == tables
+
+
+class TestJson:
+    @pytest.mark.parametrize("name", MODEL_DOCUMENTS)
+    def test_corpus_document_loads_exactly(self, corpus_dir, name):
+        doc = json.loads((corpus_dir / "models" / name).read_text())
+        assert_built_from(load_model(corpus_dir / "models" / name), doc)
+
+    def test_random_two_stage_document_loads_exactly(self, corpus_dir):
+        doc = json.loads((corpus_dir / "models" / "two_stage.json").read_text())
+        rng = np.random.default_rng(13)
+        for cpt in doc["cpts"]:
+            for row in cpt["rows"]:
+                row["probs"] = rng.dirichlet(np.ones(len(row["probs"]))).tolist()
+        assert_built_from(model_from_json(json.loads(json.dumps(doc))), doc)
 
     def test_itt_without_regimes(self):
         doc = {
@@ -771,7 +803,7 @@ class TestJson:
         m = model_from_json(doc)
         assert m.regime_names == ()
         assert m.joint({}).probs.tolist() == [0.25, 0.75]
-        assert model_to_json(m) == doc
+        assert_built_from(m, doc)
 
     def test_unknown_mode(self):
         with pytest.raises(ModelError):
