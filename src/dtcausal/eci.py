@@ -22,8 +22,8 @@ remain valid for non-stochastic regimes).
 
 A universe holds at most `MAX_VARIABLES` = 9 variables.  The full closure
 grows about fourfold in size and fivefold in time per variable: on a
-2-core machine the 9-variable Markov chain closes in about 2 s (37,314
-triples) and the 10-variable one in about 12 s (142,824 triples).
+2-core machine the 9-variable Markov chain closes in about 0.7 s of CPU
+(37,314 triples) and the 10-variable one in about 4 s (142,824 triples).
 `derivable` stops as soon as its target is derived, so it often takes
 far less than a full closure.
 """
@@ -119,15 +119,23 @@ class ProofTrace:
     ) -> EciStatement:
         """Re-apply the named axioms in order; returns the final statement.
 
-        Raises if any step does not follow from its inputs by its axiom, if
-        a P2 step's right side is not inside its conditioning set, or, when
+        Raises `StatementError` if the trace is empty, if a step's input is
+        not an earlier step, if a Premise or P2 step lists inputs, if any
+        other step does not follow from its inputs by its axiom, if a P2
+        step's right side is not inside its conditioning set, or, when
         `premises` are given, if a Premise step is not one of them.  With
         `regimes_as_stochastic=False`, as in the engine without that flag,
         no P1, P3, P4 or P5 step may put a regime on the left.
         """
+        if not self.steps:
+            raise StatementError("empty trace")
         allowed = None if premises is None else {_normalise(universe.to_triple(p)) for p in premises}
         produced: list[Triple] = []
-        for step in self.steps:
+        for k, step in enumerate(self.steps):
+            if not all(0 <= i < k for i in step.inputs):
+                raise StatementError(f"trace step {k} uses an input that is not an earlier step")
+            if step.axiom in ("Premise", "P2") and step.inputs:
+                raise StatementError(f"trace step {k} is a {step.axiom} step with inputs")
             target = universe.to_triple(step.output)
             ins = [produced[i] for i in step.inputs]
             if step.axiom == "Premise":
@@ -207,46 +215,69 @@ class _Closure:
         keyed (l, g) in `by_span`.  No other pair emits anything.  A triple
         keeps the first derivation found for it, so stopping at the target
         leaves its trace as the full fixpoint would give it.
+
+        The rules are applied in line, emitting what `_apply_axiom` would
+        return in ascending order: a normalised (l, r, g) gives (r, l, g) by
+        P1, and (l, w, g) by P3 and (l, w, g | r^w) by P4 for each proper
+        nonempty submask w of r (P3's w = r is the triple itself).  A
+        redundancy instance (a, b, b) gives nothing by P1, P3 or P4, but it
+        contracts.  Without `regimes_as_stochastic` no output has a regime
+        on its left.
         """
-        reg = self.universe.regime_mask
+        reg = 0 if self.regimes_as_stochastic else self.universe.regime_mask
+        derivation = self.derivation
         for p in premises:
             t = _normalise(p)
-            if t is not None and t not in self.derivation:
-                self.derivation[t] = ("Premise", ())
+            if t is not None and t not in derivation:
+                derivation[t] = ("Premise", ())
         # Redundancy (P2) instances over single variables.
         singles = self.universe.bit.values()
         for a in singles:
-            if self.regimes_as_stochastic or not a & reg:
+            if not a & reg:
                 for b in singles:
                     if a != b:
-                        self.derivation.setdefault((a, b, b), ("P2", ()))
+                        derivation.setdefault((a, b, b), ("P2", ()))
         by_given: dict[tuple[int, int], list[Triple]] = {}
         by_span: dict[tuple[int, int], list[Triple]] = {}
-        frontier = sorted(self.derivation)
-        while frontier and target not in self.derivation:
+        frontier = sorted(derivation)
+        while frontier and target not in derivation:
             for t in frontier:
                 l, r, g = t
                 by_given.setdefault((l, g), []).append(t)
                 by_span.setdefault((l, r | g), []).append(t)
             new: dict[Triple, tuple[str, tuple[Triple, ...]]] = {}
-
-            def emit(t: Triple, axiom: str, ins: tuple[Triple, ...]) -> None:
-                if t not in self.derivation and t not in new:
-                    new[t] = (axiom, ins)
-
             for s in frontier:
-                for axiom in ("P1", "P3", "P4"):
-                    for t in sorted(_apply_axiom(axiom, [s], reg, self.regimes_as_stochastic)):
-                        emit(t, axiom, (s,))
                 l, r, g = s
-                partners = {*by_given.get((l, r | g), ()), *by_span.get((l, g), ())}
-                for other in sorted(partners):
-                    for first, second in ((s, other), (other, s)):
-                        for t in sorted(_apply_axiom("P5", [first, second], reg, self.regimes_as_stochastic)):
-                            emit(t, "P5", (first, second))
+                ins = (s,)
+                if not r & (g | reg) and (r, l, g) not in derivation:
+                    new.setdefault((r, l, g), ("P1", ins))
+                if not l & reg:  # every other rule keeps the left side
+                    if not r & g:
+                        w = (-r) & r
+                        while w != r:
+                            if (l, w, g) not in derivation:
+                                new.setdefault((l, w, g), ("P3", ins))
+                            w = (w - r) & r
+                        w = (-r) & r
+                        while w != r:
+                            t = (l, w, g | r ^ w)
+                            if t not in derivation:
+                                new.setdefault(t, ("P4", ins))
+                            w = (w - r) & r
+                    span = r | g
+                    for other in sorted({*by_given.get((l, span), ()), *by_span.get((l, g), ())}):
+                        _, y, z = other
+                        if z == span:
+                            t = _normalise((l, r | y, g))
+                            if t is not None and t not in derivation:
+                                new.setdefault(t, ("P5", (s, other)))
+                        if g == y | z:
+                            t = _normalise((l, y | r, z))
+                            if t is not None and t not in derivation:
+                                new.setdefault(t, ("P5", (other, s)))
                 if target in new:
                     break
-            self.derivation.update(new)
+            derivation.update(new)
             frontier = sorted(new)
 
     def trace(self, target: Triple) -> ProofTrace:

@@ -11,6 +11,7 @@ from dtcausal.dsep import (
     d_separated,
     d_separated_paths,
     implied_statements,
+    separated,
     separations_agree,
 )
 from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, GraphError, Node, topological_order
@@ -34,6 +35,7 @@ from dtcausal.augment import (
     build_itt_dag,
     eliminate_nodes,
     itt_name,
+    regime_name,
 )
 
 BOTH = (d_separated, d_separated_paths)
@@ -108,6 +110,43 @@ class TestPinnedRegimes:
     def test_regime_on_left_rejected(self):
         with pytest.raises(StatementError):
             d_separated(simple_treatment_dag(), EciStatement(frozenset({"F_T"}), frozenset({"Y"})))
+
+
+def single_world_graph(obs: Dag, targets) -> Dag:
+    """The SWIG of `obs` (Richardson & Robins 2013): each target X splits into
+    a random half X*, which keeps X's incoming edges, and a fixed half X,
+    which takes its outgoing edges."""
+    nodes = set(obs.nodes) | {Node(itt_name(x)) for x in targets}
+    return Dag.of(nodes, {Edge(e.src, itt_name(e.dst) if e.dst in targets else e.dst) for e in obs.edges})
+
+
+def test_pinned_separation_matches_single_world_graph():
+    """With every regime pinned to a non-idle value, the ITT DAG separates two
+    random nodes exactly when the SWIG does with the fixed halves conditioned:
+    the pin rule gives the single-world reading of an intervention."""
+    verdicts = {True: 0, False: 0}
+    for seed in range(40):
+        rng = random.Random(seed)
+        names = [f"V{i}" for i in range(rng.randint(3, 5))]
+        edges = {Edge(a, b) for i, a in enumerate(names) for b in names[i + 1:] if rng.random() < 0.5}
+        obs = Dag.of({Node(v) for v in names}, edges)
+        chosen = rng.sample(names, rng.randint(1, 2))
+        targets = [v for v in topological_order(obs) if v in chosen]
+        itt = build_itt_dag(obs, InterventionPlan(tuple(targets)))
+        swig = single_world_graph(obs, targets)
+        pins = tuple((regime_name(x), rng.choice(("0", "1"))) for x in targets)
+        fixed = frozenset(targets)
+        random_nodes = sorted(swig.node_names - fixed)
+        for a, b in itertools.combinations(random_nodes, 2):
+            rest = [v for v in random_nodes if v not in (a, b)]
+            for k in range(len(rest) + 1):
+                for cond in itertools.combinations(rest, k):
+                    expected = separated(swig, frozenset({a}), frozenset({b}), fixed | frozenset(cond))
+                    stmt = EciStatement(frozenset({a}), frozenset({b}), frozenset(cond), pins)
+                    for engine in BOTH:
+                        assert engine(itt, stmt) == expected, (seed, engine.__name__, stmt)
+                    verdicts[expected] += 1
+    assert min(verdicts.values()) > 100, verdicts
 
 
 class TestIttGraphs:

@@ -192,6 +192,27 @@ class TestTraceReplay:
         with pytest.raises(StatementError, match="premises"):
             trace.replay(U4, premises=[ps("X _||_ Y | Z")])
 
+    def test_empty_trace_rejected(self):
+        with pytest.raises(StatementError, match="empty"):
+            ProofTrace(()).replay(U4)
+
+    def test_forward_input_rejected(self):
+        trace = ProofTrace((ProofStep("P1", (1,), ps("Y _||_ X")), ProofStep("Premise", (), ps("X _||_ Y"))))
+        with pytest.raises(StatementError, match="earlier step"):
+            trace.replay(U4)
+
+    def test_negative_input_rejected(self):
+        # produced[-1] would read the last step so far: the premise, whose P1 is the output
+        trace = ProofTrace((ProofStep("Premise", (), ps("X _||_ Y")), ProofStep("P1", (-1,), ps("Y _||_ X"))))
+        with pytest.raises(StatementError, match="earlier step"):
+            trace.replay(U4)
+
+    @pytest.mark.parametrize("axiom, output", [("Premise", "X _||_ Y | Z"), ("P2", "X _||_ Y | Y")])
+    def test_input_free_step_with_inputs_rejected(self, axiom, output):
+        trace = ProofTrace((ProofStep("Premise", (), ps("X _||_ Y")), ProofStep(axiom, (0,), ps(output))))
+        with pytest.raises(StatementError, match="with inputs"):
+            trace.replay(U4)
+
     def test_regime_left_symmetry_rejected_without_flag(self):
         uni = Universe.of(["W"], ["F"])
         trace = ProofTrace((ProofStep("Premise", (), ps("W _||_ F")), ProofStep("P1", (0,), ps("F _||_ W"))))
@@ -259,8 +280,9 @@ def markov_chain(n):
     return [ps(f"{v[i + 1]} _||_ {', '.join(v[:i])} | {v[i]}") for i in range(1, n - 1)], Universe.of(v)
 
 
-def sequential_randomisation(stages):
-    """The bench's sequential-randomisation premises without the outcome."""
+def sequential_randomisation(stages, outcome=False):
+    """The bench's sequential-randomisation premises, with the outcome `Y`
+    screened from everything earlier by the last stage when `outcome`."""
     f = [f"F{i}" for i in range(1, stages + 1)]
     w = [f"W{i}" for i in range(1, stages + 1)]
     premises = [ps(f"{f[i]} _||_ {', '.join(f[:i])}") for i in range(1, stages)]
@@ -268,7 +290,22 @@ def sequential_randomisation(stages):
         others = [x for m, x in enumerate(f) if m != i] + w[: max(0, i - 1)]
         cond = [f[i]] + ([w[i - 1]] if i else [])
         premises.append(ps(f"{w[i]} _||_ {', '.join(others)} | {', '.join(cond)}"))
+    if outcome:
+        premises.append(ps(f"Y _||_ {', '.join(f + w[:-1])} | {w[-1]}"))
+        w.append("Y")
     return premises, Universe.of(w, f)
+
+
+# Without the flag a regime on the left keeps only symmetry, and only to a
+# stochastic left: the mixed-left premise gives no decomposition or weak
+# union, the two F1-left premises do not contract, and F2 never moves left.
+REGIME_LEFT_UNIVERSE = Universe.of(["W1", "W2", "W3"], ["F1", "F2"])
+REGIME_LEFT_PREMISES = [
+    ps("F1, W1 _||_ W2, W3"),
+    ps("F1 _||_ W2"),
+    ps("F1 _||_ W3 | W2"),
+    ps("W1 _||_ F2 | W2"),
+]
 
 
 def random_premises(seed):
@@ -293,6 +330,9 @@ REFERENCE_CASES = {
     "nested-stochastic": (NESTED_PREMISES, NESTED_UNIVERSE, True),
     "seqrand3": (*sequential_randomisation(3), False),
     "seqrand3-stochastic": (*sequential_randomisation(3), True),
+    "seqrand3-outcome": (*sequential_randomisation(3, outcome=True), False),
+    "seqrand3-outcome-stochastic": (*sequential_randomisation(3, outcome=True), True),
+    "regime-left": (REGIME_LEFT_PREMISES, REGIME_LEFT_UNIVERSE, False),
     **{f"random{seed}": (*random_premises(seed), seed % 2 == 0) for seed in range(6)},
 }
 
@@ -317,6 +357,17 @@ def test_derivable_trace_matches_loop_reference(case):
         assert ok
         assert trace == reference.trace(t), target
         assert trace.replay(universe, premises=premises, regimes_as_stochastic=flag) == target
+
+
+def test_run_stops_after_the_triple_that_derives_the_target():
+    """A regime-left triple, which only symmetry applies to, still ends the
+    round once it derives the target: the later premise is not swapped."""
+    uni = Universe.of(["W1", "W2"], ["F1", "F2"])
+    target = uni.to_triple(ps("W1 _||_ F1"))
+    engine = _Closure(uni, False)
+    engine.run([uni.to_triple(ps("F1 _||_ W1")), uni.to_triple(ps("F2 _||_ W1, W2"))], target)
+    assert target in engine.derivation
+    assert uni.to_triple(ps("W1, W2 _||_ F2")) not in engine.derivation
 
 
 class TestPremiseFiles:
