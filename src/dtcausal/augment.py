@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from dtcausal import keyed
 from dtcausal.dsep import d_separated, separated, separations_agree
 from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, GraphError, Node, surgery, topological_order
 from dtcausal.statements import EciStatement, format_statement
@@ -30,22 +31,17 @@ class InterventionPlan:
     targets: tuple[str, ...]
 
     def validate_against(self, dag: Dag) -> None:
-        seen = set()
-        order = topological_order(dag)
-        pos = {name: i for i, name in enumerate(order)}
-        last = -1
+        pos = {name: i for i, name in enumerate(topological_order(dag))}
         for t in self.targets:
-            if t in seen:
-                raise GraphError(f"duplicate target {t!r}")
-            seen.add(t)
             node = dag.node(t)
             if node.kind != STOCHASTIC:
                 raise GraphError(f"target {t!r} is not stochastic")
             if node.latent:
                 raise GraphError(f"target {t!r} is latent")
-            if pos[t] < last:
-                raise GraphError("plan order violates topology")
-            last = pos[t]
+        keyed(zip(self.targets, self.targets), lambda t: GraphError(f"duplicate target {t!r}"))
+        ranks = [pos[t] for t in self.targets]
+        if ranks != sorted(ranks):
+            raise GraphError("plan order violates topology")
 
 
 def itt_name(target: str) -> str:
@@ -214,8 +210,7 @@ def identify_two_stage(obs: Dag, x0: str, x1: str, z: str, y: str) -> Certificat
     names = (x0, x1, z, y)
     for name in names:
         obs.node(name)
-        if names.count(name) > 1:
-            raise GraphError(f"node {name!r} is given twice")
+    keyed(zip(names, names), lambda name: GraphError(f"node {name!r} is given twice"))
     checks = []
 
     def run(name, rule, yv, xv, cond, rin, rout):

@@ -198,11 +198,14 @@ def _cmd_ace(args) -> Answer:
         problem = decision.problem_from_json(doc)
         if len(problem.actions) < 2:
             raise decision.DecisionError(f"ACE compares two actions; the problem has only {problem.actions[0]!r}")
-        a1 = args.a1 or problem.actions[0]
-        a0 = args.a0 or problem.actions[1]
+        # A missing side is the first action that differs from the other side.
+        a1 = args.a1 or next(a for a in problem.actions if a != args.a0)
+        a0 = args.a0 or next(a for a in problem.actions if a != a1)
         for a in (a1, a0):
             if a not in problem.actions:
                 raise decision.DecisionError(f"unknown action {a!r}; the problem's actions are {list(problem.actions)}")
+        if a1 == a0:
+            raise decision.DecisionError(f"ACE compares two different actions; --a1 and --a0 both name {a1!r}")
         value = decision.ace(problem.hypothetical[a1], problem.hypothetical[a0])
     else:
         from dtcausal import oracle

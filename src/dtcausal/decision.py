@@ -38,9 +38,7 @@ class FiniteDist:
     probs: tuple[tuple[object, float], ...]
 
     def __post_init__(self) -> None:
-        outcomes = [y for y, _ in self.probs]
-        if len(set(map(repr, outcomes))) != len(outcomes):
-            raise DecisionError("duplicate outcome")
+        keyed(((repr(y), p) for y, p in self.probs), lambda y: DecisionError(f"duplicate outcome {y}"))
         _check_weights([p for _, p in self.probs], "probabilities")
 
     @staticmethod
@@ -105,8 +103,7 @@ class DecisionProblem:
     def __post_init__(self) -> None:
         if not self.actions:
             raise DecisionError("no actions")
-        if len(set(self.actions)) != len(self.actions):
-            raise DecisionError("duplicate action")
+        keyed(zip(self.actions, self.actions), lambda a: DecisionError(f"duplicate action {a!r}"))
         for a in self.actions:
             if a not in self.hypothetical:
                 raise DecisionError(f"action {a!r} has no outcome distribution")

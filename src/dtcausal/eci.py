@@ -219,10 +219,12 @@ class _Closure:
         The rules are applied in line, emitting what `_apply_axiom` would
         return in ascending order: a normalised (l, r, g) gives (r, l, g) by
         P1, and (l, w, g) by P3 and (l, w, g | r^w) by P4 for each proper
-        nonempty submask w of r (P3's w = r is the triple itself).  A
-        redundancy instance (a, b, b) gives nothing by P1, P3 or P4, but it
-        contracts.  Without `regimes_as_stochastic` no output has a regime
-        on its left.
+        nonempty submask w of r (P3's w = r is the triple itself).  Only
+        normalised triples are expanded, and every rule gives normalised
+        triples from them.  The redundancy instances (a, b, b) are stored but
+        never expanded: they give nothing by P1, P3 or P4, and contracting
+        one returns one of its own inputs.  Without `regimes_as_stochastic`
+        no output has a regime on its left.
         """
         reg = 0 if self.regimes_as_stochastic else self.universe.regime_mask
         derivation = self.derivation
@@ -230,7 +232,8 @@ class _Closure:
             t = _normalise(p)
             if t is not None and t not in derivation:
                 derivation[t] = ("Premise", ())
-        # Redundancy (P2) instances over single variables.
+        frontier = sorted(derivation)
+        # Redundancy (P2) instances over single variables, never expanded.
         singles = self.universe.bit.values()
         for a in singles:
             if not a & reg:
@@ -239,7 +242,6 @@ class _Closure:
                         derivation.setdefault((a, b, b), ("P2", ()))
         by_given: dict[tuple[int, int], list[Triple]] = {}
         by_span: dict[tuple[int, int], list[Triple]] = {}
-        frontier = sorted(derivation)
         while frontier and target not in derivation:
             for t in frontier:
                 l, r, g = t
@@ -249,32 +251,27 @@ class _Closure:
             for s in frontier:
                 l, r, g = s
                 ins = (s,)
-                if not r & (g | reg) and (r, l, g) not in derivation:
+                if not r & reg and (r, l, g) not in derivation:
                     new.setdefault((r, l, g), ("P1", ins))
                 if not l & reg:  # every other rule keeps the left side
-                    if not r & g:
-                        w = (-r) & r
-                        while w != r:
-                            if (l, w, g) not in derivation:
-                                new.setdefault((l, w, g), ("P3", ins))
-                            w = (w - r) & r
-                        w = (-r) & r
-                        while w != r:
-                            t = (l, w, g | r ^ w)
-                            if t not in derivation:
-                                new.setdefault(t, ("P4", ins))
-                            w = (w - r) & r
+                    w = (-r) & r
+                    while w != r:
+                        if (l, w, g) not in derivation:
+                            new.setdefault((l, w, g), ("P3", ins))
+                        w = (w - r) & r
+                    w = (-r) & r
+                    while w != r:
+                        t = (l, w, g | r ^ w)
+                        if t not in derivation:
+                            new.setdefault(t, ("P4", ins))
+                        w = (w - r) & r
                     span = r | g
                     for other in sorted({*by_given.get((l, span), ()), *by_span.get((l, g), ())}):
                         _, y, z = other
-                        if z == span:
-                            t = _normalise((l, r | y, g))
-                            if t is not None and t not in derivation:
-                                new.setdefault(t, ("P5", (s, other)))
-                        if g == y | z:
-                            t = _normalise((l, y | r, z))
-                            if t is not None and t not in derivation:
-                                new.setdefault(t, ("P5", (other, s)))
+                        if z == span and (l, r | y, g) not in derivation:
+                            new.setdefault((l, r | y, g), ("P5", (s, other)))
+                        if g == y | z and (l, y | r, z) not in derivation:
+                            new.setdefault((l, y | r, z), ("P5", (other, s)))
                 if target in new:
                     break
             derivation.update(new)

@@ -101,16 +101,10 @@ class Dag:
         return self.node(name).kind
 
     def parents(self, name: str) -> frozenset[str]:
-        try:
-            return self._parent_map[name]
-        except KeyError:
-            raise GraphError(f"unknown node {name!r}") from None
+        return self._parent_map[self.node(name).name]
 
     def children(self, name: str) -> frozenset[str]:
-        try:
-            return self._child_map[name]
-        except KeyError:
-            raise GraphError(f"unknown node {name!r}") from None
+        return self._child_map[self.node(name).name]
 
     def ancestors(self, names: Iterable[str]) -> frozenset[str]:
         """Ancestral closure of `names` (includes the given nodes)."""
@@ -130,6 +124,8 @@ def validate(dag: Dag) -> list[str]:
     by_name = dag._by_name  # one node per name: a node it does not hold repeats a name
     duplicates = sorted({n.name for n in dag.nodes if by_name[n.name] is not n})
     errors = [f"duplicate node name {name!r}" for name in duplicates]
+    # topological_order counts by name: a repeated name, a dangling edge or a self-loop would read as a cycle.
+    unordered = bool(duplicates)
     for n in dag.nodes:
         if n.kind == REGIME and n.latent:
             errors.append(f"regime node {n.name!r} marked latent")
@@ -138,15 +134,16 @@ def validate(dag: Dag) -> list[str]:
     for e in dag.edges:
         if e.src not in by_name or e.dst not in by_name:
             errors.append(f"dangling edge {e.src} -> {e.dst}")
+            unordered = True
             continue
         if e.src == e.dst:
             errors.append(f"self-loop on {e.src}")
+            unordered = True
         if by_name[e.dst].kind == REGIME:
             errors.append(f"regime node {e.dst!r} has parent {e.src!r}")
         if e.dashed and not by_name[e.dst].deterministic:
             errors.append(f"dashed edge into non-deterministic node {e.dst!r}")
-    # topological_order counts by name: a repeated name, a dangling edge or a self-loop would read as a cycle.
-    if not duplicates and not any(err.startswith("dangling") or err.startswith("self-loop") for err in errors):
+    if not unordered:
         try:
             topological_order(dag)
         except GraphError as exc:
@@ -161,13 +158,14 @@ def topological_order(dag: Dag) -> list[str]:
         if e.dst not in indeg or e.src not in indeg:
             raise GraphError(f"dangling edge {e.src} -> {e.dst}")
         indeg[e.dst] += 1
+    children = dag._child_map  # read directly: every name popped below is a node
     heap = [n for n, d in indeg.items() if d == 0]
     heapq.heapify(heap)
     order: list[str] = []
     while heap:
         v = heapq.heappop(heap)
         order.append(v)
-        for c in sorted(dag.children(v)):
+        for c in sorted(children[v]):
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(heap, c)
@@ -192,7 +190,7 @@ def moral_adjacency(dag: Dag, restrict_to: Iterable[str]) -> dict[str, set[str]]
     keep = dag.ancestors(restrict_to)
     adj: dict[str, set[str]] = {v: set() for v in keep}
     for v in keep:
-        parents = dag.parents(v)  # inside `keep`, which is ancestrally closed
+        parents = dag._parent_map[v]  # `ancestors` checked every name in `keep`, which is ancestrally closed
         adj[v] |= parents
         for p in parents:
             adj[p].add(v)

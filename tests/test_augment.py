@@ -81,8 +81,14 @@ class TestPlan:
             InterventionPlan(("H",)).validate_against(two_stage_obs_dag())
 
     def test_duplicate_target_rejected(self):
-        with pytest.raises(GraphError, match="duplicate"):
+        with pytest.raises(GraphError, match=r"^duplicate target 'X0'$"):
             InterventionPlan(("X0", "X0")).validate_against(two_stage_obs_dag())
+
+    def test_each_target_is_checked_before_repeats_and_repeats_before_order(self):
+        with pytest.raises(GraphError, match=r"^unknown node 'Q'$"):
+            InterventionPlan(("X0", "X0", "Q")).validate_against(two_stage_obs_dag())
+        with pytest.raises(GraphError, match=r"^duplicate target 'X0'$"):
+            InterventionPlan(("X0", "X1", "X0")).validate_against(two_stage_obs_dag())
 
 
 class TestBuildItt:

@@ -577,6 +577,16 @@ class TestGFormula:
         assert err == "error: positivity violation\n"
 
 
+TWO_ACTIONS = {
+    "actions": ["a", "b"],
+    "distributions": {
+        "a": {"type": "table", "rows": [{"y": 1, "p": 1.0}]},
+        "b": {"type": "table", "rows": [{"y": 0, "p": 1.0}]},
+    },
+    "loss": [],
+}
+
+
 class TestAce:
     def test_model_input(self, capsys):
         code, doc, _ = run_json(capsys, "ace", str(MODELS / "itt_example.json"), "--y", "Y", "--action", "T")
@@ -614,6 +624,24 @@ class TestAce:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.fixture
+    def two_actions(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(TWO_ACTIONS))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, expected", [((), "1"), (("--a1", "b"), "-1"), (("--a0", "a"), "-1"), (("--a1", "b", "--a0", "a"), "-1")]
+    )
+    def test_decision_problem_default_side_differs_from_the_given_one(self, capsys, two_actions, argv, expected):
+        assert run(capsys, "ace", two_actions, *argv) == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize("action", ["a", "b"])
+    def test_decision_problem_same_action_on_both_sides(self, capsys, two_actions, action):
+        code, out, err = run(capsys, "ace", two_actions, "--a1", action, "--a0", action)
+        assert (code, out) == (2, "")
+        assert err == f"error: ACE compares two different actions; --a1 and --a0 both name {action!r}\n"
 
     def test_decision_problem_unknown_action(self, capsys):
         code, _, err = run(capsys, "ace", str(MODELS / "umbrella.json"), "--a1", "zz")

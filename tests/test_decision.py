@@ -43,8 +43,10 @@ class TestFiniteDist:
             FiniteDist.of({0: float("nan"), 1: 0.5})
 
     def test_duplicate_outcome(self):
-        with pytest.raises(DecisionError, match="duplicate"):
+        with pytest.raises(DecisionError, match=r"^duplicate outcome 'a'$"):
             FiniteDist((("a", 0.5), ("a", 0.5)))
+        with pytest.raises(DecisionError, match=r"^duplicate outcome 1$"):
+            FiniteDist(((1, 0.5), (1, 0.5)))
 
     def test_mean_requires_numeric_outcomes(self):
         with pytest.raises(DecisionError, match="numeric"):
@@ -52,6 +54,13 @@ class TestFiniteDist:
 
     def test_numeric_mean(self):
         assert FiniteDist.of({0: 0.25, 4: 0.75}).mean() == pytest.approx(3.0)
+
+
+class TestDecisionProblem:
+    def test_duplicate_action(self):
+        dist = FiniteDist.of({0: 1.0})
+        with pytest.raises(DecisionError, match=r"^duplicate action 'a'$"):
+            DecisionProblem(("a", "b", "a"), {"a": dist, "b": dist}, {})
 
 
 class TestSolve:

@@ -359,6 +359,23 @@ def test_derivable_trace_matches_loop_reference(case):
         assert trace.replay(universe, premises=premises, regimes_as_stochastic=flag) == target
 
 
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_closure_expands_only_normalised_triples(case):
+    """Each stored triple is normalised or a single-variable P2 seed (a, b, b),
+    and no stored derivation takes a seed as an input."""
+    premises, universe, flag = REFERENCE_CASES[case]
+    engine = _Closure(universe, flag)
+    engine.run([universe.to_triple(p) for p in premises])
+    bits = universe.bit.values()
+    seeds = {(a, b, b) for a in bits for b in bits if a != b}
+    for t, (axiom, ins) in engine.derivation.items():
+        if axiom == "P2":
+            assert t in seeds
+        else:
+            assert _normalise(t) == t, (axiom, t)
+        assert not seeds.intersection(ins), (axiom, t, ins)
+
+
 def test_run_stops_after_the_triple_that_derives_the_target():
     """A regime-left triple, which only symmetry applies to, still ends the
     round once it derives the target: the later premise is not swapped."""
