@@ -72,3 +72,10 @@ def json_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, not {json.dumps(value)[:40]}")
     return value
+
+
+def json_array(value, what: str) -> tuple:
+    """`value` as a tuple if it is a JSON array, else ValueError naming it as `what`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, not {json.dumps(value)[:40]}")
+    return tuple(value)

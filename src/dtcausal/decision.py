@@ -12,23 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
-from dtcausal import json_object, keyed, load_json
+from dtcausal import json_array, json_object, keyed, load_json
 
 
 class DecisionError(ValueError):
     """Raised for malformed decision problems or queries."""
-
-
-def _check_weights(weights: Sequence[float], what: str) -> None:
-    """Every weight finite and nonnegative, and the weights sum to 1.  NaN
-    fails every comparison, so both tests are written to pass only on good input."""
-    bad = next((w for w in weights if not 0.0 <= w < math.inf), None)
-    if bad is not None:
-        raise DecisionError(f"{what} include a {'negative' if bad < 0 else 'non-finite'} value {bad}")
-    if not abs(sum(weights) - 1.0) <= 1e-9:
-        raise DecisionError(f"{what} do not sum to 1")
 
 
 @dataclass(frozen=True)
@@ -38,8 +28,13 @@ class FiniteDist:
     probs: tuple[tuple[object, float], ...]
 
     def __post_init__(self) -> None:
-        keyed(((repr(y), p) for y, p in self.probs), lambda y: DecisionError(f"duplicate outcome {y}"))
-        _check_weights([p for _, p in self.probs], "probabilities")
+        weights = keyed(((repr(y), p) for y, p in self.probs), lambda y: DecisionError(f"duplicate outcome {y}"))
+        # NaN fails every comparison, so both tests are written to pass only on good input.
+        bad = next((p for p in weights.values() if not 0.0 <= p < math.inf), None)
+        if bad is not None:
+            raise DecisionError(f"probabilities include a {'negative' if bad < 0 else 'non-finite'} value {bad}")
+        if not abs(sum(weights.values()) - 1.0) <= 1e-9:
+            raise DecisionError("probabilities do not sum to 1")
 
     @staticmethod
     def of(table: Mapping[object, float]) -> "FiniteDist":
@@ -103,10 +98,17 @@ class DecisionProblem:
     def __post_init__(self) -> None:
         if not self.actions:
             raise DecisionError("no actions")
-        keyed(zip(self.actions, self.actions), lambda a: DecisionError(f"duplicate action {a!r}"))
+        declared = keyed(zip(self.actions, self.actions), lambda a: DecisionError(f"duplicate action {a!r}"))
         for a in self.actions:
             if a not in self.hypothetical:
                 raise DecisionError(f"action {a!r} has no outcome distribution")
+        for a in self.hypothetical:
+            if a not in declared:
+                raise DecisionError(f"distribution for undeclared action {a!r}")
+        # A loss row may name an outcome outside its action's support (umbrella.json has one).
+        for y, a in () if callable(self.loss) else self.loss:
+            if a not in declared:
+                raise DecisionError(f"loss row for y={y!r}, a={a!r} names an undeclared action")
 
     def loss_of(self, y: object, a: str) -> float:
         if callable(self.loss):
@@ -185,36 +187,6 @@ def lognormal_effects(np_: NormalPair) -> LognormalEffects:
     return effects
 
 
-def prior_predictive(likelihood: Mapping[object, FiniteDist], prior: Mapping[object, float]) -> FiniteDist:
-    """Mixture over a finite parameter grid; only the margin over the grid
-    matters, any joint structure beyond these weights is irrelevant."""
-    _check_weights(list(prior.values()), "prior weights")
-    mix: dict[object, float] = {}
-    for param, weight in prior.items():
-        if param not in likelihood:
-            raise DecisionError(f"no likelihood component for parameter {param!r}")
-        for y, p in likelihood[param].probs:
-            mix[y] = mix.get(y, 0.0) + weight * p
-    return FiniteDist.of(mix)
-
-
-def plugin_estimate(samples: Sequence[object]) -> FiniteDist:
-    """Empirical distribution of the sample."""
-    if not samples:
-        raise DecisionError("empty sample")
-    counts: dict[object, int] = {}
-    for y in samples:
-        counts[y] = counts.get(y, 0) + 1
-    n = len(samples)
-    return FiniteDist.of({y: c / n for y, c in counts.items()})
-
-
-def plugin_mean(samples: Sequence[float]) -> float:
-    if not samples:
-        raise DecisionError("empty sample")
-    return sum(samples) / len(samples)
-
-
 # -- JSON documents ------------------------------------------------------
 
 
@@ -222,16 +194,16 @@ def _dist_from_json(doc) -> FiniteDist | LognormalDist:
     if isinstance(doc, Mapping) and doc.get("type") == "lognormal":
         return LognormalDist(float(doc["mu"]), float(doc["sigma2"]))
     if isinstance(doc, Mapping) and doc.get("type") == "table":
-        return FiniteDist(tuple((row["y"], float(row["p"])) for row in doc["rows"]))
+        return FiniteDist(tuple((row["y"], float(row["p"])) for row in json_array(doc["rows"], "'rows'")))
     raise DecisionError("distribution must be a 'table' or 'lognormal' object")
 
 
 def problem_from_json(doc: Mapping) -> DecisionProblem:
     try:
-        actions = tuple(doc["actions"])
+        actions = json_array(doc["actions"], "'actions'")
         hypo = {a: _dist_from_json(d) for a, d in json_object(doc["distributions"], "'distributions'").items()}
         loss = keyed(
-            (((row["y"], row["a"]), float(row["loss"])) for row in doc["loss"]),
+            (((row["y"], row["a"]), float(row["loss"])) for row in json_array(doc["loss"], "'loss'")),
             lambda key: DecisionError(f"loss row for y={key[0]!r}, a={key[1]!r} is listed twice"),
         )
     except KeyError as exc:

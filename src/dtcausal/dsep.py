@@ -87,8 +87,10 @@ def _active_trails(dag: Dag, in_cond: dict[str, int], full: int) -> Callable[[It
     order = topological_order(dag)
     nodes = range(len(order))
     at = {v: i for i, v in enumerate(order)}
-    parents = [[at[p] for p in dag.parents(v)] for v in order]
-    children = [[at[c] for c in dag.children(v)] for v in order]
+    parents, children = [[] for _ in nodes], [[] for _ in nodes]
+    for e in dag.edges:  # `topological_order` rejected any edge with an end outside the graph
+        parents[at[e.dst]].append(at[e.src])
+        children[at[e.src]].append(at[e.dst])
     cond = [in_cond.get(v, 0) for v in order]
     free = [full & ~c for c in cond]
     # The sets that hold the node or one of its descendants.

@@ -110,12 +110,14 @@ class Dag:
         """Ancestral closure of `names` (includes the given nodes)."""
         seen = set()
         stack = [self.node(n).name for n in names]
+        # Every parent is a node: each `Dag` the program builds comes from `Dag.of`,
+        # which rejects a dangling edge, or keeps some of the edges of one (`surgery`, `restrict_to_regime`).
         while stack:
             v = stack.pop()
             if v in seen:
                 continue
             seen.add(v)
-            stack.extend(self.parents(v))
+            stack.extend(self._parent_map[v])
         return frozenset(seen)
 
 

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from dtcausal import json_object, keyed, load_json
+from dtcausal import json_array, json_object, keyed, load_json
 from dtcausal.graph import IDLE, REGIME, Dag, Edge, Node, topological_order
 from dtcausal.statements import EciStatement
 
@@ -651,22 +651,25 @@ def _model_fields(doc: Mapping) -> tuple[str, dict]:
     """The constructor arguments a model document spells out; a missing
     required key raises KeyError."""
     mode = doc.get("mode")
-    states = _keyed(((v["name"], tuple(v["states"])) for v in doc["variables"]), lambda name: f"variable {name!r}")
-    regimes = _keyed(((r["name"], r["target"]) for r in doc.get("regimes", [])), lambda name: f"regime {name!r}")
-    for v in doc["variables"]:
+    variables = json_array(doc["variables"], "'variables'")
+    states = _keyed(((v["name"], json_array(v["states"], "'states'")) for v in variables), lambda n: f"variable {n!r}")
+    regime_docs = json_array(doc.get("regimes", []), "'regimes'")
+    regimes = _keyed(((r["name"], r["target"]) for r in regime_docs), lambda name: f"regime {name!r}")
+    for v in variables:
         if v.get("deterministic") and v["name"] not in regimes.values():
             raise ModelError(f"variable {v['name']!r} is marked deterministic but no regime targets it")
-    itt_of = {r["target"]: r["itt"] for r in doc.get("regimes", []) if "itt" in r}
+    itt_of = {r["target"]: r["itt"] for r in regime_docs if "itt" in r}
     if mode == "itt":
+        cpt_docs = json_array(doc.get("cpts", []), "'cpts'")
         cpts = _keyed(
-            ((c["child"], Cpt(c["child"], tuple(c["parents"]), _cpt_rows(c))) for c in doc.get("cpts", [])),
+            ((c["child"], Cpt(c["child"], json_array(c["parents"], "'parents'"), _cpt_rows(c))) for c in cpt_docs),
             lambda child: f"CPT for {child!r}",
         )
-        latent = frozenset(v["name"] for v in doc["variables"] if v.get("latent"))
+        latent = frozenset(v["name"] for v in variables if v.get("latent"))
         return mode, dict(states=states, latent=latent, cpts=cpts, regimes=regimes, itt_of=itt_of)
     if mode == "raw":
         raw = keyed(
-            map(_raw_table, doc["raw_regimes"]),
+            map(_raw_table, json_array(doc["raw_regimes"], "'raw_regimes'")),
             lambda key: ModelError(f"duplicate raw table for regime assignment {dict(key)}"),
         )
         return mode, dict(states=states, raw_regimes=raw, regimes=regimes, itt_of=itt_of)
@@ -674,12 +677,14 @@ def _model_fields(doc: Mapping) -> tuple[str, dict]:
 
 
 def _raw_table(entry: Mapping) -> tuple[tuple, np.ndarray]:
-    return _freeze_assignment(json_object(entry["assignment"], "'assignment'")), np.asarray(entry["probs"], dtype=float)
+    assignment = _freeze_assignment(json_object(entry["assignment"], "'assignment'"))
+    return assignment, np.asarray(json_array(entry["probs"], "'probs'"), dtype=float)
 
 
 def _cpt_rows(doc: Mapping) -> dict[tuple, tuple[float, ...]]:
+    rows = json_array(doc["rows"], "'rows'")
     return _keyed(
-        ((tuple(r["parents"]), tuple(r["probs"])) for r in doc["rows"]),
+        ((json_array(r["parents"], "'parents'"), json_array(r["probs"], "'probs'")) for r in rows),
         lambda key: f"CPT row {list(key)} for {doc['child']!r}",
     )
 
@@ -695,7 +700,8 @@ def load_model(path) -> MultiRegimeModel:
 
 def study_spec_from_json(doc: Mapping) -> StudySpec:
     try:
-        response = _keyed(map(_response_row, doc["response"]), lambda key: f"response row for x={key[0]!r}, t={key[1]}")
+        rows = json_array(doc["response"], "'response'")
+        response = _keyed(map(_response_row, rows), lambda key: f"response row for x={key[0]!r}, t={key[1]}")
         return StudySpec(covariate_dist=dict(doc["covariate"]), assignment=dict(doc["assignment"]), response=response)
     except KeyError as exc:
         raise ModelError(f"study spec document is missing required key {exc.args[0]!r}") from None

@@ -887,6 +887,20 @@ OTHER_TYPE_VALUES = {
 }
 
 
+def string_parent_states_doc() -> dict:
+    """itt_example.json with the states of Y's parents T* and T spelt "0" and
+    "1", and one of Y's rows giving its parents as the string "01"."""
+    doc = json.loads((MODELS / "itt_example.json").read_text())
+    for v in doc["variables"]:
+        if v["name"] in ("T*", "T"):
+            v["states"] = ["0", "1"]
+    rows = next(c for c in doc["cpts"] if c["child"] == "Y")["rows"]
+    for row in rows:
+        row["parents"] = [str(s) for s in row["parents"]]
+    rows[1]["parents"] = "".join(rows[1]["parents"])
+    return doc
+
+
 class TestJsonShape:
     @pytest.mark.parametrize(
         "model, path, value, message",
@@ -902,8 +916,21 @@ class TestJsonShape:
             ),
             ("study_confounded.json", ("response", 0, "dist"), [0.5], "'dist' must be a JSON object, not [0.5]"),
             ("umbrella.json", ("distributions",), "rain", "'distributions' must be a JSON object, not \"rain\""),
+            ("umbrella.json", (), {**TWO_ACTIONS, "actions": "ab"}, "'actions' must be a JSON array, not \"ab\""),
+            ("itt_example.json", ("variables", 2, "states"), "01", "'states' must be a JSON array, not \"01\""),
+            ("itt_example.json", (), string_parent_states_doc(), "'parents' must be a JSON array, not \"01\""),
         ],
-        ids=["verify-array", "gformula-array", "ace-array", "raw-assignment", "study-dist", "decision-distributions"],
+        ids=[
+            "verify-array",
+            "gformula-array",
+            "ace-array",
+            "raw-assignment",
+            "study-dist",
+            "decision-distributions",
+            "decision-actions-string",
+            "model-states-string",
+            "cpt-row-parents-string",
+        ],
     )
     def test_value_that_is_not_an_object_is_named(self, capsys, tmp_path, model, path, value, message):
         target = tmp_path / model
@@ -1009,15 +1036,17 @@ SYMBOLIC_EXAMPLES = [
 ]
 
 
-def test_symbolic_commands_do_not_load_numpy():
-    """The numpy-free README examples leave numpy and the oracle unimported;
-    a numeric command then loads the oracle."""
+def test_symbolic_commands_do_not_load_numpy(tmp_path):
+    """The numpy-free README examples, and `ace` on a decision problem, leave
+    numpy and the oracle unimported; a numeric command then loads the oracle."""
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(TWO_ACTIONS))
     script = textwrap.dedent(
         f"""
         import contextlib, io, sys
         from dtcausal.cli import main
 
-        for argv in {SYMBOLIC_EXAMPLES!r}:
+        for argv in {[*SYMBOLIC_EXAMPLES, ["ace", str(problem)]]!r}:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv
         loaded = sorted(m for m in ("numpy", "dtcausal.oracle") if m in sys.modules)

@@ -17,9 +17,6 @@ from dtcausal.decision import (
     identity_loss,
     load_problem,
     lognormal_effects,
-    plugin_estimate,
-    plugin_mean,
-    prior_predictive,
     problem_from_json,
     solve,
 )
@@ -61,6 +58,16 @@ class TestDecisionProblem:
         dist = FiniteDist.of({0: 1.0})
         with pytest.raises(DecisionError, match=r"^duplicate action 'a'$"):
             DecisionProblem(("a", "b", "a"), {"a": dist, "b": dist}, {})
+
+    def test_distribution_for_undeclared_action(self):
+        dist = FiniteDist.of({0: 1.0})
+        with pytest.raises(DecisionError, match=r"^distribution for undeclared action 'c'$"):
+            DecisionProblem(("a", "b"), {"a": dist, "b": dist, "c": dist}, {})
+
+    def test_loss_row_for_undeclared_action(self):
+        dist = FiniteDist.of({1: 1.0})
+        with pytest.raises(DecisionError, match=r"^loss row for y=1, a='c' names an undeclared action$"):
+            DecisionProblem(("a", "b"), {"a": dist, "b": dist}, {(1, "a"): 0.0, (1, "c"): 5.0})
 
 
 class TestSolve:
@@ -226,56 +233,6 @@ class TestArgminInvariance:
         # chosen action to still be within rounding of optimal
         best2 = min(sol2.expected_loss.values())
         assert sol2.expected_loss[sol1.optimal_action] == pytest.approx(best2, abs=1e-9)
-
-
-class TestPriorPredictive:
-    def test_point_mass_prior_returns_component(self):
-        like = {0.2: FiniteDist.of({1: 0.2, 0: 0.8}), 0.7: FiniteDist.of({1: 0.7, 0: 0.3})}
-        out = prior_predictive(like, {0.7: 1.0})
-        assert dict(out.probs)[1] == pytest.approx(0.7)
-
-    def test_even_mixture(self):
-        like = {0.2: FiniteDist.of({1: 0.2, 0: 0.8}), 0.6: FiniteDist.of({1: 0.6, 0: 0.4})}
-        out = prior_predictive(like, {0.2: 0.5, 0.6: 0.5})
-        assert dict(out.probs)[1] == pytest.approx(0.4)
-
-    def test_mean_is_linear_in_prior(self):
-        like = {p: FiniteDist.of({1: p, 0: 1 - p}) for p in (0.1, 0.5, 0.9)}
-        prior = {0.1: 0.2, 0.5: 0.3, 0.9: 0.5}
-        out = prior_predictive(like, prior)
-        assert out.mean() == pytest.approx(sum(w * p for p, w in prior.items()))
-
-    def test_nan_prior_weight(self):
-        like = {0.2: FiniteDist.of({1: 0.2, 0: 0.8}), 0.6: FiniteDist.of({1: 0.6, 0: 0.4})}
-        with pytest.raises(DecisionError, match="prior weights include a non-finite value nan"):
-            prior_predictive(like, {0.2: float("nan"), 0.6: 0.5})
-
-    def test_prior_must_normalise(self):
-        with pytest.raises(DecisionError):
-            prior_predictive({0.5: FiniteDist.of({1: 0.5, 0: 0.5})}, {0.5: 0.9})
-
-    def test_missing_component(self):
-        with pytest.raises(DecisionError):
-            prior_predictive({0.5: FiniteDist.of({1: 0.5, 0: 0.5})}, {0.4: 1.0})
-
-
-class TestPlugin:
-    def test_empirical_distribution(self):
-        est = plugin_estimate([1, 1, 0, 1])
-        assert dict(est.probs) == {0: 0.25, 1: 0.75}
-
-    def test_mean(self):
-        assert plugin_mean([1.0, 2.0, 6.0]) == pytest.approx(3.0)
-
-    def test_empty_sample(self):
-        with pytest.raises(DecisionError):
-            plugin_estimate([])
-        with pytest.raises(DecisionError):
-            plugin_mean([])
-
-    def test_plugin_mean_matches_distribution_mean(self):
-        samples = [0, 1, 1, 3, 5]
-        assert plugin_estimate(samples).mean() == pytest.approx(plugin_mean(samples))
 
 
 def assert_problem_built_from(problem: DecisionProblem, doc: dict) -> None:
