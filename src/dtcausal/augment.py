@@ -209,7 +209,9 @@ def identify_two_stage(obs: Dag, x0: str, x1: str, z: str, y: str) -> Certificat
     """Run the two-stage g-computation identification checks."""
     names = (x0, x1, z, y)
     for name in names:
-        obs.node(name)
+        node = obs.node(name)
+        if node.kind != STOCHASTIC or node.latent:
+            raise GraphError(f"node {name!r} is {'latent' if node.latent else 'a regime'}, not an observed variable")
     keyed(zip(names, names), lambda name: GraphError(f"node {name!r} is given twice"))
     checks = []
 

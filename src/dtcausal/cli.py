@@ -4,7 +4,7 @@ Exit codes: 0 = holds / derived / success; 1 = does-not-hold /
 not-identified / not-projectable; 2 = usage or parse error; 3 =
 not-derivable (the symbolic engine is sound but incomplete) or
 positivity violation; 4 = internal error (an unexpected exception,
-reported in one line).  Diagnostics go to standard error; `--json`
+reported in one line).  Error messages go to standard error; `--json`
 switches machine-readable output with stable key order.
 
 Each command imports its own engine when it runs, so the symbolic

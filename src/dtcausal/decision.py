@@ -2,9 +2,11 @@
 
 A decision problem pairs a finite action set with one hypothetical
 outcome distribution per action (finite table or lognormal parameters)
-and a loss table L(y, a).  Solving means computing each action's
-expected loss and the minimiser; ties break lexicographically on action
-name.  The lognormal suite gives the closed-form effect measures for a
+and a loss table L(y, a), keyed by (outcome, action).  Solving means
+computing each action's expected loss and the minimiser; ties break
+lexicographically on action name.  A lognormal action has no expected
+loss under a table, so solving a problem with one raises DecisionError.
+The lognormal suite gives the closed-form effect measures for a
 log-scale normal outcome shifted by treatment.
 """
 
@@ -92,8 +94,7 @@ class NormalPair:
 class DecisionProblem:
     actions: tuple[str, ...]
     hypothetical: dict[str, FiniteDist | LognormalDist]
-    # Loss:  either a table keyed by (outcome, action), or a callable.
-    loss: Mapping[tuple[object, str], float] | Callable[[object, str], float]
+    loss: Mapping[tuple[object, str], float]  # the loss table, keyed by (outcome, action)
 
     def __post_init__(self) -> None:
         if not self.actions:
@@ -106,27 +107,18 @@ class DecisionProblem:
             if a not in declared:
                 raise DecisionError(f"distribution for undeclared action {a!r}")
         # A loss row may name an outcome outside its action's support (umbrella.json has one).
-        for y, a in () if callable(self.loss) else self.loss:
+        for y, a in self.loss:
             if a not in declared:
                 raise DecisionError(f"loss row for y={y!r}, a={a!r} names an undeclared action")
 
     def loss_of(self, y: object, a: str) -> float:
-        if callable(self.loss):
-            value = self.loss(y, a)
-        else:
-            try:
-                value = self.loss[(y, a)]
-            except KeyError:
-                raise DecisionError(f"loss undefined for outcome {y!r}, action {a!r}") from None
-        value = float(value)
+        try:
+            value = float(self.loss[(y, a)])
+        except KeyError:
+            raise DecisionError(f"loss undefined for outcome {y!r}, action {a!r}") from None
         if not math.isfinite(value):
             raise DecisionError("loss must be finite")
         return value
-
-
-def identity_loss(y: object, a: str) -> object:
-    """L(y, a) = y: the loss under which an action's expected loss is its outcome's mean."""
-    return y
 
 
 @dataclass(frozen=True)
@@ -138,18 +130,15 @@ class Solution:
 def solve(problem: DecisionProblem) -> Solution:
     """Expected loss per action and the lexicographically-first minimiser.
 
-    A lognormal outcome's expected loss is its mean under `identity_loss`;
-    any other loss raises DecisionError, as general losses need finite tables.
+    A loss table prices finitely many outcomes, so a lognormal outcome has
+    no expected loss under one and raises DecisionError naming its action.
     """
     losses: dict[str, float] = {}
     for a in problem.actions:
         dist = problem.hypothetical[a]
-        if isinstance(dist, FiniteDist):
-            losses[a] = dist.expected(lambda y: problem.loss_of(y, a))
-        elif problem.loss is identity_loss:
-            losses[a] = dist.mean()
-        else:
-            raise DecisionError(f"lognormal outcome of action {a!r} has no expected loss except under identity_loss")
+        if not isinstance(dist, FiniteDist):
+            raise DecisionError(f"lognormal outcome of action {a!r} has no expected loss under a loss table")
+        losses[a] = dist.expected(lambda y: problem.loss_of(y, a))
     best = min(sorted(problem.actions), key=lambda a: losses[a])
     return Solution(losses, best)
 

@@ -13,10 +13,10 @@ Grammar of a `.cadt` document (``#`` starts a line comment)::
 ``regime F targets T`` declares the regime node F and the edge F -> T in
 one line.  The lexer and the statement grammar live in
 `dtcausal.statements`; this module adds the graph and plan grammar.
-Parsing never raises anything but `StatementError`, whose diagnostic
-carries a line, a column and the expected-token set, as it does for a
-statement.  The canonical printer sorts every section; canonical text
-equality is the graph-equality convention used by golden tests.
+Parsing never raises anything but `StatementError`, whose message gives
+a line, a column and any expected tokens, as it does for a statement.
+The canonical printer sorts every section; canonical text equality is
+the graph-equality convention used by golden tests.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, GraphError, Node
 from dtcausal.statements import EciStatement, Parser, StatementError, Token, format_statement
-
-DslError = StatementError  # the older name; `except DslError` still catches every parse fault
 
 
 @dataclass(frozen=True)

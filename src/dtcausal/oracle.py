@@ -62,6 +62,10 @@ class Cpt:
     table: dict[tuple, tuple[float, ...]]
 
     def __post_init__(self) -> None:
+        keyed(
+            zip(self.parents, self.parents),
+            lambda p: ModelError(f"parent {p!r} of the CPT for {self.child!r} is listed twice"),
+        )
         for key, probs in self.table.items():
             if len(key) != len(self.parents):
                 raise ModelError(f"CPT row for {self.child!r} has wrong parent arity")
@@ -179,6 +183,11 @@ class MultiRegimeModel:
     def __post_init__(self) -> None:
         if self.mode not in ("itt", "raw"):
             raise ModelError(f"unknown mode {self.mode!r}")
+        for name, values in self.states.items():
+            bad = next((s for s in values if isinstance(s, (list, dict))), None)
+            if bad is not None:
+                raise ModelError(f"state {bad!r} of variable {name!r} is not a JSON scalar")
+            keyed(zip(values, values), lambda s: ModelError(f"state {s!r} of variable {name!r} is listed twice"))
         if math.prod(len(s) for s in self.states.values()) > MAX_JOINT_STATES:
             raise ModelError("joint state space exceeds enumeration bound")
         if len(self.states) > MAX_VARIABLES:
@@ -710,7 +719,11 @@ def study_spec_from_json(doc: Mapping) -> StudySpec:
 def _response_row(row: Mapping) -> tuple[tuple[State, int], dict[float, float]]:
     if not isinstance(row["t"], int):  # int() would read 0.5 as 0, and fail on inf with an OverflowError
         raise ModelError(f"response row 't' must be 0 or 1, not {row['t']!r}")
-    return (row["x"], int(row["t"])), {float(y): float(p) for y, p in json_object(row["dist"], "'dist'").items()}
+    outcomes = _keyed(
+        ((float(y), float(p)) for y, p in json_object(row["dist"], "'dist'").items()),
+        lambda y: f"outcome {y} of the response row for x={row['x']!r}, t={row['t']}",
+    )
+    return (row["x"], int(row["t"])), outcomes
 
 
 # -- random model construction (flat simplex CPTs, explicit seeds) -------

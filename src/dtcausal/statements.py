@@ -15,9 +15,9 @@ pinned.  ``#`` starts a comment that runs to the end of the line.
 
 This module owns the lexer shared with `dtcausal.dsl`: `_tokenize` turns
 text into ``(kind, text, offset)`` tuples in one regex pass, and `Parser`
-walks them.  A fault found in text raises `StatementError` whose
-`diagnostic` holds the 1-based line and column, computed from the offset
-only when the error is raised.
+walks them.  A fault found in text raises `StatementError` whose message
+is ``line L, column C: message (expected ...)``, with the 1-based line and
+column computed from the offset only when the error is raised.
 """
 
 from __future__ import annotations
@@ -30,25 +30,9 @@ from dtcausal.graph import REGIME, Dag
 KEYWORDS = frozenset({"graph", "node", "regime", "targets", "edge", "latent", "deterministic", "dashed", "statement", "plan"})
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    line: int
-    column: int
-    message: str
-    expected: tuple[str, ...] = ()
-
-    @property
-    def detail(self) -> str:
-        return self.message + (" (expected " + ", ".join(self.expected) + ")" if self.expected else "")
-
-
 class StatementError(ValueError):
     """Raised for malformed independence statements; one found while parsing
-    text carries its position as `diagnostic`."""
-
-    def __init__(self, message: str, diagnostic: Diagnostic | None = None):
-        super().__init__(message)
-        self.diagnostic = diagnostic
+    text starts its message with the line and column."""
 
 
 @dataclass(frozen=True)
@@ -124,8 +108,9 @@ def _label(kind: str) -> str:
 
 
 def _error_at(source: str, offset: int, message: str, expected: tuple[str, ...] = ()) -> StatementError:
-    diag = Diagnostic(source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset), message, expected)
-    return StatementError(f"line {diag.line}, column {diag.column}: {diag.detail}", diag)
+    line, column = source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+    detail = f" (expected {', '.join(expected)})" if expected else ""
+    return StatementError(f"line {line}, column {column}: {message}{detail}")
 
 
 def _tokenize(source: str, start: int = 0, end: int | None = None) -> list[Token]:

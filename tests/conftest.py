@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,18 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 @pytest.fixture(scope="session")
 def corpus_dir() -> pathlib.Path:
     return CORPUS
+
+
+_PARSE_ERROR = re.compile(r"line (\d+), column (\d+): (.*?)(?: \(expected (.*)\))?", re.DOTALL)
+
+
+def parse_error(exc: BaseException) -> tuple[int, int, str, tuple[str, ...]]:
+    """The line, column, message and expected tokens that a parse error's
+    text spells out as ``line L, column C: message (expected A, B)``."""
+    m = _PARSE_ERROR.fullmatch(str(exc))
+    assert m, f"not a positioned parse error: {exc}"
+    line, column, message, expected = m.groups()
+    return int(line), int(column), message, tuple(expected.split(", ")) if expected else ()
 
 
 # -- reference graphs ------------------------------------------------------

@@ -504,6 +504,21 @@ class TestIdentify:
         assert err == f"error: node {twice!r} is given twice\n"
 
 
+    @pytest.mark.parametrize(
+        "graph, x0, x1, z, message",
+        [
+            ("two_stage_obs.cadt", "X0", "X1", "H", "node 'H' is latent, not an observed variable"),
+            ("itt_ignorable.cadt", "F_T", "T", "T*", "node 'F_T' is a regime, not an observed variable"),
+        ],
+        ids=["latent", "regime"],
+    )
+    def test_latent_or_regime_name_is_usage_error(self, capsys, graph, x0, x1, z, message):
+        code, out, err = run(
+            capsys, "identify", str(CORPUS / graph), "--y", "Y", "--x0", x0, "--x1", x1, "--z", z,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestGFormula:
     def test_value(self, capsys):
         code, doc, _ = run_json(
@@ -804,8 +819,53 @@ class TestRepeatedJsonKey:
             ValueError,
             "JSON object repeats the key 'actions'",
         ),
+        (
+            "itt_example.json",
+            lambda doc: json.dumps(replaced(doc, ("cpts", 1, "parents"), ["T", "T"])),
+            ("ace", "--y", "Y", "--action", "T"),
+            "T",
+            oracle.ModelError,
+            "parent 'T' of the CPT for 'Y' is listed twice",
+        ),
+        *(
+            (
+                "itt_example.json",
+                lambda doc, states=states: json.dumps(replaced(doc, ("variables", 2, "states"), states)),
+                ("ace", "--y", "Y", "--action", "T"),
+                states[1],
+                oracle.ModelError,
+                f"state {states[1]!r} of variable 'Y' is listed twice",
+            )
+            for states in ([0, 0], [0, False], [1, 1.0])
+        ),
+        (
+            "raw_inconsistent.json",
+            lambda doc: json.dumps(replaced(doc, ("variables", 2, "states"), [0, 0])),
+            ("verify", "--check", "consistency", "--y", "Y", "--action", "T"),
+            0,
+            oracle.ModelError,
+            "state 0 of variable 'Y' is listed twice",
+        ),
+        (
+            "study_confounded.json",
+            lambda doc: json.dumps(replaced(doc, ("response", 0, "dist"), {"0": 0.4, "1": 0.3, "1.0": 0.3})),
+            ("simulate", "--n", "50", "--seed", "7"),
+            1.0,
+            oracle.ModelError,
+            "outcome 1.0 of the response row for x='morning', t=0 is listed twice",
+        ),
     ],
-    ids=["raw-table", "loss-row", "json-key"],
+    ids=[
+        "raw-table",
+        "loss-row",
+        "json-key",
+        "cpt-parent",
+        "states-0-0",
+        "states-0-false",
+        "states-1-1.0",
+        "raw-states",
+        "response-outcome",
+    ],
 )
 def test_repeated_entries_raise_through_keyed(capsys, monkeypatch, tmp_path, name, edit, argv, key, error, message):
     # Each repeated-entry check is a `keyed` call: a spy on every module's name
@@ -919,6 +979,12 @@ class TestJsonShape:
             ("umbrella.json", (), {**TWO_ACTIONS, "actions": "ab"}, "'actions' must be a JSON array, not \"ab\""),
             ("itt_example.json", ("variables", 2, "states"), "01", "'states' must be a JSON array, not \"01\""),
             ("itt_example.json", (), string_parent_states_doc(), "'parents' must be a JSON array, not \"01\""),
+            (
+                "itt_example.json",
+                ("variables", 2, "states", 0),
+                [0, 1],
+                "state [0, 1] of variable 'Y' is not a JSON scalar",
+            ),
         ],
         ids=[
             "verify-array",
@@ -930,6 +996,7 @@ class TestJsonShape:
             "decision-actions-string",
             "model-states-string",
             "cpt-row-parents-string",
+            "model-state-array",
         ],
     )
     def test_value_that_is_not_an_object_is_named(self, capsys, tmp_path, model, path, value, message):

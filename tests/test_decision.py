@@ -14,7 +14,6 @@ from dtcausal.decision import (
     LognormalEffects,
     NormalPair,
     ace,
-    identity_loss,
     load_problem,
     lognormal_effects,
     problem_from_json,
@@ -84,28 +83,10 @@ class TestSolve:
 
     def test_callable_loss(self):
         dist = FiniteDist.of({0: 0.5, 2: 0.5})
-        prob = DecisionProblem(("a", "b"), {"a": dist, "b": dist}, lambda y, a: y * (2 if a == "b" else 1))
-        sol = solve(prob)
+        loss = {(y, a): y * (2 if a == "b" else 1) for y in (0, 2) for a in ("a", "b")}
+        sol = solve(DecisionProblem(("a", "b"), {"a": dist, "b": dist}, loss))
         assert sol.expected_loss == {"a": 1.0, "b": 2.0}
         assert sol.optimal_action == "a"
-
-    def test_lognormal_identity_loss(self):
-        prob = DecisionProblem(
-            ("hi", "lo"),
-            {"hi": LognormalDist(1.0, 0.5), "lo": LognormalDist(0.0, 0.5)},
-            identity_loss,
-        )
-        sol = solve(prob)
-        assert sol.expected_loss["hi"] == pytest.approx(math.exp(1.25))
-        assert sol.optimal_action == "lo"
-
-    @pytest.mark.parametrize(
-        "loss", [lambda y, a: 5.0, lambda y, a: 2 * y, lambda y, a: y], ids=["constant", "scaled", "identity-lambda"]
-    )
-    def test_lognormal_with_other_callable_is_refused(self, loss):
-        prob = DecisionProblem(("a",), {"a": LognormalDist(0.0, 1.0)}, loss)
-        with pytest.raises(DecisionError, match="lognormal outcome of action 'a' has no expected loss"):
-            solve(prob)
 
     def test_lognormal_with_loss_table_is_refused(self):
         lognormal = {"type": "lognormal", "sigma2": 1}

@@ -3,10 +3,11 @@ import string
 
 import pytest
 
-from dtcausal.dsl import DslError, canonical_graph_text, load_doc, parse, print_doc
+from dtcausal.dsl import canonical_graph_text, load_doc, parse, print_doc
 from dtcausal.graph import Dag, Edge, Node, REGIME
+from dtcausal.statements import StatementError
 
-from conftest import CORPUS
+from conftest import CORPUS, parse_error
 
 CADT_FILES = sorted(CORPUS.glob("*.cadt"))
 
@@ -71,12 +72,12 @@ class TestParse:
 
 class TestDiagnostics:
     def expect(self, source, fragment, line=None):
-        with pytest.raises(DslError) as exc:
+        with pytest.raises(StatementError) as exc:
             parse(source)
-        diag = exc.value.diagnostic
-        assert fragment in diag.message, diag
+        err_line, _, message, _ = parse_error(exc.value)
+        assert fragment in message, exc.value
         if line is not None:
-            assert diag.line == line, diag
+            assert err_line == line, exc.value
 
     def test_missing_graph_keyword(self):
         self.expect("node A;", "unexpected", line=1)
@@ -92,18 +93,17 @@ class TestDiagnostics:
 
     def test_cycle_diagnostic_points_at_graph_keyword(self):
         source = "# header\n\n  graph cyc {\n  node A; node B; node C;\n  edge A -> B; edge B -> C; edge C -> A;\n}\n"
-        with pytest.raises(DslError) as exc:
+        with pytest.raises(StatementError) as exc:
             parse(source)
-        diag = exc.value.diagnostic
-        assert (diag.line, diag.column, diag.message) == (3, 3, "graph contains a directed cycle")
+        assert parse_error(exc.value) == (3, 3, "graph contains a directed cycle", ())
 
     def test_graph_errors_joined_in_one_diagnostic(self):
         source = "graph g {\n  node A;\n  regime F targets A;\n  edge A -> F;\n}\n"
-        with pytest.raises(DslError) as exc:
+        with pytest.raises(StatementError) as exc:
             parse(source)
-        diag = exc.value.diagnostic
-        assert (diag.line, diag.column) == (1, 1)
-        assert diag.message == "regime node 'F' has parent 'A'; graph contains a directed cycle"
+        line, column, message, _ = parse_error(exc.value)
+        assert (line, column) == (1, 1)
+        assert message == "regime node 'F' has parent 'A'; graph contains a directed cycle"
 
     def test_duplicate_node(self):
         self.expect("graph g {\n  node A;\n  node A;\n}\n", "duplicate node 'A'", line=3)
@@ -129,16 +129,18 @@ class TestDiagnostics:
         self.expect("graph g { node A;", "end of input")
 
     def test_expected_tokens_listed(self):
-        with pytest.raises(DslError) as exc:
+        with pytest.raises(StatementError) as exc:
             parse("graph g { frob A; }")
-        assert exc.value.diagnostic.expected
-        assert "'node'" in exc.value.diagnostic.expected
+        assert str(exc.value) == "line 1, column 11: unexpected 'frob' (expected 'node', 'regime', 'edge', '}')"
+        expected = parse_error(exc.value)[3]
+        assert expected
+        assert "'node'" in expected
 
     def test_column_positions(self):
-        with pytest.raises(DslError) as exc:
+        with pytest.raises(StatementError) as exc:
             parse("graph g { node A; edge A -> B; }")
-        diag = exc.value.diagnostic
-        assert diag.line == 1 and diag.column == 24
+        line, column, _, _ = parse_error(exc.value)
+        assert line == 1 and column == 24
 
 
 class TestCanonicalPrinter:
@@ -185,8 +187,9 @@ def test_fuzz_never_crashes():
             source = " ".join(rng.choice(pieces) for _ in range(rng.randrange(0, 40)))
         try:
             parse(source)
-        except DslError as err:
-            assert err.diagnostic.line >= 1 and err.diagnostic.column >= 1
+        except StatementError as err:
+            line, column, _, _ = parse_error(err)
+            assert line >= 1 and column >= 1
 
 
 def test_load_doc(tmp_path):
