@@ -4,45 +4,14 @@ Symbolic reasoning over augmented DAGs (stochastic nodes plus
 non-stochastic regime indicators), extended conditional independence,
 mechanical intention-to-treat node splitting, and a brute-force numeric
 oracle over finite discrete multi-regime models.
+
+The package namespace holds only the input helpers every module shares
+(`keyed`, `load_json`, `json_object`, `json_array`), so importing it loads
+no submodule; every other name is imported from the module that defines
+it, as in ``from dtcausal.graph import Dag``.
 """
 
 import json
-
-from dtcausal.graph import (
-    IDLE,
-    REGIME,
-    STOCHASTIC,
-    Dag,
-    Edge,
-    GraphError,
-    Node,
-    moral_graph,
-    restrict_to_regime,
-    surgery,
-    topological_order,
-    validate,
-)
-from dtcausal.statements import EciStatement, StatementError, format_statement, parse_statement
-
-__all__ = [
-    "IDLE",
-    "REGIME",
-    "STOCHASTIC",
-    "Dag",
-    "Edge",
-    "EciStatement",
-    "GraphError",
-    "Node",
-    "StatementError",
-    "format_statement",
-    "load_json",
-    "moral_graph",
-    "parse_statement",
-    "restrict_to_regime",
-    "surgery",
-    "topological_order",
-    "validate",
-]
 
 
 def keyed(pairs, repeated) -> dict:

@@ -38,10 +38,6 @@ class FiniteDist:
         if not abs(sum(weights.values()) - 1.0) <= 1e-9:
             raise DecisionError("probabilities do not sum to 1")
 
-    @staticmethod
-    def of(table: Mapping[object, float]) -> "FiniteDist":
-        return FiniteDist(tuple(sorted(table.items(), key=lambda kv: repr(kv[0]))))
-
     def mean(self) -> float:
         try:
             return sum(float(y) * p for y, p in self.probs)

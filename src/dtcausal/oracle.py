@@ -118,9 +118,6 @@ class JointTable:
                 raise ModelError(f"{val!r} is not a state of {var!r}") from None
         return tuple(idx)
 
-    def prob_of(self, event: Mapping[str, State]) -> float:
-        return float(self.probs[self._index(event)].sum())
-
     def conditional(self, target: Sequence[str], event: Mapping[str, State]) -> np.ndarray | None:
         """Flat distribution over the joint states of `target` given `event`;
         None when the event's probability is at most ZERO_TOL, decided
@@ -711,26 +708,37 @@ def study_spec_from_json(doc: Mapping) -> StudySpec:
     try:
         rows = json_array(doc["response"], "'response'")
         response = _keyed(map(_response_row, rows), lambda key: f"response row for x={key[0]!r}, t={key[1]}")
-        return StudySpec(covariate_dist=dict(doc["covariate"]), assignment=dict(doc["assignment"]), response=response)
+        return StudySpec(
+            covariate_dist=json_object(doc["covariate"], "'covariate'"),
+            assignment=json_object(doc["assignment"], "'assignment'"),
+            response=response,
+        )
     except KeyError as exc:
         raise ModelError(f"study spec document is missing required key {exc.args[0]!r}") from None
 
 
-def _response_row(row: Mapping) -> tuple[tuple[State, int], dict[float, float]]:
+def _response_row(row) -> tuple[tuple[State, int], dict[float, float]]:
+    row = json_object(row, "a 'response' row")
     if not isinstance(row["t"], int):  # int() would read 0.5 as 0, and fail on inf with an OverflowError
         raise ModelError(f"response row 't' must be 0 or 1, not {row['t']!r}")
+    where = f"the response row for x={row['x']!r}, t={row['t']}"
     outcomes = _keyed(
-        ((float(y), float(p)) for y, p in json_object(row["dist"], "'dist'").items()),
-        lambda y: f"outcome {y} of the response row for x={row['x']!r}, t={row['t']}",
+        (
+            (_finite(y, f"outcome {y!r} of {where}"), _finite(p, f"probability {p!r} for outcome {y!r} of {where}"))
+            for y, p in json_object(row["dist"], "'dist'").items()
+        ),
+        lambda y: f"outcome {y} of {where}",
     )
     return (row["x"], int(row["t"])), outcomes
 
 
-# -- random model construction (flat simplex CPTs, explicit seeds) -------
+def _finite(value, what: str) -> float:
+    """`value` as a finite float, else ModelError naming it as `what`."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ModelError(f"{what} is not a finite number")
+    return number
 
-
-def random_cpt(rng: np.random.Generator, child: str, parents: tuple[str, ...], states: Mapping[str, tuple]) -> Cpt:
-    rows = {}
-    for combo in itertools.product(*(states[p] for p in parents)):
-        rows[combo] = tuple(rng.dirichlet(np.ones(len(states[child]))))
-    return Cpt(child, parents, rows)

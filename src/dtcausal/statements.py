@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from dtcausal import keyed
 from dtcausal.graph import REGIME, Dag
 
 KEYWORDS = frozenset({"graph", "node", "regime", "targets", "edge", "latent", "deterministic", "dashed", "statement", "plan"})
@@ -56,15 +57,13 @@ class EciStatement:
             if overlap:
                 raise StatementError(f"left side overlaps other sets: {sorted(overlap)}")
             return
-        pinned_names = [name for name, _ in self.pinned]
-        if len(set(pinned_names)) != len(pinned_names):
-            raise StatementError("regime pinned twice")
+        pinned_names = frozenset(keyed(self.pinned, lambda _: StatementError("regime pinned twice")))
         # The left side must not overlap the other sets; right/given overlap
         # is permitted (it yields redundancy instances such as X _||_ Y | Y).
-        overlap = self.left & (self.right | self.given | frozenset(pinned_names))
+        overlap = self.left & (self.right | self.given | pinned_names)
         if overlap:
             raise StatementError(f"left side overlaps other sets: {sorted(overlap)}")
-        if frozenset(pinned_names) & self.given:
+        if pinned_names & self.given:
             raise StatementError("variable both pinned and plainly conditioned")
         object.__setattr__(self, "pinned", tuple(sorted(self.pinned)))
 

@@ -9,8 +9,9 @@ import re
 import numpy as np
 import pytest
 
+from dtcausal.decision import FiniteDist
 from dtcausal.graph import IDLE, REGIME, STOCHASTIC, Dag, Edge, Node
-from dtcausal.oracle import Cpt, JointTable, MultiRegimeModel, random_cpt, total_variation
+from dtcausal.oracle import Cpt, JointTable, MultiRegimeModel, total_variation
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -103,7 +104,14 @@ def random_dag(rng: np.random.Generator, max_nodes: int = 10, regime_prob: float
     return Dag.of(nodes, edges)
 
 
-# -- random models ---------------------------------------------------------
+# -- random models (flat simplex CPTs, explicit seeds) ---------------------
+
+
+def random_cpt(rng: np.random.Generator, child: str, parents: tuple[str, ...], states: dict[str, tuple]) -> Cpt:
+    rows = {}
+    for combo in itertools.product(*(states[p] for p in parents)):
+        rows[combo] = tuple(rng.dirichlet(np.ones(len(states[child]))))
+    return Cpt(child, parents, rows)
 
 
 def random_itt_nonignorable_model(seed: int) -> MultiRegimeModel:
@@ -186,6 +194,19 @@ def random_model_from_dag(dag: Dag, seed: int, n_states: int = 2) -> MultiRegime
     return MultiRegimeModel("itt", states, cpts=cpts)
 
 
+# -- tables and distributions ----------------------------------------------
+
+
+def prob_of(table: JointTable, event: dict) -> float:
+    """The probability of `event`, a partial assignment of states, in `table`."""
+    return float(table.probs[table._index(event)].sum())
+
+
+def finite_dist(table: dict) -> FiniteDist:
+    """The FiniteDist of an outcome -> probability table, outcomes sorted by repr."""
+    return FiniteDist(tuple(sorted(table.items(), key=lambda kv: repr(kv[0]))))
+
+
 def ci_holds_in_table(
     table: JointTable, left: set[str], right: set[str], given: set[str], tol: float = 1e-9
 ) -> bool:
@@ -198,7 +219,7 @@ def ci_holds_in_table(
         reference = None
         for r_combo in itertools.product(*(var_states[v] for v in sorted(right))):
             event = {**base, **dict(zip(sorted(right), r_combo))}
-            if event and table.prob_of(event) <= 1e-12:
+            if event and prob_of(table, event) <= 1e-12:
                 continue
             dist = table.conditional(left_s, event)
             if dist is None:

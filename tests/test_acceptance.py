@@ -26,7 +26,6 @@ from dtcausal.augment import (
 )
 from dtcausal.decision import (
     DecisionProblem,
-    FiniteDist,
     NormalPair,
     ace,
     lognormal_effects,
@@ -45,7 +44,6 @@ from dtcausal.oracle import (
     eci_holds,
     gformula_eval,
     interventional_query,
-    random_cpt,
     simulate_study,
 )
 from dtcausal.statements import EciStatement, parse_statement as ps
@@ -53,6 +51,9 @@ from dtcausal.statements import EciStatement, parse_statement as ps
 from conftest import (
     CORPUS,
     ci_holds_in_table,
+    finite_dist,
+    prob_of,
+    random_cpt,
     random_dag,
     random_itt_ignorable_model,
     random_itt_nonignorable_model,
@@ -203,7 +204,7 @@ class TestSufficientCovariateInvariants:
         for t in BIN:
             direct = interventional_query(model, "Y", {"F_T": t})[1]
             adjusted = sum(
-                obs.prob_of({"X": x}) * obs.conditional(["Y"], {"X": x, "T": t})[1]
+                prob_of(obs, {"X": x}) * obs.conditional(["Y"], {"X": x, "T": t})[1]
                 for x in BIN
             )
             assert abs(direct - adjusted) <= 1e-9
@@ -313,7 +314,7 @@ class TestDerivationEngine:
 class TestDecisionSuite:
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5, 0.9, 1.0])
     def test_umbrella_losses(self, p):
-        dist = FiniteDist.of({"wet": p, "dry": 1.0 - p})
+        dist = finite_dist({"wet": p, "dry": 1.0 - p})
         loss = {("wet", "leave"): 1.0, ("dry", "leave"): 0.0, ("wet", "take"): 0.0, ("dry", "take"): 0.0}
         sol = solve(DecisionProblem(("take", "leave"), {"take": dist, "leave": dist}, loss))
         assert sol.expected_loss["leave"] == pytest.approx(p)
@@ -351,7 +352,7 @@ class TestDecisionSuite:
         actions = ("a", "b", "c")
         for trial in range(200):
             dists = {
-                a: FiniteDist.of(dict(zip(outcomes, rng.dirichlet(np.ones(4)).tolist())))
+                a: finite_dist(dict(zip(outcomes, rng.dirichlet(np.ones(4)).tolist())))
                 for a in actions
             }
             assert ace(dists["a"], dists["b"]) == pytest.approx(-ace(dists["b"], dists["a"]), abs=1e-12)

@@ -975,6 +975,33 @@ class TestJsonShape:
                 "'assignment' must be a JSON object, not null",
             ),
             ("study_confounded.json", ("response", 0, "dist"), [0.5], "'dist' must be a JSON object, not [0.5]"),
+            ("study_confounded.json", ("covariate",), ["morning"], "'covariate' must be a JSON object, not [\"morning\"]"),
+            ("study_confounded.json", ("assignment",), 0.5, "'assignment' must be a JSON object, not 0.5"),
+            ("study_confounded.json", ("response", 0), "row", "a 'response' row must be a JSON object, not \"row\""),
+            (
+                "study_confounded.json",
+                ("response", 0, "dist"),
+                {"nan": 0.5, "0": 0.5},
+                "outcome 'nan' of the response row for x='morning', t=0 is not a finite number",
+            ),
+            (
+                "study_confounded.json",
+                ("response", 0, "dist"),
+                {"inf": 0.5, "0": 0.5},
+                "outcome 'inf' of the response row for x='morning', t=0 is not a finite number",
+            ),
+            (
+                "study_confounded.json",
+                ("response", 0, "dist"),
+                {"a": 0.5, "0": 0.5},
+                "outcome 'a' of the response row for x='morning', t=0 is not a finite number",
+            ),
+            (
+                "study_confounded.json",
+                ("response", 0, "dist"),
+                {"1": "x", "0": 0.5},
+                "probability 'x' for outcome '1' of the response row for x='morning', t=0 is not a finite number",
+            ),
             ("umbrella.json", ("distributions",), "rain", "'distributions' must be a JSON object, not \"rain\""),
             ("umbrella.json", (), {**TWO_ACTIONS, "actions": "ab"}, "'actions' must be a JSON array, not \"ab\""),
             ("itt_example.json", ("variables", 2, "states"), "01", "'states' must be a JSON array, not \"01\""),
@@ -992,6 +1019,13 @@ class TestJsonShape:
             "ace-array",
             "raw-assignment",
             "study-dist",
+            "study-covariate",
+            "study-assignment",
+            "study-response-row",
+            "study-outcome-nan",
+            "study-outcome-inf",
+            "study-outcome-text",
+            "study-probability-text",
             "decision-distributions",
             "decision-actions-string",
             "model-states-string",
@@ -1131,6 +1165,17 @@ def test_symbolic_commands_do_not_load_numpy(tmp_path):
         [sys.executable, "-c", script], cwd=CORPUS.parent, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_loads_no_submodule():
+    """`import dtcausal` holds only the shared input helpers, so it loads no
+    `dtcausal.*` module; each command imports the modules it runs."""
+    script = "import dtcausal, sys; print(sorted(m for m in sys.modules if m.startswith('dtcausal')))"
+    src = str(pathlib.Path(dtcausal.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['dtcausal']\n"
 
 
 def test_readme_examples_print_one_json_document_each(capsys, monkeypatch):

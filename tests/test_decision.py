@@ -20,9 +20,11 @@ from dtcausal.decision import (
     solve,
 )
 
+from conftest import finite_dist
+
 
 def umbrella_problem(p_rain: float) -> DecisionProblem:
-    dist = FiniteDist.of({"wet": p_rain, "dry": 1.0 - p_rain})
+    dist = finite_dist({"wet": p_rain, "dry": 1.0 - p_rain})
     loss = {("wet", "leave"): 1.0, ("dry", "leave"): 0.0, ("wet", "take"): 0.0, ("dry", "take"): 0.0}
     return DecisionProblem(("take", "leave"), {"take": dist, "leave": dist}, loss)
 
@@ -30,13 +32,13 @@ def umbrella_problem(p_rain: float) -> DecisionProblem:
 class TestFiniteDist:
     def test_probabilities_validated(self):
         with pytest.raises(DecisionError):
-            FiniteDist.of({"a": 0.7, "b": 0.7})
+            finite_dist({"a": 0.7, "b": 0.7})
         with pytest.raises(DecisionError):
-            FiniteDist.of({"a": -0.1, "b": 1.1})
+            finite_dist({"a": -0.1, "b": 1.1})
 
     def test_nan_probability(self):
         with pytest.raises(DecisionError, match="non-finite value nan"):
-            FiniteDist.of({0: float("nan"), 1: 0.5})
+            finite_dist({0: float("nan"), 1: 0.5})
 
     def test_duplicate_outcome(self):
         with pytest.raises(DecisionError, match=r"^duplicate outcome 'a'$"):
@@ -46,25 +48,25 @@ class TestFiniteDist:
 
     def test_mean_requires_numeric_outcomes(self):
         with pytest.raises(DecisionError, match="numeric"):
-            FiniteDist.of({"wet": 0.3, "dry": 0.7}).mean()
+            finite_dist({"wet": 0.3, "dry": 0.7}).mean()
 
     def test_numeric_mean(self):
-        assert FiniteDist.of({0: 0.25, 4: 0.75}).mean() == pytest.approx(3.0)
+        assert finite_dist({0: 0.25, 4: 0.75}).mean() == pytest.approx(3.0)
 
 
 class TestDecisionProblem:
     def test_duplicate_action(self):
-        dist = FiniteDist.of({0: 1.0})
+        dist = finite_dist({0: 1.0})
         with pytest.raises(DecisionError, match=r"^duplicate action 'a'$"):
             DecisionProblem(("a", "b", "a"), {"a": dist, "b": dist}, {})
 
     def test_distribution_for_undeclared_action(self):
-        dist = FiniteDist.of({0: 1.0})
+        dist = finite_dist({0: 1.0})
         with pytest.raises(DecisionError, match=r"^distribution for undeclared action 'c'$"):
             DecisionProblem(("a", "b"), {"a": dist, "b": dist, "c": dist}, {})
 
     def test_loss_row_for_undeclared_action(self):
-        dist = FiniteDist.of({1: 1.0})
+        dist = finite_dist({1: 1.0})
         with pytest.raises(DecisionError, match=r"^loss row for y=1, a='c' names an undeclared action$"):
             DecisionProblem(("a", "b"), {"a": dist, "b": dist}, {(1, "a"): 0.0, (1, "c"): 5.0})
 
@@ -82,7 +84,7 @@ class TestSolve:
         assert sol.optimal_action == "leave"
 
     def test_callable_loss(self):
-        dist = FiniteDist.of({0: 0.5, 2: 0.5})
+        dist = finite_dist({0: 0.5, 2: 0.5})
         loss = {(y, a): y * (2 if a == "b" else 1) for y in (0, 2) for a in ("a", "b")}
         sol = solve(DecisionProblem(("a", "b"), {"a": dist, "b": dist}, loss))
         assert sol.expected_loss == {"a": 1.0, "b": 2.0}
@@ -105,13 +107,13 @@ class TestSolve:
             DecisionProblem(("a",), {}, {})
 
     def test_undefined_loss_entry(self):
-        dist = FiniteDist.of({"x": 1.0})
+        dist = finite_dist({"x": 1.0})
         prob = DecisionProblem(("a",), {"a": dist}, {})
         with pytest.raises(DecisionError, match="undefined"):
             solve(prob)
 
     def test_nonfinite_loss(self):
-        dist = FiniteDist.of({"x": 1.0})
+        dist = finite_dist({"x": 1.0})
         prob = DecisionProblem(("a",), {"a": dist}, {("x", "a"): float("inf")})
         with pytest.raises(DecisionError, match="finite"):
             solve(prob)
@@ -119,8 +121,8 @@ class TestSolve:
 
 class TestAce:
     def test_table_difference(self):
-        p1 = FiniteDist.of({0: 0.1, 1: 0.9})
-        p0 = FiniteDist.of({0: 0.6, 1: 0.4})
+        p1 = finite_dist({0: 0.1, 1: 0.9})
+        p0 = finite_dist({0: 0.6, 1: 0.4})
         assert ace(p1, p0) == pytest.approx(0.5)
 
     def test_lognormal_difference(self):
@@ -134,8 +136,8 @@ class TestAce:
     )
     @settings(max_examples=50, deadline=None)
     def test_antisymmetry(self, m1, m0, p, q):
-        p1 = FiniteDist.of({m1: p, m1 + 1: 1 - p})
-        p0 = FiniteDist.of({m0: q, m0 + 2: 1 - q})
+        p1 = finite_dist({m1: p, m1 + 1: 1 - p})
+        p0 = finite_dist({m0: q, m0 + 2: 1 - q})
         assert ace(p1, p0) == pytest.approx(-ace(p0, p1), abs=1e-12)
 
 
@@ -203,7 +205,7 @@ class TestArgminInvariance:
         outcomes = [0, 1, 2]
         actions = ("a", "b", "c")
         dists = {
-            a: FiniteDist.of(dict(zip(outcomes, rng.dirichlet(np.ones(3)).tolist())))
+            a: finite_dist(dict(zip(outcomes, rng.dirichlet(np.ones(3)).tolist())))
             for a in actions
         }
         base = {(y, a): float(rng.normal()) for y in outcomes for a in actions}

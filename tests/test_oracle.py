@@ -27,7 +27,6 @@ from dtcausal.oracle import (
     interventional_query,
     load_model,
     model_from_json,
-    random_cpt,
     simulate_study,
     study_spec_from_json,
     _coerce_state,
@@ -40,6 +39,8 @@ from conftest import (
     CORPUS,
     itt_ignorable_dag,
     itt_nonignorable_dag,
+    prob_of,
+    random_cpt,
     random_itt_ignorable_model,
     random_itt_nonignorable_model,
     random_suffcov_model,
@@ -83,14 +84,14 @@ class TestJoint:
     def test_forced_regime_gives_point_mass(self):
         m = kernel_model(lambda t, ts: 0.2 + 0.5 * t, ignorable=True)
         j = m.joint({"F_T": 1})
-        assert j.prob_of({"T": 1}) == pytest.approx(1.0)
+        assert prob_of(j, {"T": 1}) == pytest.approx(1.0)
 
     def test_idle_treatment_follows_itt(self):
         m = kernel_model(lambda t, ts: 0.5, p_star=0.6)
         j = m.joint({"F_T": IDLE})
-        assert j.prob_of({"T": 1}) == pytest.approx(0.6)
+        assert prob_of(j, {"T": 1}) == pytest.approx(0.6)
         # applied treatment equals the ITT value under idle
-        assert j.prob_of({"T": 1, "T*": 0}) == pytest.approx(0.0)
+        assert prob_of(j, {"T": 1, "T*": 0}) == pytest.approx(0.0)
 
     def test_normalised_in_every_regime(self):
         m = random_itt_nonignorable_model(3)
@@ -437,7 +438,7 @@ def loop_eci_holds(model, stmt, tol=DEFAULT_TOL):
                 table = model.joint(regime)
                 for b_combo in itertools.product(*(model.states[v] for v in stoch_right)):
                     event = {**given_event, **dict(zip(stoch_right, b_combo))}
-                    if event and table.prob_of(event) <= ZERO_TOL:
+                    if event and prob_of(table, event) <= ZERO_TOL:
                         continue
                     dist = table.conditional(left, event)
                     if dist is None:
