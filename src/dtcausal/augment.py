@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from dtcausal import keyed
 from dtcausal.dsep import d_separated, separated, separations_agree
@@ -24,8 +24,7 @@ class ProjectionError(GraphError):
     """Raised when latent elimination cannot stay within the DAG class."""
 
 
-@dataclass(frozen=True)
-class InterventionPlan:
+class InterventionPlan(NamedTuple):
     """Ordered intervention targets; order must respect the DAG's topology."""
 
     targets: tuple[str, ...]
@@ -63,7 +62,7 @@ def build_itt_dag(obs: Dag, plan: InterventionPlan) -> Dag:
             raise GraphError(f"name {star!r} already in use")
         old = obs.node(target)
         nodes.discard(old)
-        nodes |= {replace(old, deterministic=True), Node(star, STOCHASTIC, latent=True)}
+        nodes |= {old._replace(deterministic=True), Node(star, STOCHASTIC, latent=True)}
         for e in obs.edges:
             if e.dst == target:
                 edges.discard(e)
@@ -98,7 +97,7 @@ def eliminate_nodes(dag: Dag, drop: frozenset[str] | set[str]) -> Dag:
     # Dropped ITT parents leave the deterministic/dashed annotations moot.
     kept_dashed = {(e.src, e.dst) for e in dag.edges if e.dashed and e.src not in drop and e.dst not in drop}
     heads = {dst for _, dst in kept_dashed}
-    nodes = {replace(n, deterministic=n.deterministic and n.name in heads) for n in dag.nodes if n.name not in drop}
+    nodes = {n._replace(deterministic=n.deterministic and n.name in heads) for n in dag.nodes if n.name not in drop}
     out = Dag.of(nodes, {Edge(u, v, dashed=(u, v) in kept_dashed) for u, v in edges})
     if not separations_agree(dag, out, retained):
         raise ProjectionError("not DAG-projectable")
@@ -152,8 +151,7 @@ def rule_applicability(
     return d_separated(obs, EciStatement(y, x, z | w))
 
 
-@dataclass(frozen=True)
-class RuleCheck:
+class RuleCheck(NamedTuple):
     name: str
     rule: str
     remove_incoming: tuple[str, ...]
@@ -162,8 +160,7 @@ class RuleCheck:
     holds: bool
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Identification certificate for p(y | do(x0, x1)) = sum_z p(y|x1,z) p(z|x0)."""
 
     identified: bool

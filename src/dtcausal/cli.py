@@ -15,7 +15,6 @@ answer; `main` alone prints it and picks the exit code.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -220,7 +219,7 @@ def _cmd_ace(args) -> Answer:
 def _cmd_lognormal(args) -> Answer:
     from dtcausal import decision
 
-    payload = dataclasses.asdict(decision.lognormal_effects(decision.NormalPair(args.mu1, args.mu0, args.sigma2)))
+    payload = decision.lognormal_effects(decision.NormalPair(args.mu1, args.mu0, args.sigma2))._asdict()
     text = "\n".join(f"{k} = {v:.12g}" for k, v in payload.items())
     return EXIT_OK, payload, text
 
@@ -240,7 +239,7 @@ def _cmd_simulate(args) -> Answer:
             lines.append(f"{label}: mean = {mean:.6g}" + (f", se = {se:.6g}" if se is not None else ""))
     for t, m in sorted(result.interventional_means.items()):
         lines.append(f"interventional mean (t={t}) = {m:.6g}")
-    return EXIT_OK, dataclasses.asdict(result), "\n".join(lines)
+    return EXIT_OK, vars(result), "\n".join(lines)
 
 
 def _cmd_render(args) -> Answer:

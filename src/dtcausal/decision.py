@@ -13,8 +13,8 @@ log-scale normal outcome shifted by treatment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from collections import namedtuple
+from typing import Callable, Mapping, NamedTuple
 
 from dtcausal import json_array, json_object, keyed, load_json
 
@@ -23,20 +23,20 @@ class DecisionError(ValueError):
     """Raised for malformed decision problems or queries."""
 
 
-@dataclass(frozen=True)
-class FiniteDist:
+class FiniteDist(namedtuple("FiniteDist", "probs")):
     """Finite outcome distribution; outcomes are JSON scalars."""
 
-    probs: tuple[tuple[object, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        weights = keyed(((repr(y), p) for y, p in self.probs), lambda y: DecisionError(f"duplicate outcome {y}"))
+    def __new__(cls, probs: tuple[tuple[object, float], ...]) -> "FiniteDist":  # (outcome, probability) pairs
+        weights = keyed(((repr(y), p) for y, p in probs), lambda y: DecisionError(f"duplicate outcome {y}"))
         # NaN fails every comparison, so both tests are written to pass only on good input.
         bad = next((p for p in weights.values() if not 0.0 <= p < math.inf), None)
         if bad is not None:
             raise DecisionError(f"probabilities include a {'negative' if bad < 0 else 'non-finite'} value {bad}")
         if not abs(sum(weights.values()) - 1.0) <= 1e-9:
             raise DecisionError("probabilities do not sum to 1")
+        return tuple.__new__(cls, (probs,))
 
     def mean(self) -> float:
         try:
@@ -57,15 +57,15 @@ def _check_log_scale(params: Mapping[str, float]) -> None:
         raise DecisionError("sigma2 must be positive")
 
 
-@dataclass(frozen=True)
-class LognormalDist:
+class LognormalDist(namedtuple("LognormalDist", "mu sigma2")):
     """exp(N(mu, sigma2)) outcome."""
 
-    mu: float
-    sigma2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_log_scale(vars(self))
+    def __new__(cls, mu: float, sigma2: float) -> "LognormalDist":
+        self = tuple.__new__(cls, (mu, sigma2))
+        _check_log_scale(self._asdict())
+        return self
 
     def mean(self) -> float:
         try:
@@ -74,38 +74,40 @@ class LognormalDist:
             raise DecisionError(f"the mean for mu={self.mu}, sigma2={self.sigma2} overflows a float") from None
 
 
-@dataclass(frozen=True)
-class NormalPair:
+class NormalPair(namedtuple("NormalPair", "mu1 mu0 sigma2")):
     """Log-scale normal means for the treated/untreated outcome, shared variance."""
 
-    mu1: float
-    mu0: float
-    sigma2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_log_scale(vars(self))
+    def __new__(cls, mu1: float, mu0: float, sigma2: float) -> "NormalPair":
+        self = tuple.__new__(cls, (mu1, mu0, sigma2))
+        _check_log_scale(self._asdict())
+        return self
 
 
-@dataclass(frozen=True)
-class DecisionProblem:
-    actions: tuple[str, ...]
-    hypothetical: dict[str, FiniteDist | LognormalDist]
-    loss: Mapping[tuple[object, str], float]  # the loss table, keyed by (outcome, action)
+class DecisionProblem(namedtuple("DecisionProblem", "actions hypothetical loss")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.actions:
+    def __new__(
+        cls,
+        actions: tuple[str, ...],
+        hypothetical: dict[str, FiniteDist | LognormalDist],
+        loss: Mapping[tuple[object, str], float],  # the loss table, keyed by (outcome, action)
+    ) -> "DecisionProblem":
+        if not actions:
             raise DecisionError("no actions")
-        declared = keyed(zip(self.actions, self.actions), lambda a: DecisionError(f"duplicate action {a!r}"))
-        for a in self.actions:
-            if a not in self.hypothetical:
+        declared = keyed(zip(actions, actions), lambda a: DecisionError(f"duplicate action {a!r}"))
+        for a in actions:
+            if a not in hypothetical:
                 raise DecisionError(f"action {a!r} has no outcome distribution")
-        for a in self.hypothetical:
+        for a in hypothetical:
             if a not in declared:
                 raise DecisionError(f"distribution for undeclared action {a!r}")
         # A loss row may name an outcome outside its action's support (umbrella.json has one).
-        for y, a in self.loss:
+        for y, a in loss:
             if a not in declared:
                 raise DecisionError(f"loss row for y={y!r}, a={a!r} names an undeclared action")
+        return tuple.__new__(cls, (actions, hypothetical, loss))
 
     def loss_of(self, y: object, a: str) -> float:
         try:
@@ -117,8 +119,7 @@ class DecisionProblem:
         return value
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     expected_loss: dict[str, float]
     optimal_action: str
 
@@ -144,8 +145,7 @@ def ace(p1: FiniteDist | LognormalDist, p0: FiniteDist | LognormalDist) -> float
     return p1.mean() - p0.mean()
 
 
-@dataclass(frozen=True)
-class LognormalEffects:
+class LognormalEffects(NamedTuple):
     ace_y: float  # log-scale mean difference
     ace_z: float  # raw-scale mean difference
     ratio: float  # raw-scale mean ratio
@@ -167,7 +167,7 @@ def lognormal_effects(np_: NormalPair) -> LognormalEffects:
         )
     except OverflowError:
         effects = None
-    if effects is None or not all(map(math.isfinite, vars(effects).values())):
+    if effects is None or not all(map(math.isfinite, effects)):
         raise DecisionError(f"the lognormal effects for mu1={mu1}, mu0={mu0}, sigma2={s2} overflow a float")
     return effects
 

@@ -21,14 +21,13 @@ the graph-equality convention used by golden tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, GraphError, Node
 from dtcausal.statements import EciStatement, Parser, StatementError, Token, format_statement
 
 
-@dataclass(frozen=True)
-class GraphDoc:
+class GraphDoc(NamedTuple):
     name: str
     dag: Dag
     statements: tuple[tuple[str, EciStatement], ...]  # (name, statement) in order

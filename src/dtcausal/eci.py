@@ -30,8 +30,9 @@ far less than a full closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
 from dtcausal.graph import REGIME, STOCHASTIC
 from dtcausal.statements import EciStatement, StatementError
@@ -45,20 +46,20 @@ class UniverseError(ValueError):
     """Raised for universes or statements the engine cannot represent."""
 
 
-@dataclass(frozen=True)
-class Universe:
-    """Ordered variable list; a set is a bit mask, bit i for the i-th variable."""
+class Universe(namedtuple("Universe", "variables")):
+    """Ordered variable list; a set is a bit mask, bit i for the i-th variable.
+    No `__slots__`: the cached masks live in the instance `__dict__`."""
 
-    variables: tuple[tuple[str, str], ...]  # (name, kind)
-
-    def __post_init__(self) -> None:
-        if len(self.bit) != len(self.variables):
+    def __new__(cls, variables: tuple[tuple[str, str], ...]) -> "Universe":  # (name, kind) pairs
+        self = tuple.__new__(cls, (variables,))
+        if len(self.bit) != len(variables):
             raise UniverseError("duplicate variable names")
-        if len(self.variables) > MAX_VARIABLES:
+        if len(variables) > MAX_VARIABLES:
             raise UniverseError(f"more than {MAX_VARIABLES} variables")
-        for _, kind in self.variables:
+        for _, kind in variables:
             if kind not in (STOCHASTIC, REGIME):
                 raise UniverseError(f"unknown kind {kind!r}")
+        return self
 
     @staticmethod
     def of(stochastic: list[str] | tuple[str, ...] = (), regimes: list[str] | tuple[str, ...] = ()) -> "Universe":
@@ -99,15 +100,13 @@ class Universe:
         return EciStatement(self.names(l), self.names(r), self.names(g))
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(NamedTuple):
     axiom: str  # P1..P5 or "Premise"
     inputs: tuple[int, ...]  # indices of earlier steps
     output: EciStatement
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(NamedTuple):
     steps: tuple[ProofStep, ...]
 
     def replay(
@@ -198,11 +197,11 @@ def _apply_axiom(axiom: str, ins: list[Triple], regime_mask: int, regimes_as_sto
     return out
 
 
-@dataclass
 class _Closure:
-    universe: Universe
-    regimes_as_stochastic: bool
-    derivation: dict[Triple, tuple[str, tuple[Triple, ...]]] = field(default_factory=dict)
+    def __init__(self, universe: Universe, regimes_as_stochastic: bool) -> None:
+        self.universe = universe
+        self.regimes_as_stochastic = regimes_as_stochastic
+        self.derivation: dict[Triple, tuple[str, tuple[Triple, ...]]] = {}
 
     def run(self, premises: list[Triple], target: Triple | None = None) -> None:
         """Grow the closure round by round, to the fixpoint or until `target`

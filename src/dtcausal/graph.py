@@ -11,9 +11,9 @@ value.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 STOCHASTIC = "stochastic"
 REGIME = "regime"
@@ -26,33 +26,29 @@ class GraphError(ValueError):
     """Raised for malformed graphs or unknown node references."""
 
 
-@dataclass(frozen=True, order=True)
-class Node:
-    name: str
-    kind: str = STOCHASTIC
-    latent: bool = False
-    deterministic: bool = False
+class Node(namedtuple("Node", "name kind latent deterministic")):
+    """A named node; records compare, hash and sort as their field tuples."""
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    __slots__ = ()
+
+    def __new__(cls, name: str, kind: str = STOCHASTIC, latent: bool = False, deterministic: bool = False) -> "Node":
+        if not name:
             raise GraphError("node name must be nonempty")
-        if self.kind not in (STOCHASTIC, REGIME):
-            raise GraphError(f"unknown node kind {self.kind!r}")
+        if kind not in (STOCHASTIC, REGIME):
+            raise GraphError(f"unknown node kind {kind!r}")
+        return tuple.__new__(cls, (name, kind, latent, deterministic))
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     dashed: bool = False
 
 
-@dataclass(frozen=True)
-class Dag:
-    """Immutable labelled DAG. All operations return new graphs."""
-
-    nodes: frozenset[Node]
-    edges: frozenset[Edge]
+class Dag(namedtuple("Dag", "nodes edges")):
+    """Immutable labelled DAG (nodes, edges), both frozensets. All operations
+    return new graphs.  No `__slots__`: the cached adjacency maps live in the
+    instance `__dict__`."""
 
     @staticmethod
     def of(nodes: Iterable[Node], edges: Iterable[Edge]) -> "Dag":
@@ -62,7 +58,7 @@ class Dag:
             raise GraphError("; ".join(errors))
         return dag
 
-    # -- lookups (adjacency maps are cached; the dataclass is immutable) --
+    # -- lookups (adjacency maps are cached; the tuple is immutable) --
 
     @cached_property
     def _by_name(self) -> dict[str, Node]:

@@ -709,19 +709,29 @@ def study_spec_from_json(doc: Mapping) -> StudySpec:
         rows = json_array(doc["response"], "'response'")
         response = _keyed(map(_response_row, rows), lambda key: f"response row for x={key[0]!r}, t={key[1]}")
         return StudySpec(
-            covariate_dist=json_object(doc["covariate"], "'covariate'"),
-            assignment=json_object(doc["assignment"], "'assignment'"),
+            covariate_dist=_numbers(doc, "covariate"),
+            assignment=_numbers(doc, "assignment"),
             response=response,
         )
     except KeyError as exc:
         raise ModelError(f"study spec document is missing required key {exc.args[0]!r}") from None
 
 
+def _numbers(doc: Mapping, key: str) -> dict[State, float]:
+    """The object `doc[key]` with each value read by `_finite`."""
+    return {x: _finite(v, f"{key} value {v!r} for {x!r}") for x, v in json_object(doc[key], f"'{key}'").items()}
+
+
 def _response_row(row) -> tuple[tuple[State, int], dict[float, float]]:
     row = json_object(row, "a 'response' row")
-    if not isinstance(row["t"], int):  # int() would read 0.5 as 0, and fail on inf with an OverflowError
-        raise ModelError(f"response row 't' must be 0 or 1, not {row['t']!r}")
-    where = f"the response row for x={row['x']!r}, t={row['t']}"
+    t = row["t"]
+    # Not isinstance: a JSON boolean would pass as an int.  An int other than 0 or 1 fails as a CPT row of 'Y'.
+    if type(t) is not int:
+        raise ModelError(f"response row 't' must be 0 or 1, not {t!r}")
+    x = row["x"]
+    if isinstance(x, (list, dict)):
+        raise ModelError(f"response row 'x' must be a covariate value, not {x!r} (the row for t={t})")
+    where = f"the response row for x={x!r}, t={t}"
     outcomes = _keyed(
         (
             (_finite(y, f"outcome {y!r} of {where}"), _finite(p, f"probability {p!r} for outcome {y!r} of {where}"))
@@ -729,7 +739,7 @@ def _response_row(row) -> tuple[tuple[State, int], dict[float, float]]:
         ),
         lambda y: f"outcome {y} of {where}",
     )
-    return (row["x"], int(row["t"])), outcomes
+    return (x, t), outcomes
 
 
 def _finite(value, what: str) -> float:

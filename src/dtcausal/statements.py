@@ -23,7 +23,7 @@ column computed from the offset only when the error is raised.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from dtcausal import keyed
 from dtcausal.graph import REGIME, Dag
@@ -36,36 +36,39 @@ class StatementError(ValueError):
     text starts its message with the line and column."""
 
 
-@dataclass(frozen=True)
-class EciStatement:
+class EciStatement(namedtuple("EciStatement", "left right given pinned")):
     """A triple (left independent of right, given the conditioning terms).
 
-    `given` holds plain conditioning variables; `pinned` holds regime
-    indicators pinned to a specific value (idle included).
+    `left`, `right` and `given` are frozensets of names: `given` holds plain
+    conditioning variables, and `pinned` holds, sorted, the regime indicators
+    pinned to a specific value (idle included) as (name, value) pairs.
     """
 
-    left: frozenset[str]
-    right: frozenset[str]
-    given: frozenset[str] = frozenset()
-    pinned: tuple[tuple[str, str], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.left:
+    def __new__(
+        cls,
+        left: frozenset[str],
+        right: frozenset[str],
+        given: frozenset[str] = frozenset(),
+        pinned: tuple[tuple[str, str], ...] = (),
+    ) -> "EciStatement":
+        if not left:
             raise StatementError("left side must be nonempty")
-        if not self.pinned:  # the common case: only the overlap check applies
-            overlap = self.left & (self.right | self.given)
+        if not pinned:  # the common case: only the overlap check applies
+            overlap = left & (right | given)
             if overlap:
                 raise StatementError(f"left side overlaps other sets: {sorted(overlap)}")
-            return
-        pinned_names = frozenset(keyed(self.pinned, lambda _: StatementError("regime pinned twice")))
+            return tuple.__new__(cls, (left, right, given, ()))
+        pinned_names = frozenset(keyed(pinned, lambda _: StatementError("regime pinned twice")))
         # The left side must not overlap the other sets; right/given overlap
         # is permitted (it yields redundancy instances such as X _||_ Y | Y).
-        overlap = self.left & (self.right | self.given | pinned_names)
+        overlap = left & (right | given | pinned_names)
         if overlap:
             raise StatementError(f"left side overlaps other sets: {sorted(overlap)}")
-        if pinned_names & self.given:
+        if pinned_names & given:
             raise StatementError("variable both pinned and plainly conditioned")
-        object.__setattr__(self, "pinned", tuple(sorted(self.pinned)))
+        return tuple.__new__(cls, (left, right, given, tuple(sorted(pinned))))
 
     def variables(self) -> frozenset[str]:
         return self.left | self.right | self.given | frozenset(n for n, _ in self.pinned)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -59,10 +57,10 @@ def loop_eliminate(dag: Dag, drop: frozenset[str] | set[str]) -> Dag:
     cleaned = set()
     for n in nodes:
         if n.deterministic and not any(e.dashed and e.dst == n.name for e in dag.edges if e.src not in drop):
-            n = replace(n, deterministic=False)
+            n = n._replace(deterministic=False)
         cleaned.add(n)
     kept_dashed = {(e.src, e.dst) for e in dag.edges if e.dashed and e.src not in drop and e.dst not in drop}
-    out = Dag.of(cleaned, {replace(e, dashed=(e.src, e.dst) in kept_dashed) for e in edges})
+    out = Dag.of(cleaned, {e._replace(dashed=(e.src, e.dst) in kept_dashed) for e in edges})
     if not separations_agree(dag, out, retained):
         raise ProjectionError("not DAG-projectable")
     return out

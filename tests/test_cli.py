@@ -738,8 +738,19 @@ class TestSimulate:
             ),
             (lambda d: d["response"].pop(3), "CPT for 'Y' has no row for parents ['evening', 1]"),
             (lambda d: d["assignment"].pop("evening"), "CPT for 'T*' has no row for parents ['evening']"),
+            (lambda d: d["covariate"].update(morning="a"), "covariate value 'a' for 'morning' is not a finite number"),
+            (lambda d: d["assignment"].update(morning="a"), "assignment value 'a' for 'morning' is not a finite number"),
         ],
-        ids=["covariate-sum", "response-sum", "assignment-1.5", "treatment-2", "no-response-row", "no-assignment"],
+        ids=[
+            "covariate-sum",
+            "response-sum",
+            "assignment-1.5",
+            "treatment-2",
+            "no-response-row",
+            "no-assignment",
+            "covariate-text",
+            "assignment-text",
+        ],
     )
     def test_malformed_spec_is_rejected_before_drawing(self, capsys, tmp_path, mutate, message):
         doc = json.loads((MODELS / "study_randomized.json").read_text())
@@ -978,6 +989,13 @@ class TestJsonShape:
             ("study_confounded.json", ("covariate",), ["morning"], "'covariate' must be a JSON object, not [\"morning\"]"),
             ("study_confounded.json", ("assignment",), 0.5, "'assignment' must be a JSON object, not 0.5"),
             ("study_confounded.json", ("response", 0), "row", "a 'response' row must be a JSON object, not \"row\""),
+            ("study_confounded.json", ("response", 0, "t"), False, "response row 't' must be 0 or 1, not False"),
+            (
+                "study_confounded.json",
+                ("response", 0, "x"),
+                ["morning"],
+                "response row 'x' must be a covariate value, not ['morning'] (the row for t=0)",
+            ),
             (
                 "study_confounded.json",
                 ("response", 0, "dist"),
@@ -1022,6 +1040,8 @@ class TestJsonShape:
             "study-covariate",
             "study-assignment",
             "study-response-row",
+            "study-response-t-false",
+            "study-response-x-array",
             "study-outcome-nan",
             "study-outcome-inf",
             "study-outcome-text",
@@ -1139,7 +1159,8 @@ SYMBOLIC_EXAMPLES = [
 
 def test_symbolic_commands_do_not_load_numpy(tmp_path):
     """The numpy-free README examples, and `ace` on a decision problem, leave
-    numpy and the oracle unimported; a numeric command then loads the oracle."""
+    numpy, the oracle and `dataclasses` (which loads `inspect` and `ast`)
+    unimported; a numeric command then loads the oracle."""
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(TWO_ACTIONS))
     script = textwrap.dedent(
@@ -1150,7 +1171,7 @@ def test_symbolic_commands_do_not_load_numpy(tmp_path):
         for argv in {[*SYMBOLIC_EXAMPLES, ["ace", str(problem)]]!r}:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv
-        loaded = sorted(m for m in ("numpy", "dtcausal.oracle") if m in sys.modules)
+        loaded = sorted(m for m in ("numpy", "dtcausal.oracle", "dataclasses") if m in sys.modules)
         assert not loaded, loaded
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["verify", "corpus/models/itt_example.json", "--check", "ignorability",

@@ -184,6 +184,36 @@ class TestDagQueries:
                 query("Q")
 
 
+class TestRecords:
+    """Nodes, edges and graphs are immutable values: callers sort them, key
+    sets and dicts by them and print them."""
+
+    def test_sort_order_is_field_order(self):
+        nodes = [Node("B"), Node("A", latent=True), Node("A"), Node("A", REGIME)]
+        assert sorted(nodes) == [Node("A", REGIME), Node("A"), Node("A", latent=True), Node("B")]
+        edges = [Edge("B", "A"), Edge("A", "B", dashed=True), Edge("A", "C"), Edge("A", "B")]
+        assert sorted(edges) == [Edge("A", "B"), Edge("A", "B", dashed=True), Edge("A", "C"), Edge("B", "A")]
+
+    def test_equal_fields_give_equal_hashes(self):
+        for a, b in [
+            (Node("T", deterministic=True), Node("T", "stochastic", False, True)),
+            (Edge("T*", "T", dashed=True), Edge("T*", "T", True)),
+            (itt_ignorable_dag(), itt_ignorable_dag()),
+        ]:
+            assert a == b and hash(a) == hash(b)
+        assert Node("T") != Node("T", latent=True) and Edge("A", "B") != Edge("A", "B", dashed=True)
+
+    def test_fields_cannot_be_assigned(self):
+        dag = itt_ignorable_dag()
+        for record, field in [(Node("A"), "name"), (Edge("A", "B"), "dashed"), (dag, "edges")]:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+
+    def test_repr(self):
+        assert repr(Node("A")) == "Node(name='A', kind='stochastic', latent=False, deterministic=False)"
+        assert repr(Edge("A", "B")) == "Edge(src='A', dst='B', dashed=False)"
+
+
 class TestDot:
     def test_dot_conventions(self):
         dot = to_dot(itt_ignorable_dag())

@@ -84,3 +84,13 @@ def test_statement_construction_rejects(fields, message):
 def test_pins_come_back_sorted():
     stmt = EciStatement(X, Y, frozenset(), (("G", "~"), ("F", "1")))
     assert stmt.pinned == (("F", "1"), ("G", "~"))
+
+
+def test_statements_are_immutable_values():
+    """Equal fields give equal, equally hashed statements, whatever order the pins come in."""
+    a = EciStatement(X, Y, frozenset({"Z"}), (("G", "~"), ("F", "1")))
+    b = EciStatement(X, Y, frozenset({"Z"}), (("F", "1"), ("G", "~")))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != EciStatement(X, Y, frozenset({"Z"}), (("F", "1"),))
+    with pytest.raises(AttributeError):
+        a.left = Y
