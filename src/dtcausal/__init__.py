@@ -5,10 +5,11 @@ non-stochastic regime indicators), extended conditional independence,
 mechanical intention-to-treat node splitting, and a brute-force numeric
 oracle over finite discrete multi-regime models.
 
-The package namespace holds only the input helpers every module shares
-(`keyed`, `load_json`, `json_object`, `json_array`), so importing it loads
-no submodule; every other name is imported from the module that defines
-it, as in ``from dtcausal.graph import Dag``.
+The package namespace holds only the helpers every module shares (the
+input helpers `keyed`, `load_json`, `json_object` and `json_array`, and
+`checked_make` for records), so importing it loads no submodule; every
+other name is imported from the module that defines it, as in
+``from dtcausal.graph import Dag``.
 """
 
 import json
@@ -22,6 +23,12 @@ def keyed(pairs, repeated) -> dict:
             raise repeated(key)
         out[key] = value
     return out
+
+
+@classmethod
+def checked_make(cls, fields):
+    """`_make`, and so `_replace`, through the checks of a namedtuple record's `__new__`."""
+    return cls(*fields)
 
 
 def load_json(path):

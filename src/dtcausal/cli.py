@@ -227,7 +227,7 @@ def _cmd_lognormal(args) -> Answer:
 def _cmd_simulate(args) -> Answer:
     from dtcausal import oracle
 
-    result = oracle.simulate_study(oracle.study_spec_from_json(load_json(args.spec)), args.n, args.seed)
+    result = oracle.simulate_study(oracle.study_from_json(load_json(args.spec)), args.n, args.seed)
     lines = [f"n = {result.n}"]
     for label, mean, se in (
         ("treated", result.treated_mean, result.treated_se),

@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 from typing import Callable, Mapping, NamedTuple
 
-from dtcausal import json_array, json_object, keyed, load_json
+from dtcausal import checked_make, json_array, json_object, keyed, load_json
 
 
 class DecisionError(ValueError):
@@ -27,6 +27,7 @@ class FiniteDist(namedtuple("FiniteDist", "probs")):
     """Finite outcome distribution; outcomes are JSON scalars."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, probs: tuple[tuple[object, float], ...]) -> "FiniteDist":  # (outcome, probability) pairs
         weights = keyed(((repr(y), p) for y, p in probs), lambda y: DecisionError(f"duplicate outcome {y}"))
@@ -61,6 +62,7 @@ class LognormalDist(namedtuple("LognormalDist", "mu sigma2")):
     """exp(N(mu, sigma2)) outcome."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, mu: float, sigma2: float) -> "LognormalDist":
         self = tuple.__new__(cls, (mu, sigma2))
@@ -78,6 +80,7 @@ class NormalPair(namedtuple("NormalPair", "mu1 mu0 sigma2")):
     """Log-scale normal means for the treated/untreated outcome, shared variance."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, mu1: float, mu0: float, sigma2: float) -> "NormalPair":
         self = tuple.__new__(cls, (mu1, mu0, sigma2))
@@ -87,6 +90,7 @@ class NormalPair(namedtuple("NormalPair", "mu1 mu0 sigma2")):
 
 class DecisionProblem(namedtuple("DecisionProblem", "actions hypothetical loss")):
     __slots__ = ()
+    _make = checked_make
 
     def __new__(
         cls,

@@ -34,6 +34,7 @@ from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple
 
+from dtcausal import checked_make
 from dtcausal.graph import REGIME, STOCHASTIC
 from dtcausal.statements import EciStatement, StatementError
 
@@ -49,6 +50,8 @@ class UniverseError(ValueError):
 class Universe(namedtuple("Universe", "variables")):
     """Ordered variable list; a set is a bit mask, bit i for the i-th variable.
     No `__slots__`: the cached masks live in the instance `__dict__`."""
+
+    _make = checked_make
 
     def __new__(cls, variables: tuple[tuple[str, str], ...]) -> "Universe":  # (name, kind) pairs
         self = tuple.__new__(cls, (variables,))

@@ -15,6 +15,8 @@ from collections import namedtuple
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
+from dtcausal import checked_make
+
 STOCHASTIC = "stochastic"
 REGIME = "regime"
 
@@ -30,6 +32,7 @@ class Node(namedtuple("Node", "name kind latent deterministic")):
     """A named node; records compare, hash and sort as their field tuples."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, name: str, kind: str = STOCHASTIC, latent: bool = False, deterministic: bool = False) -> "Node":
         if not name:

@@ -446,7 +446,7 @@ def check_distributional_consistency(
 ) -> bool:
     """dist(v | T=t, idle) == dist(v | T*=t, regime pinned to t), per t."""
     regime, itt = _regime_for_action(model, action)
-    v = sorted(v)
+    v = sorted(keyed(zip(v, v), lambda name: ModelError(f"variable {name!r} is given twice")))
     idle = _single_regime(model, regime, IDLE)
     obs = model.joint(idle)
     for t in model.states[action]:
@@ -556,40 +556,20 @@ def _regime_contrast(model: MultiRegimeModel, y: str, action: str, name: str, tr
 # -- study simulation ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StudySpec:
-    """Exchangeable-unit study: covariate law, assignment kernel, response
-    kernel.  Units are i.i.d. given the kernels and each unit's outcome
-    distribution depends only on its own applied treatment (interference
-    between units is out of scope)."""
-
-    covariate_dist: dict[State, float]
-    assignment: dict[State, float]  # P(selected for treatment | covariate)
-    response: dict[tuple[State, int], dict[float, float]]  # (covariate, treatment) -> outcome dist
-
-    @cached_property
-    def model(self) -> MultiRegimeModel:
-        """The study as a one-regime ITT model: covariate X, selection T* | X,
-        applied treatment T set by regime F_T with T* as its ITT source, and
-        response Y | X, T over every outcome any row names.  Building it checks
-        every row of the spec."""
-        outcomes = tuple(sorted(set().union(*self.response.values())))
-        cpts = [
-            Cpt("X", (), {(): tuple(self.covariate_dist.values())}),
-            Cpt("T*", ("X",), {(x,): (1.0 - a, a) for x, a in self.assignment.items()}),
-            Cpt("Y", ("X", "T"), {k: tuple(d.get(y, 0.0) for y in outcomes) for k, d in self.response.items()}),
-        ]
-        states = {"X": tuple(self.covariate_dist), "T*": (0, 1), "T": (0, 1), "Y": outcomes}
-        return MultiRegimeModel(
-            "itt", states, cpts={c.child: c for c in cpts}, regimes={"F_T": "T"}, itt_of={"T": "T*"}
-        )
-
-    def interventional_mean(self, t: int) -> float:
-        return self.model.joint({"F_T": t}).expectation("Y")
-
-    def observational_arm_mean(self, t: int) -> float:
-        """Exact mean outcome among units selected for (and given) arm t."""
-        return self.model.joint({"F_T": IDLE}).expectation("Y", {"T": t})
+def study_model(covariate: Mapping, assignment: Mapping, response: Mapping) -> MultiRegimeModel:
+    """An exchangeable-unit study as a one-regime ITT model: covariate X,
+    selection T* | X with P(T*=1 | x) = assignment[x], applied treatment T set
+    by regime F_T with T* as its ITT source, and Y | X, T whose states are the
+    outcomes in the order the rows first name them.  Units are i.i.d. (no
+    interference between units); building the model checks every row."""
+    outcomes = tuple(dict.fromkeys(itertools.chain.from_iterable(response.values())))
+    cpts = [
+        Cpt("X", (), {(): tuple(covariate.values())}),
+        Cpt("T*", ("X",), {(x,): (1.0 - a, a) for x, a in assignment.items()}),
+        Cpt("Y", ("X", "T"), {k: tuple(d.get(y, 0.0) for y in outcomes) for k, d in response.items()}),
+    ]
+    states = {"X": tuple(covariate), "T*": (0, 1), "T": (0, 1), "Y": outcomes}
+    return MultiRegimeModel("itt", states, cpts={c.child: c for c in cpts}, regimes={"F_T": "T"}, itt_of={"T": "T*"})
 
 
 @dataclass(frozen=True)
@@ -602,16 +582,19 @@ class StudyResult:
     interventional_means: dict[int, float]
 
 
-def simulate_study(spec: StudySpec, n: int, seed: int) -> StudyResult:
+def simulate_study(model: MultiRegimeModel, n: int, seed: int) -> StudyResult:
+    """`n` units drawn with `seed` from a `study_model`'s CPTs (X, then T* | X,
+    then Y | X, T group by group), and the model's exact E(Y | F_T=t)."""
     if n < 1:
         raise ModelError("n must be at least 1")
-    means = {t: spec.interventional_mean(t) for t in (0, 1)}  # builds spec.model, checking it before any draw
+    means = {t: model.joint({"F_T": t}).expectation("Y") for t in (0, 1)}
     rng = np.random.default_rng(seed)
-    xs = list(spec.covariate_dist)
-    px = np.array([spec.covariate_dist[x] for x in xs], dtype=float)
+    xs, cpts = model.states["X"], model.cpts
+    px = np.array(cpts["X"].table[()], dtype=float)
     x_idx = rng.choice(len(xs), size=n, p=px / px.sum())
-    assign = np.array([spec.assignment[x] for x in xs], dtype=float)
+    assign = np.array([cpts["T*"].table[(x,)][1] for x in xs], dtype=float)
     t = (rng.random(n) < assign[x_idx]).astype(int)
+    values = np.array(model.states["Y"], dtype=float)
     y = np.empty(n)
     for i, x in enumerate(xs):  # group-wise draws keep this O(groups) rng calls
         for arm in (0, 1):
@@ -619,9 +602,7 @@ def simulate_study(spec: StudySpec, n: int, seed: int) -> StudyResult:
             count = int(mask.sum())
             if count == 0:
                 continue
-            dist = spec.response[(x, arm)]
-            values = np.array(list(dist), dtype=float)
-            probs = np.array([dist[v] for v in dist], dtype=float)
+            probs = np.array(cpts["Y"].table[(x, arm)], dtype=float)
             y[mask] = values[rng.choice(len(values), size=count, p=probs / probs.sum())]
 
     def stats(arm: np.ndarray) -> tuple[float | None, float | None]:
@@ -704,15 +685,12 @@ def load_model(path) -> MultiRegimeModel:
     return model_from_json(load_json(path))
 
 
-def study_spec_from_json(doc: Mapping) -> StudySpec:
+def study_from_json(doc: Mapping) -> MultiRegimeModel:
+    """The `study_model` that a study spec document spells out."""
     try:
         rows = json_array(doc["response"], "'response'")
         response = _keyed(map(_response_row, rows), lambda key: f"response row for x={key[0]!r}, t={key[1]}")
-        return StudySpec(
-            covariate_dist=_numbers(doc, "covariate"),
-            assignment=_numbers(doc, "assignment"),
-            response=response,
-        )
+        return study_model(_numbers(doc, "covariate"), _numbers(doc, "assignment"), response)
     except KeyError as exc:
         raise ModelError(f"study spec document is missing required key {exc.args[0]!r}") from None
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from dtcausal import keyed
+from dtcausal import checked_make, keyed
 from dtcausal.graph import REGIME, Dag
 
 KEYWORDS = frozenset({"graph", "node", "regime", "targets", "edge", "latent", "deterministic", "dashed", "statement", "plan"})
@@ -45,6 +45,7 @@ class EciStatement(namedtuple("EciStatement", "left right given pinned")):
     """
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(
         cls,

@@ -202,6 +202,17 @@ def prob_of(table: JointTable, event: dict) -> float:
     return float(table.probs[table._index(event)].sum())
 
 
+def interventional_mean(study: MultiRegimeModel, t: int) -> float:
+    """E(Y | F_T=t) in a study model."""
+    return study.joint({"F_T": t}).expectation("Y")
+
+
+def arm_mean(study: MultiRegimeModel, t: int) -> float:
+    """E(Y | T=t) in a study model's observational regime: the exact mean
+    outcome among units selected for (and given) arm t."""
+    return study.joint({"F_T": IDLE}).expectation("Y", {"T": t})
+
+
 def finite_dist(table: dict) -> FiniteDist:
     """The FiniteDist of an outcome -> probability table, outcomes sorted by repr."""
     return FiniteDist(tuple(sorted(table.items(), key=lambda kv: repr(kv[0]))))

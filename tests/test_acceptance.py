@@ -38,20 +38,22 @@ from dtcausal.graph import IDLE, Dag, Edge, Node
 from dtcausal.oracle import (
     Cpt,
     MultiRegimeModel,
-    StudySpec,
     check_ignorability,
     check_sufficient_covariate,
     eci_holds,
     gformula_eval,
     interventional_query,
     simulate_study,
+    study_model,
 )
 from dtcausal.statements import EciStatement, parse_statement as ps
 
 from conftest import (
     CORPUS,
+    arm_mean,
     ci_holds_in_table,
     finite_dist,
+    interventional_mean,
     prob_of,
     random_cpt,
     random_dag,
@@ -375,8 +377,8 @@ RESPONSE = {
     ("evening", 1): {1.0: 0.5, 0.0: 0.5},
 }
 COVARIATE = {"morning": 0.5, "evening": 0.5}
-RANDOMIZED = StudySpec(COVARIATE, {"morning": 0.5, "evening": 0.5}, RESPONSE)
-CONFOUNDED = StudySpec(COVARIATE, {"morning": 0.2, "evening": 0.8}, RESPONSE)
+RANDOMIZED = study_model(COVARIATE, {"morning": 0.5, "evening": 0.5}, RESPONSE)
+CONFOUNDED = study_model(COVARIATE, {"morning": 0.2, "evening": 0.8}, RESPONSE)
 
 
 class TestStudySimulation:
@@ -386,19 +388,19 @@ class TestStudySimulation:
             (1, result.treated_mean, result.treated_se),
             (0, result.control_mean, result.control_se),
         ):
-            assert abs(mean - RANDOMIZED.interventional_mean(arm)) <= 5 * se
+            assert abs(mean - interventional_mean(RANDOMIZED, arm)) <= 5 * se
 
     def test_confounded_study_reproduces_enumerated_bias(self):
-        exact_treated = CONFOUNDED.observational_arm_mean(1)  # 0.58
-        exact_control = CONFOUNDED.observational_arm_mean(0)
+        exact_treated = arm_mean(CONFOUNDED, 1)  # 0.58
+        exact_control = arm_mean(CONFOUNDED, 0)
         assert exact_treated == pytest.approx(0.58)
         result = simulate_study(CONFOUNDED, 100_000, 314)
         assert abs(result.treated_mean - exact_treated) <= 5 * result.treated_se
         assert abs(result.control_mean - exact_control) <= 5 * result.control_se
 
     def test_confounding_bias_does_not_shrink_with_sample_size(self):
-        true_effect = CONFOUNDED.interventional_mean(1) - CONFOUNDED.interventional_mean(0)
-        naive_gap = CONFOUNDED.observational_arm_mean(1) - CONFOUNDED.observational_arm_mean(0)
+        true_effect = interventional_mean(CONFOUNDED, 1) - interventional_mean(CONFOUNDED, 0)
+        naive_gap = arm_mean(CONFOUNDED, 1) - arm_mean(CONFOUNDED, 0)
         exact_bias = abs(naive_gap - true_effect)
         assert exact_bias > 0.05
         biases = {}

@@ -257,9 +257,30 @@ class TestVerify:
         assert code == 1
 
     def test_missing_required_option(self, capsys):
-        code, _, err = run(capsys, "verify", str(MODELS / "itt_example.json"), "--check", "eci")
-        assert code == 2
-        assert "--statement" in err
+        for options, message in [
+            (("--check", "eci"), "--check eci requires --statement"),
+            (("--check", "consistency", "--y", "Y"), "--check consistency requires --action"),
+            (("--check", "consistency", "--action", "T"), "--check consistency requires --vars or --y"),
+            (("--check", "ignorability", "--y", "Y"), "--check ignorability requires --y and --action"),
+            (
+                ("--check", "sufficient-covariate", "--y", "Y", "--action", "T"),
+                "--check sufficient-covariate requires --x, --y and --action",
+            ),
+        ]:
+            code, _, err = run(capsys, "verify", str(MODELS / "itt_example.json"), *options)
+            assert code == 2, options
+            assert message in err, options
+
+    @pytest.mark.parametrize(
+        "model, x, action", [("itt_example.json", "T", "T"), ("two_stage.json", "Z", "X1")], ids=["fails", "holds"]
+    )
+    def test_sufficient_covariate_matches_oracle(self, capsys, model, x, action):
+        code, out, _ = run(
+            capsys, "verify", str(MODELS / model), "--check", "sufficient-covariate",
+            "--x", x, "--y", "Y", "--action", action,
+        )
+        holds = oracle.check_sufficient_covariate(oracle.load_model(MODELS / model), x, "Y", action)
+        assert (code, out) == ((0, "holds\n") if holds else (1, "does not hold\n"))
 
     @pytest.mark.parametrize(
         "extra",
@@ -457,12 +478,14 @@ class TestVerify:
         assert "Traceback" not in err
 
     def test_consistency_unknown_variable_is_named(self, capsys):
-        code, _, err = run(
-            capsys, "verify", str(MODELS / "itt_example.json"), "--check", "consistency", "--vars", "Q", "--action", "T",
-        )
-        assert code == 2
-        assert "unknown variable 'Q'" in err
-        assert "Traceback" not in err
+        for names, message in [("Q", "unknown variable 'Q'"), ("Y,Y", "variable 'Y' is given twice")]:
+            code, _, err = run(
+                capsys, "verify", str(MODELS / "itt_example.json"), "--check", "consistency",
+                "--vars", names, "--action", "T",
+            )
+            assert code == 2, names
+            assert message in err, names
+            assert "Traceback" not in err
 
 
 class TestIdentify:
@@ -587,6 +610,19 @@ class TestGFormula:
         code, out, err = run(
             capsys, *flags, "gformula", str(path), "--y", "Y=1", "--x0", "X0=1", "--x1", "X1=1", "--z", "Z",
         )
+        assert code == 3
+        assert out == ""
+        assert err == "error: positivity violation\n"
+
+    def test_positivity_violation_in_a_covariate_stratum_exits_3(self, capsys, tmp_path):
+        # X0=1 leaves Z=1 possible, but no unit with Z=1 is selected for X1=1, so p(y | x1, z) is undefined there.
+        doc = json.loads((MODELS / "two_stage.json").read_text())
+        for row in next(c for c in doc["cpts"] if c["child"] == "X1*")["rows"]:
+            if row["parents"][1] == 1:  # parents are (H, Z)
+                row["probs"] = [1.0, 0.0]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "gformula", str(path), "--y", "Y=1", "--x0", "X0=1", "--x1", "X1=1", "--z", "Z")
         assert code == 3
         assert out == ""
         assert err == "error: positivity violation\n"

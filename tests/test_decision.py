@@ -29,6 +29,21 @@ def umbrella_problem(p_rain: float) -> DecisionProblem:
     return DecisionProblem(("take", "leave"), {"take": dist, "leave": dist}, loss)
 
 
+@pytest.mark.parametrize(
+    "record, change, message",
+    [
+        (FiniteDist(((1, 1.0),)), {"probs": ((1, 0.5),)}, "probabilities do not sum to 1"),
+        (LognormalDist(0.0, 1.0), {"sigma2": 0.0}, "sigma2 must be positive"),
+        (NormalPair(0.0, 0.0, 1.0), {"mu1": math.inf}, "mu1 must be finite, not inf"),
+        (umbrella_problem(0.5), {"actions": ()}, "no actions"),
+    ],
+    ids=["finite", "lognormal", "normal-pair", "problem"],
+)
+def test_replace_runs_the_checks(record, change, message):
+    with pytest.raises(DecisionError, match=f"^{message}$"):
+        record._replace(**change)
+
+
 class TestFiniteDist:
     def test_probabilities_validated(self):
         with pytest.raises(DecisionError):

@@ -44,6 +44,10 @@ class TestUniverse:
         with pytest.raises(UniverseError):
             Universe.of(["X", "X"])
 
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(UniverseError, match="^duplicate variable names$"):
+            U4._replace(variables=U4.variables + U4.variables[:1])
+
     def test_variable_bound(self):
         with pytest.raises(UniverseError):
             Universe.of([f"V{i}" for i in range(MAX_VARIABLES + 1)])

@@ -209,6 +209,11 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 setattr(record, field, getattr(record, field))
 
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(GraphError, match="^unknown node kind 'bogus'$"):
+            Node("A")._replace(kind="bogus")
+        assert Node("A")._replace(latent=True) == Node("A", latent=True)
+
     def test_repr(self):
         assert repr(Node("A")) == "Node(name='A', kind='stochastic', latent=False, deterministic=False)"
         assert repr(Edge("A", "B")) == "Edge(src='A', dst='B', dashed=False)"

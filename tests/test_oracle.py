@@ -16,7 +16,7 @@ from dtcausal.oracle import (
     Cpt,
     ModelError,
     MultiRegimeModel,
-    StudySpec,
+    StudyResult,
     ace,
     check_distributional_consistency,
     check_ignorability,
@@ -28,7 +28,8 @@ from dtcausal.oracle import (
     load_model,
     model_from_json,
     simulate_study,
-    study_spec_from_json,
+    study_from_json,
+    study_model,
     _coerce_state,
     total_variation,
 )
@@ -37,6 +38,8 @@ from dtcausal.statements import parse_statement as ps
 
 from conftest import (
     CORPUS,
+    arm_mean,
+    interventional_mean,
     itt_ignorable_dag,
     itt_nonignorable_dag,
     prob_of,
@@ -672,16 +675,15 @@ class TestAce:
             ace(kernel_model(lambda t, ts: 0.5), "T", "Y")
 
 
-SPEC = StudySpec(
-    covariate_dist={"morning": 0.5, "evening": 0.5},
-    assignment={"morning": 0.5, "evening": 0.5},
-    response={
-        ("morning", 0): {1.0: 0.6, 0.0: 0.4},
-        ("morning", 1): {1.0: 0.9, 0.0: 0.1},
-        ("evening", 0): {1.0: 0.2, 0.0: 0.8},
-        ("evening", 1): {1.0: 0.5, 0.0: 0.5},
-    },
-)
+COVARIATE = {"morning": 0.5, "evening": 0.5}
+RESPONSE = {
+    ("morning", 0): {1.0: 0.6, 0.0: 0.4},
+    ("morning", 1): {1.0: 0.9, 0.0: 0.1},
+    ("evening", 0): {1.0: 0.2, 0.0: 0.8},
+    ("evening", 1): {1.0: 0.5, 0.0: 0.5},
+}
+ASSIGNMENT = {"morning": 0.5, "evening": 0.5}
+SPEC = study_model(covariate=COVARIATE, assignment=ASSIGNMENT, response=RESPONSE)
 
 
 class TestSimulateStudy:
@@ -702,30 +704,93 @@ class TestSimulateStudy:
             simulate_study(SPEC, 0, 1)
 
     def test_observational_arm_mean(self):
-        assert SPEC.observational_arm_mean(1) == pytest.approx(0.7)
-        biased = StudySpec(SPEC.covariate_dist, {"morning": 0.2, "evening": 0.8}, SPEC.response)
-        assert biased.observational_arm_mean(1) == pytest.approx((0.2 * 0.9 + 0.8 * 0.5) / 1.0)
+        assert arm_mean(SPEC, 1) == pytest.approx(0.7)
+        biased = study_model(COVARIATE, {"morning": 0.2, "evening": 0.8}, RESPONSE)
+        assert arm_mean(biased, 1) == pytest.approx((0.2 * 0.9 + 0.8 * 0.5) / 1.0)
 
 
-def loop_interventional_mean(spec, t):
-    """Reference: E(Y | F_T=t) summed by hand over the spec's dicts, as
-    StudySpec did before it compiled to an ITT model."""
-    return sum(
-        px * sum(y * py for y, py in spec.response[(x, t)].items()) for x, px in spec.covariate_dist.items()
-    )
+def study_dicts(doc):
+    """A study spec document's covariate, assignment and response dicts, read by hand."""
+    response = {(r["x"], r["t"]): {float(y): p for y, p in r["dist"].items()} for r in doc["response"]}
+    return doc["covariate"], doc["assignment"], response
 
 
-def loop_arm_mean(spec, t):
+def corpus_study(name):
+    return json.loads((CORPUS / "models" / f"study_{name}.json").read_text())
+
+
+def with_sorted_outcomes(study):
+    """`study` with Y's states sorted, as study models listed them before Y
+    kept the order in which its rows first name the outcomes."""
+    ys = study.states["Y"]
+    order = sorted(range(len(ys)), key=ys.__getitem__)
+    rows = {k: tuple(p[i] for i in order) for k, p in study.cpts["Y"].table.items()}
+    y = Cpt("Y", study.cpts["Y"].parents, rows)
+    return replace(study, states={**study.states, "Y": tuple(ys[i] for i in order)}, cpts={**study.cpts, "Y": y})
+
+
+def reference_simulate(covariate, assignment, response, n, seed):
+    """Reference: the group-wise sampler over a study's three dicts that
+    `simulate_study` used before it drew from the model's CPTs, with the
+    exact means of the model whose outcomes are sorted."""
+    sorted_study = with_sorted_outcomes(study_model(covariate, assignment, response))
+    means = {t: interventional_mean(sorted_study, t) for t in (0, 1)}
+    rng = np.random.default_rng(seed)
+    xs = list(covariate)
+    px = np.array([covariate[x] for x in xs], dtype=float)
+    x_idx = rng.choice(len(xs), size=n, p=px / px.sum())
+    assign = np.array([assignment[x] for x in xs], dtype=float)
+    t = (rng.random(n) < assign[x_idx]).astype(int)
+    y = np.empty(n)
+    for i, x in enumerate(xs):
+        for arm in (0, 1):
+            mask = (x_idx == i) & (t == arm)
+            count = int(mask.sum())
+            if count == 0:
+                continue
+            dist = response[(x, arm)]
+            values = np.array(list(dist), dtype=float)
+            probs = np.array([dist[v] for v in dist], dtype=float)
+            y[mask] = values[rng.choice(len(values), size=count, p=probs / probs.sum())]
+
+    def stats(arm):
+        if arm.size == 0:
+            return None, None
+        se = float(arm.std(ddof=1) / np.sqrt(arm.size)) if arm.size > 1 else None
+        return float(arm.mean()), se
+
+    (t_mean, t_se), (c_mean, c_se) = stats(y[t == 1]), stats(y[t == 0])
+    return StudyResult(n, t_mean, c_mean, t_se, c_se, means)
+
+
+@pytest.mark.parametrize("name", ["SPEC", "randomized", "confounded"])
+@pytest.mark.parametrize("n, seed", [(100_000, 7), (5000, 11), (37, 0), (1, 3)])
+def test_simulate_study_keeps_the_reference_stream(name, n, seed):
+    """Draws, standard errors and means all equal the reference's, floats
+    included, so the README's `simulate` example (n=100000, seed 7) keeps its output."""
+    if name == "SPEC":
+        study, dicts = SPEC, (COVARIATE, ASSIGNMENT, RESPONSE)
+    else:
+        study, dicts = study_from_json(corpus_study(name)), study_dicts(corpus_study(name))
+    assert simulate_study(study, n, seed) == reference_simulate(*dicts, n, seed)
+
+
+def loop_interventional_mean(covariate, assignment, response, t):
+    """Reference: E(Y | F_T=t) summed by hand over a study's dicts, as
+    study specs did before they compiled to an ITT model."""
+    return sum(px * sum(y * py for y, py in response[(x, t)].items()) for x, px in covariate.items())
+
+
+def loop_arm_mean(covariate, assignment, response, t):
     """Reference: E(Y | T=t) in the observational regime, summed by hand."""
-    weights = {
-        x: px * (spec.assignment[x] if t == 1 else 1.0 - spec.assignment[x]) for x, px in spec.covariate_dist.items()
-    }
+    weights = {x: px * (assignment[x] if t == 1 else 1.0 - assignment[x]) for x, px in covariate.items()}
     total = sum(weights.values())
-    return sum(w / total * sum(y * py for y, py in spec.response[(x, t)].items()) for x, w in weights.items())
+    return sum(w / total * sum(y * py for y, py in response[(x, t)].items()) for x, w in weights.items())
 
 
-def random_study_spec(seed):
-    """1-4 covariate values; each response row over its own subset of four
+def random_study(seed):
+    """The covariate, assignment and response dicts of a study with 1-4
+    covariate values; each response row is over its own subset of four
     outcomes, so the compiled response pads missing outcomes with 0."""
     rng = np.random.default_rng(seed)
     xs = [f"x{i}" for i in range(rng.integers(1, 5))]
@@ -735,23 +800,21 @@ def random_study_spec(seed):
         for t in (0, 1):
             ys = rng.choice(outcomes, size=rng.integers(1, 5), replace=False)
             response[(x, t)] = dict(zip(map(float, ys), rng.dirichlet(np.ones(len(ys))).tolist()))
-    return StudySpec(
-        covariate_dist=dict(zip(xs, rng.dirichlet(np.ones(len(xs))).tolist())),
-        assignment={x: float(rng.uniform(0.05, 0.95)) for x in xs},
-        response=response,
-    )
+    covariate = dict(zip(xs, rng.dirichlet(np.ones(len(xs))).tolist()))
+    return covariate, {x: float(rng.uniform(0.05, 0.95)) for x in xs}, response
 
 
-def test_study_means_match_hand_sums(corpus_dir):
-    specs = [random_study_spec(seed) for seed in range(40)]
-    specs += [
-        study_spec_from_json(json.loads((corpus_dir / "models" / f"study_{name}.json").read_text()))
-        for name in ("randomized", "confounded")
+def test_study_means_match_hand_sums():
+    studies = [(study_model(*dicts), dicts) for dicts in map(random_study, range(40))]
+    studies += [
+        (study_from_json(corpus_study(name)), study_dicts(corpus_study(name))) for name in ("randomized", "confounded")
     ]
-    for spec in specs:
+    for study, dicts in studies:
         for t in (0, 1):
-            assert spec.interventional_mean(t) == pytest.approx(loop_interventional_mean(spec, t), rel=0, abs=1e-12)
-            assert spec.observational_arm_mean(t) == pytest.approx(loop_arm_mean(spec, t), rel=0, abs=1e-12)
+            assert interventional_mean(study, t) == pytest.approx(
+                loop_interventional_mean(*dicts, t), rel=0, abs=1e-12
+            )
+            assert arm_mean(study, t) == pytest.approx(loop_arm_mean(*dicts, t), rel=0, abs=1e-12)
 
 
 MODEL_DOCUMENTS = sorted(
@@ -812,19 +875,19 @@ class TestJson:
 
     def test_study_spec_from_json(self, corpus_dir):
         doc = json.loads((corpus_dir / "models" / "study_randomized.json").read_text())
-        assert study_spec_from_json(doc) == SPEC
+        assert study_from_json(doc) == SPEC
 
     def test_study_spec_missing_key_is_named(self, corpus_dir):
         doc = json.loads((corpus_dir / "models" / "study_randomized.json").read_text())
         del doc["response"]
         with pytest.raises(ModelError, match="study spec document is missing required key 'response'"):
-            study_spec_from_json(doc)
+            study_from_json(doc)
 
     def test_study_spec_repeated_response_row_is_named(self, corpus_dir):
         doc = json.loads((corpus_dir / "models" / "study_randomized.json").read_text())
         doc["response"].append({"x": "morning", "t": 0, "dist": {"1": 0.0, "0": 1.0}})
         with pytest.raises(ModelError, match="response row for x='morning', t=0 is listed twice"):
-            study_spec_from_json(doc)
+            study_from_json(doc)
 
     def test_fixture_loads(self, corpus_dir):
         m = load_model(corpus_dir / "models" / "itt_example.json")

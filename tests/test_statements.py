@@ -86,6 +86,13 @@ def test_pins_come_back_sorted():
     assert stmt.pinned == (("F", "1"), ("G", "~"))
 
 
+def test_replace_runs_the_checks():
+    stmt = EciStatement(X, Y)
+    with pytest.raises(StatementError, match=r"^left side overlaps other sets: \['X'\]$"):
+        stmt._replace(given=X)
+    assert stmt._replace(pinned=(("G", "~"), ("F", "1"))).pinned == (("F", "1"), ("G", "~"))
+
+
 def test_statements_are_immutable_values():
     """Equal fields give equal, equally hashed statements, whatever order the pins come in."""
     a = EciStatement(X, Y, frozenset({"Z"}), (("G", "~"), ("F", "1")))
