@@ -20,9 +20,10 @@ factor indexed by every regime, one table per assignment.  The regime-free
 factors are the same in every regime, so the first joint table
 multiplies them into one product that the model keeps; every joint
 table is that product times the regime-indexed arrays of its
-assignment.  Distribution comparisons use total variation distance
-(default tolerance 1e-9) and conditioning events with probability below
-1e-12 impose no constraint.
+assignment.  A query reads the joint of the model of the CPTs of its
+names' ancestral set, that set's marginal.  Distribution comparisons use
+total variation distance (default tolerance 1e-9) and conditioning
+events with probability below 1e-12 impose no constraint.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ class JointTable:
             raise ModelError(f"unknown variable {var!r}") from None
 
     def marginal(self, keep: Sequence[str]) -> "JointTable":
-        drop = tuple(i for i, v in enumerate(self.variables) if v not in keep)
+        kept = sorted({self.axis(v) for v in keep})  # an unknown variable raises here
+        drop = tuple(i for i in range(len(self.variables)) if i not in kept)
         probs = self.probs.sum(axis=drop) if drop else self.probs
-        kept = tuple(v for v in self.variables if v in keep)
-        return JointTable(kept, tuple(self.states[self.axis(v)] for v in kept), probs)
+        return JointTable(tuple(self.variables[i] for i in kept), tuple(self.states[i] for i in kept), probs)
 
     def _index(self, event: Mapping[str, State]) -> tuple:
         """The index that selects the cells of `event`."""
@@ -265,10 +266,6 @@ class MultiRegimeModel:
             out[target] = Cpt(target, (reg, src), rows)
         return out
 
-    @cached_property
-    def _variable_states(self) -> tuple[tuple[State, ...], ...]:
-        return tuple(self.states[v] for v in self.variables)
-
     def all_regime_assignments(self, pins: Mapping[str, State] | None = None) -> list[dict[str, State]]:
         pins = dict(pins or {})
         names = self.regime_names
@@ -283,19 +280,59 @@ class MultiRegimeModel:
     # -- joint distributions -------------------------------------------
 
     def joint(self, regime: Mapping[str, State]) -> JointTable:
+        return self.margin(regime, self.variables)
+
+    def margin(self, regime: Mapping[str, State], names: Iterable[str]) -> JointTable:
+        """The marginal table in `regime` of the ancestral set of `names` in `dag`
+        (a raw model's joint); reading a name that is no variable from it raises."""
         regime = dict(regime)
-        names = self.regime_names
-        if set(regime) != set(names):
+        if set(regime) != set(self.regime_names):
             raise ModelError("regime assignment must cover every regime exactly once")
         for name, value in regime.items():
             if value not in self.regime_domain(name):
                 raise ModelError(f"{value!r} outside domain of regime {name!r}")
+        names = tuple(names)
+        if names != self.variables:  # every table is read through some model's `joint`
+            members = self._ancestral_sets.get(names)
+            if members is None:
+                keep = self.states if self.dag is None else self.dag.ancestors(n for n in names if n in self.states)
+                members = self._ancestral_sets[names] = tuple(v for v in self.variables if v in keep)
+            if members == self.variables:
+                return self.joint(regime)
+            model = self._margins.get(members) or self._margins.setdefault(members, self._ancestral_model(members))
+            return model.joint({r: regime[r] for r in model.regime_names})
         key = _freeze_assignment(regime)
-        cached = self._joint_cache.get(key)
-        if cached is None:
-            cached = self._compute_joint(regime)
-            self._joint_cache[key] = cached
-        return cached
+        if key not in self._joint_cache:
+            self._joint_cache[key] = self._compute_joint(regime)
+        return self._joint_cache[key]
+
+    @cached_property
+    def _ancestral_sets(self) -> dict:
+        """Names -> their ancestral set's variables: a read costs a small part of the closure in `dag`."""
+        return {}
+
+    @cached_property
+    def _margins(self) -> dict:
+        """An ancestral set's variables -> the model of their CPTs, kept with its tables."""
+        return {}
+
+    def _ancestral_model(self, variables: tuple[str, ...]) -> MultiRegimeModel:
+        # The set's joint is its marginal, as every parent of a member is a member; its model is
+        # made from this model's checked factors, which are of size 1 on every non-member.
+        keep = {*variables, *(r for r, t in self.regimes.items() if t in variables)}
+        axes = [i for i, v in enumerate(self.variables) if v in keep]
+        factors = tuple(
+            (indexed, {k: a.reshape([a.shape[i] for i in axes]) for k, a in arrays.items()})
+            for v, (indexed, arrays) in zip(self.variables, self._compiled.factors) if v in keep
+        )
+        kept = lambda named: {k: x for k, x in named.items() if k in keep}
+        model = object.__new__(MultiRegimeModel)
+        vars(model).update(
+            mode=self.mode, states=kept(self.states), latent=self.latent & keep, cpts=kept(self.cpts),
+            regimes=kept(self.regimes), itt_of=kept(self.itt_of), raw_regimes={},
+            _compiled=_Compiled(variables, kept(self._compiled.domains), factors),
+        )
+        return model
 
     @cached_property
     def _joint_cache(self) -> dict:
@@ -309,7 +346,7 @@ class MultiRegimeModel:
         total = probs.sum()
         if abs(total - 1.0) > 1e-9:
             raise ModelError("joint table does not normalise")
-        return JointTable(self.variables, self._variable_states, probs / total)
+        return JointTable(self.variables, tuple(self.states[v] for v in self.variables), probs / total)
 
     @cached_property
     def _shared_product(self) -> np.ndarray:
@@ -429,7 +466,7 @@ def eci_holds(model: MultiRegimeModel, stmt: EciStatement, tol: float = DEFAULT_
     context_regimes = sorted(regime_names - right)
     references: dict[tuple, np.ndarray] = {}  # (context regime values, given values) -> first distribution
     for regime in model.all_regime_assignments(pins):
-        table = model.joint(regime)
+        table = model.margin(regime, left + stoch)
         context = tuple(regime[r] for r in context_regimes)
         for combo in itertools.product(*(model.states[v] for v in stoch)):
             dist = table.conditional(left, dict(zip(stoch, combo)))
@@ -447,11 +484,11 @@ def check_distributional_consistency(
     """dist(v | T=t, idle) == dist(v | T*=t, regime pinned to t), per t."""
     regime, itt = _regime_for_action(model, action)
     v = sorted(keyed(zip(v, v), lambda name: ModelError(f"variable {name!r} is given twice")))
-    idle = _single_regime(model, regime, IDLE)
-    obs = model.joint(idle)
+    names = [*v, action, itt]
+    obs = model.margin(_single_regime(model, regime, IDLE), names)
     for t in model.states[action]:
         lhs = obs.conditional(v, {action: t})
-        rhs = model.joint(_single_regime(model, regime, t)).conditional(v, {itt: t})
+        rhs = model.margin(_single_regime(model, regime, t), names).conditional(v, {itt: t})
         if lhs is not None and rhs is not None and total_variation(lhs, rhs) > tol:
             return False
     return True
@@ -493,7 +530,7 @@ def check_sufficient_covariate(
 
 
 def interventional_query(model: MultiRegimeModel, y: str, regime: Mapping[str, State]) -> dict[State, float]:
-    table = model.joint(regime).marginal([y])
+    table = model.margin(regime, [y]).marginal([y])
     return dict(zip(table.states[0], (float(p) for p in table.probs)))
 
 
@@ -508,7 +545,7 @@ def gformula_eval(
     must be four different variables."""
     names = (y[0], x0[0], x1[0], z_var)
     keyed(zip(names, names), lambda name: ModelError(f"variable {name!r} is given twice"))
-    obs = model.joint({r: IDLE for r in model.regime_names})
+    obs = model.margin({r: IDLE for r in model.regime_names}, names)
     # Bound values match states as statement pins do; an unknown name raises here.
     (y_var, y_val), (x0_var, x0_val), (x1_var, x1_val) = (
         (var, _coerce_state(val, obs.states[obs.axis(var)])) for var, val in (y, x0, x1)
@@ -549,7 +586,8 @@ def _regime_contrast(model: MultiRegimeModel, y: str, action: str, name: str, tr
         raise ModelError(f"{name} requires a binary action")
     lo, hi = states
     event = {itt: hi} if treated_only else {}
-    hi_mean, lo_mean = (model.joint(_single_regime(model, regime, t)).expectation(y, event) for t in (hi, lo))
+    tables = (model.margin(_single_regime(model, regime, t), [y, *event]) for t in (hi, lo))
+    hi_mean, lo_mean = (table.expectation(y, event) for table in tables)
     return hi_mean - lo_mean
 
 
@@ -587,7 +625,7 @@ def simulate_study(model: MultiRegimeModel, n: int, seed: int) -> StudyResult:
     then Y | X, T group by group), and the model's exact E(Y | F_T=t)."""
     if n < 1:
         raise ModelError("n must be at least 1")
-    means = {t: model.joint({"F_T": t}).expectation("Y") for t in (0, 1)}
+    means = {t: model.margin({"F_T": t}, ["Y"]).expectation("Y") for t in (0, 1)}
     rng = np.random.default_rng(seed)
     xs, cpts = model.states["X"], model.cpts
     px = np.array(cpts["X"].table[()], dtype=float)

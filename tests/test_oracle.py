@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -627,6 +628,144 @@ class TestGFormula:
         # X0=0 never happens observationally
         with pytest.raises(ModelError, match="positivity"):
             gformula_eval(m, ("Y", 1), ("X0", 0), ("X1", 0), "Z")
+
+
+class TestMargin:
+    """A query reads the table of its names' ancestral set, not the full joint."""
+
+    @pytest.mark.parametrize("name", ["Q", "F_T"])
+    def test_interventional_query_rejects_unknown_names(self, corpus_dir, name):
+        m = load_model(corpus_dir / "models" / "itt_example.json")
+        with pytest.raises(ModelError) as exc:
+            interventional_query(m, name, {"F_T": IDLE})
+        assert str(exc.value) == f"unknown variable {name!r}"
+
+    def test_marginal_rejects_unknown_names(self):
+        j = random_itt_nonignorable_model(3).joint({"F_T": IDLE})
+        with pytest.raises(ModelError, match="unknown variable 'Q'"):
+            j.marginal(["Y", "Q"])
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            (lambda m: gformula_eval(m, ("Y", 7), ("X0", 0), ("X1", 0), "Q"), "7 is not a state of 'Y'"),
+            (lambda m: gformula_eval(m, ("Q", 1), ("X0", 0), ("X1", 0), "R"), "unknown variable 'Q'"),
+            (lambda m: gformula_eval(m, ("Y", 1), ("X0", 7), ("X1", 0), "Q"), "unknown variable 'Q'"),
+            (lambda m: gformula_eval(m, ("Y", 1), ("X0", 0), ("X1", 7), "Z"), "7 is not a state of 'X1'"),
+            (lambda m: check_distributional_consistency(m, ["X1", "Zz"], "X1"),
+             "'X1' is both a target and in the conditioning event"),
+            (lambda m: check_distributional_consistency(m, ["R", "Q"], "X1"), "unknown variable 'Q'"),
+            (lambda m: check_distributional_consistency(m, ["X1*"], "X1"),
+             "'X1*' is both a target and in the conditioning event"),
+            (lambda m: ett(m, "X1*", "X1"), "'X1*' is both a target and in the conditioning event"),
+            (lambda m: ace(m, "F_X1", "X1"), "unknown variable 'F_X1'"),
+            (lambda m: interventional_query(m, "Q", {}), "regime assignment must cover every regime exactly once"),
+        ],
+    )
+    def test_errors_name_the_first_fault(self, query, message):
+        with pytest.raises(ModelError) as exc:
+            query(random_two_stage_model(0))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("build", FAMILIES.values(), ids=list(FAMILIES))
+    def test_answers_equal_full_joint_answers(self, build):
+        rng = np.random.default_rng(5)
+        for seed in range(2):
+            m = build(seed)
+            full = full_joint_model(m)
+            queries = [
+                (interventional_query, y, regime) for y in m.variables for regime in m.all_regime_assignments()
+            ]
+            for action in m.regime_of:
+                queries += [(f, y, action) for f in (ace, ett) for y in m.variables]
+                queries += [(check_distributional_consistency, [y], action) for y in m.variables]
+            for _ in range(6 if len(m.variables) >= 4 else 0):  # gformula_eval takes four different variables
+                y, x0, x1, z = rng.permutation(m.variables)[:4].tolist()
+                queries.append((gformula_eval, (y, m.states[y][0]), (x0, m.states[x0][-1]), (x1, m.states[x1][0]), z))
+            queries += [(eci_holds, random_eci_statement(m, rng)) for _ in range(12)]
+            for f, *args in queries:
+                got, want = outcome(f, m, *args), outcome(f, full, *args)
+                if isinstance(want, dict):
+                    assert got.keys() == want.keys() and all(abs(got[s] - want[s]) <= 1e-12 for s in got), args
+                elif isinstance(want, float):
+                    assert abs(got - want) <= 1e-12, (f.__name__, args)
+                else:
+                    assert got == want, (f.__name__, args)
+            assert m._margins, seed  # some query read a proper ancestral set
+            assert m._margins.keys() == set(m._ancestral_sets.values()) - {m.variables}, seed  # one model per set
+            assert "_margins" not in vars(full)
+
+    @pytest.mark.parametrize("build", JOINT_SHAPES.values(), ids=list(JOINT_SHAPES))
+    def test_ancestral_model_is_the_checked_model_of_its_cpts(self, build):
+        m = build(0)
+        for y in m.variables:
+            keep = m.dag.ancestors([y])
+            idle = dict.fromkeys(m.regime_names, IDLE)
+            m.margin(idle, [y])
+            variables = m._ancestral_sets[(y,)]
+            if len(keep) == len(m.dag.nodes):
+                assert variables == m.variables
+                continue
+            sub = m._margins[variables]
+            checked = MultiRegimeModel(
+                "itt",
+                {v: s for v, s in m.states.items() if v in keep},
+                latent=m.latent & keep,
+                cpts={v: cpt for v, cpt in m.cpts.items() if v in keep},
+                regimes={r: t for r, t in m.regimes.items() if r in keep},
+                itt_of={t: s for t, s in m.itt_of.items() if t in keep},
+            )
+            assert sub == checked and set(sub.variables) == set(checked.variables) and sub.dag == checked.dag
+            order = [checked.variables.index(v) for v in sub.variables]
+            for regime in checked.all_regime_assignments():
+                want = checked.joint(regime).probs.transpose(order)
+                assert np.allclose(sub.joint(regime).probs, want, rtol=0, atol=1e-15), (y, regime)
+                assert m.margin({**idle, **regime}, [y]) is sub.joint(regime)
+
+    def test_padding_descendants_of_the_outcome_are_never_built(self):
+        base = random_two_stage_model(0)
+        rng = np.random.default_rng(1)
+        pads = [f"P{i}" for i in range(16)]
+        states = {**base.states, **{p: BIN for p in pads}}
+        cpts = {**base.cpts, **{p: random_cpt(rng, p, (parent,), states) for parent, p in zip(["Y", *pads], pads)}}
+        m = replace(base, states=states, cpts=cpts)
+        assert len(m.variables) == 23 and all(len(s) == 2 for s in m.states.values())
+        stmt = ps("Y _||_ X0, F_X0 | Z, X1")
+
+        def queries(model):
+            return [
+                *(interventional_query(model, "Y", regime) for regime in model.all_regime_assignments()),
+                gformula_eval(model, ("Y", 1), ("X0", 0), ("X1", 1), "Z"),
+                ace(model, "Y", "X1"),
+                ett(model, "Y", "X1"),
+                check_distributional_consistency(model, ["Y"], "X1"),
+                eci_holds(model, stmt),
+            ]
+
+        start = time.perf_counter()
+        got = queries(m)
+        elapsed = time.perf_counter() - start
+        assert "_shared_product" not in vars(m) and "_joint_cache" not in vars(m)  # no table over every variable
+        assert max(len(sub.variables) for sub in m._margins.values()) == len(base.variables)
+        for a, b in zip(got, queries(base)):
+            assert a == pytest.approx(b, rel=0, abs=1e-12)
+        assert elapsed <= 0.5
+
+
+def full_joint_model(model):
+    """A copy of `model` whose every margin is its full joint table, so that a
+    query on it is the same computation on `joint()`."""
+    full = replace(model)
+    object.__setattr__(full, "margin", lambda regime, names: MultiRegimeModel.margin(full, regime, full.variables))
+    return full
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the ModelError it raises."""
+    try:
+        return f(*args)
+    except ModelError as exc:
+        return str(exc)
 
 
 class TestEtt:
