@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from dtcausal import keyed
-from dtcausal.dsep import d_separated, separated, separations_agree
-from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, GraphError, Node, surgery, topological_order
+from dtcausal.dsep import d_separated, separations_agree
+from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, GraphError, Node, moral_adjacency, surgery, topological_order
 from dtcausal.statements import EciStatement, format_statement
 
 
@@ -81,7 +81,7 @@ def eliminate_nodes(dag: Dag, drop: frozenset[str] | set[str]) -> Dag:
     projection, and an error is raised.
     """
     drop = frozenset(drop)
-    for name in drop:
+    for name in sorted(drop):
         dag.node(name)
     if not drop:
         return dag
@@ -91,9 +91,19 @@ def eliminate_nodes(dag: Dag, drop: frozenset[str] | set[str]) -> Dag:
         # v's parents are its Markov boundary among its predecessors: each u
         # that v depends on given the rest.  d-separation satisfies
         # intersection, so that boundary is unique, and greedy backward
-        # elimination from all predecessors reaches the same set.
+        # elimination from all predecessors reaches the same set.  Every
+        # query v _||_ u | pre - {u} reads the moral graph of the ancestral
+        # set of pre + {v}, where a path from v to u avoids pre - {u} iff its
+        # inner nodes lie outside pre: so u is a parent iff it neighbours a
+        # node that v reaches through nodes outside pre.
         pre = frozenset(retained[:i])
-        edges.update((u, v) for u in pre if not separated(dag, frozenset({v}), frozenset({u}), pre - {u}))
+        adj = moral_adjacency(dag, retained[: i + 1])
+        reached, stack = {v}, [v]
+        while stack:
+            new = adj[stack.pop()] - pre - reached
+            reached |= new
+            stack.extend(new)
+        edges.update((u, v) for w in reached for u in adj[w] & pre)
     # Dropped ITT parents leave the deterministic/dashed annotations moot.
     kept_dashed = {(e.src, e.dst) for e in dag.edges if e.dashed and e.src not in drop and e.dst not in drop}
     heads = {dst for _, dst in kept_dashed}

@@ -50,8 +50,8 @@ class Edge(NamedTuple):
 
 class Dag(namedtuple("Dag", "nodes edges")):
     """Immutable labelled DAG (nodes, edges), both frozensets. All operations
-    return new graphs.  No `__slots__`: the cached adjacency maps live in the
-    instance `__dict__`."""
+    return new graphs.  No `__slots__`: the cached adjacency maps and
+    topological order live in the instance `__dict__`."""
 
     @staticmethod
     def of(nodes: Iterable[Node], edges: Iterable[Edge]) -> "Dag":
@@ -119,6 +119,30 @@ class Dag(namedtuple("Dag", "nodes edges")):
             stack.extend(self._parent_map[v])
         return frozenset(seen)
 
+    @cached_property
+    def _order(self) -> tuple[str, ...]:
+        """Kahn's algorithm, smallest name first among the ready nodes; run
+        once per graph."""
+        indeg = {n.name: 0 for n in self.nodes}
+        for e in self.edges:
+            if e.dst not in indeg or e.src not in indeg:
+                raise GraphError(f"dangling edge {e.src} -> {e.dst}")
+            indeg[e.dst] += 1
+        children = self._child_map  # read directly: every name popped below is a node
+        heap = [n for n, d in indeg.items() if d == 0]
+        heapq.heapify(heap)
+        order: list[str] = []
+        while heap:
+            v = heapq.heappop(heap)
+            order.append(v)
+            for c in sorted(children[v]):
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    heapq.heappush(heap, c)
+        if len(order) != len(self.nodes):
+            raise GraphError("graph contains a directed cycle")
+        return tuple(order)
+
 
 def validate(dag: Dag) -> list[str]:
     """Return all invariant violations; an empty list means the graph is well formed."""
@@ -153,26 +177,9 @@ def validate(dag: Dag) -> list[str]:
 
 
 def topological_order(dag: Dag) -> list[str]:
-    """Topological order with lexicographic tie-break on node name."""
-    indeg = {n.name: 0 for n in dag.nodes}
-    for e in dag.edges:
-        if e.dst not in indeg or e.src not in indeg:
-            raise GraphError(f"dangling edge {e.src} -> {e.dst}")
-        indeg[e.dst] += 1
-    children = dag._child_map  # read directly: every name popped below is a node
-    heap = [n for n, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    order: list[str] = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for c in sorted(children[v]):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(heap, c)
-    if len(order) != len(dag.nodes):
-        raise GraphError("graph contains a directed cycle")
-    return order
+    """Topological order with lexicographic tie-break on node name, as a new
+    list (the graph computes it once, in `Dag.of`'s validation or here)."""
+    return list(dag._order)
 
 
 def moral_graph(dag: Dag, restrict_to: Iterable[str]) -> tuple[frozenset[str], frozenset[frozenset[str]]]:

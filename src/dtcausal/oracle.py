@@ -450,10 +450,10 @@ def eci_holds(model: MultiRegimeModel, stmt: EciStatement, tol: float = DEFAULT_
         name: _coerce_state(value, model.regime_domain(name)) if name in regime_names else value
         for name, value in dict(stmt.pinned).items()
     }
-    for name in stmt.left:
+    for name in sorted(stmt.left):
         if name not in variables:
             raise ModelError(f"unknown or non-stochastic left variable {name!r}")
-    for name in stmt.right | stmt.given:
+    for name in sorted(stmt.right | stmt.given):
         if name not in variables and name not in regime_names:
             raise ModelError(f"unknown variable {name!r}")
     # Conditioning dominates: a variable on both sides is redundant on the

@@ -57,9 +57,8 @@ class EciStatement(namedtuple("EciStatement", "left right given pinned")):
         if not left:
             raise StatementError("left side must be nonempty")
         if not pinned:  # the common case: only the overlap check applies
-            overlap = left & (right | given)
-            if overlap:
-                raise StatementError(f"left side overlaps other sets: {sorted(overlap)}")
+            if not (left.isdisjoint(right) and left.isdisjoint(given)):
+                raise StatementError(f"left side overlaps other sets: {sorted(left & (right | given))}")
             return tuple.__new__(cls, (left, right, given, ()))
         pinned_names = frozenset(keyed(pinned, lambda _: StatementError("regime pinned twice")))
         # The left side must not overlap the other sets; right/given overlap
@@ -75,11 +74,12 @@ class EciStatement(namedtuple("EciStatement", "left right given pinned")):
         return self.left | self.right | self.given | frozenset(n for n, _ in self.pinned)
 
     def validate_against(self, dag: Dag) -> None:
-        """Check node existence and the left-side stochasticity restriction."""
-        for name in self.variables():
+        """Check node existence and the left-side stochasticity restriction,
+        naming the first offending name in sorted order."""
+        for name in sorted(self.variables()):
             if not dag.has_node(name):
                 raise StatementError(f"unknown node {name!r}")
-        for name in self.left:
+        for name in sorted(self.left):
             if dag.kind_of(name) == REGIME:
                 raise StatementError(f"regime node {name!r} on left side")
         for name, _ in self.pinned:

@@ -207,6 +207,42 @@ class TestEliminate:
                 outcomes.append("dashed" if any(e.dashed for e in got.edges) else "projected")
         assert set(outcomes) == {"refused", "dashed", "projected"}
 
+    def test_agrees_with_greedy_elimination_on_benchmark_shaped_graphs(self):
+        # 7-8 observed nodes with a latent parent shared by two of them, split
+        # for one or two targets, dropping the intention nodes and the latent.
+        rng = np.random.default_rng(30)
+        outcomes = []
+        for _ in range(60):
+            dag, drop = benchmark_shaped_projection(rng)
+            try:
+                want = loop_eliminate(dag, drop)
+            except ProjectionError:
+                with pytest.raises(ProjectionError):
+                    eliminate_nodes(dag, drop)
+                outcomes.append("refused")
+                continue
+            assert eliminate_nodes(dag, drop) == want
+            outcomes.append("projected")
+        assert set(outcomes) == {"refused", "projected"}
+
+
+def benchmark_shaped_projection(rng: np.random.Generator) -> tuple[Dag, set[str]]:
+    """The ITT split of a random observational DAG of 7-8 nodes (35% of the
+    forward pairs joined) plus a latent `L` parent of two of them, and the
+    drop of its intention nodes and `L`."""
+    n = int(rng.integers(7, 9))
+    names = [f"V{i}" for i in rng.permutation(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    joined = rng.choice(len(pairs), round(0.35 * len(pairs)), replace=False)
+    edges = {Edge(names[pairs[k][0]], names[pairs[k][1]]) for k in joined}
+    edges |= {Edge("L", names[k]) for k in rng.choice(n, 2, replace=False)}
+    obs = Dag.of({Node(v) for v in names} | {Node("L", latent=True)}, edges)
+    order = topological_order(obs)
+    picked = rng.choice(range(1, n), int(rng.integers(1, 3)), replace=False)
+    targets = sorted((names[k] for k in picked), key=order.index)
+    itt = build_itt_dag(obs, InterventionPlan(tuple(targets)))
+    return itt, {itt_name(t) for t in targets} | {"L"}
+
 
 class TestBuildAugmented:
     def test_equals_itt_then_eliminate(self):

@@ -1224,6 +1224,40 @@ def test_symbolic_commands_do_not_load_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_unknown_name_errors_do_not_depend_on_the_hash_seed(hash_seed):
+    """Of two unknown names, each error names the first in sorted order,
+    whatever order the process's string hashing puts them in."""
+    commands = [
+        ["dsep", "corpus/itt_ignorable.cadt", "--query", "Q _||_ R"],
+        ["project", "corpus/two_stage_itt.cadt", "--drop", "Q,R"],
+        ["verify", "corpus/models/two_stage.json", "--check", "eci", "--statement", "Y _||_ X0 | Q, R"],
+    ]
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io
+        from dtcausal.cli import main
+
+        for argv in {commands!r}:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            print(code, err.getvalue().strip())
+        """
+    )
+    src = str(pathlib.Path(dtcausal.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=CORPUS.parent, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "2 error: unknown node 'Q'",
+        "2 error: unknown node 'Q'",
+        "2 error: unknown variable 'Q'",
+    ]
+
+
 def test_package_import_loads_no_submodule():
     """`import dtcausal` holds only the shared input helpers, so it loads no
     `dtcausal.*` module; each command imports the modules it runs."""

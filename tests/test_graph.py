@@ -89,6 +89,46 @@ class TestTopologicalOrder:
         with pytest.raises(GraphError):
             topological_order(dag)
 
+    def test_matches_uncached_reference_on_random_dags(self):
+        # Names are shuffled against the edge direction, and run past V9, so
+        # the name tie-break and not the construction order decides.
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.integers(2, 14))
+            names = [f"V{i}" for i in rng.permutation(n)]
+            edges = {Edge(names[a], names[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3}
+            dag = Dag.of({Node(v) for v in names}, edges)
+            assert topological_order(dag) == smallest_ready_first(dag)
+            assert topological_order(dag) == smallest_ready_first(dag)  # read from the graph's cache
+
+    def test_returned_list_is_a_fresh_copy(self):
+        dag = two_stage_obs_dag()
+        order = topological_order(dag)
+        want = list(order)
+        order.reverse()
+        order.append("X9")
+        assert topological_order(dag) == want
+
+    def test_cyclic_graph_still_fails_in_of(self):
+        nodes, edges = {Node("A"), Node("B"), Node("C")}, {Edge("A", "B"), Edge("B", "C"), Edge("C", "B")}
+        with pytest.raises(GraphError, match="directed cycle"):
+            Dag.of(nodes, edges)
+        dag = Dag(frozenset(nodes), frozenset(edges))
+        for _ in range(2):  # a failed sort caches nothing
+            with pytest.raises(GraphError, match="directed cycle"):
+                topological_order(dag)
+
+
+def smallest_ready_first(dag: Dag) -> list[str]:
+    """Uncached reference: place the smallest name whose parents are all placed."""
+    order: list[str] = []
+    left = {n.name for n in dag.nodes}
+    while left:
+        v = min(v for v in left if all(e.src in order for e in dag.edges if e.dst == v))
+        order.append(v)
+        left.remove(v)
+    return order
+
 
 class TestMoralGraph:
     def test_simple_chain_no_marriages(self):
