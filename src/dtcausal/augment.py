@@ -16,7 +16,9 @@ from typing import NamedTuple
 
 from dtcausal import keyed
 from dtcausal.dsep import d_separated, separations_agree
-from dtcausal.graph import REGIME, STOCHASTIC, Dag, Edge, GraphError, Node, moral_adjacency, surgery, topological_order
+from dtcausal.graph import (
+    REGIME, STOCHASTIC, Dag, Edge, GraphError, Node, moral_adjacency, moral_reach, surgery, topological_order,
+)
 from dtcausal.statements import EciStatement, format_statement
 
 
@@ -98,12 +100,7 @@ def eliminate_nodes(dag: Dag, drop: frozenset[str] | set[str]) -> Dag:
         # node that v reaches through nodes outside pre.
         pre = frozenset(retained[:i])
         adj = moral_adjacency(dag, retained[: i + 1])
-        reached, stack = {v}, [v]
-        while stack:
-            new = adj[stack.pop()] - pre - reached
-            reached |= new
-            stack.extend(new)
-        edges.update((u, v) for w in reached for u in adj[w] & pre)
+        edges.update((u, v) for w in moral_reach(adj, (v,), pre) for u in adj[w] & pre)
     # Dropped ITT parents leave the deterministic/dashed annotations moot.
     kept_dashed = {(e.src, e.dst) for e in dag.edges if e.dashed and e.src not in drop and e.dst not in drop}
     heads = {dst for _, dst in kept_dashed}

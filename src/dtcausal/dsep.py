@@ -25,11 +25,12 @@ node).
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations, compress, repeat
 from typing import Callable, Iterable
 
-from dtcausal.graph import IDLE, STOCHASTIC, Dag, GraphError, moral_adjacency, restrict_to_regime, topological_order
+from dtcausal.graph import (
+    IDLE, STOCHASTIC, Dag, GraphError, moral_adjacency, moral_reach, restrict_to_regime, topological_order,
+)
 from dtcausal.statements import EciStatement
 
 #: Hard cap on the nodes `implied_statements` and `separations_agree` enumerate over.
@@ -57,23 +58,8 @@ def d_separated(dag: Dag, stmt: EciStatement) -> bool:
 
 
 def separated(dag: Dag, left: frozenset[str], right: frozenset[str], cond: frozenset[str]) -> bool:
-    """Raw graphical separation query, without the ECI well-formedness
-    checks (used internally where regime nodes may sit on either side)."""
-    if not right:
-        return True
-    adj = moral_adjacency(dag, left | right | cond)
-    # BFS from left avoiding conditioning nodes.
-    seen = set(left - cond)
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        if v in right:
-            return False
-        for w in adj[v]:
-            if w not in seen and w not in cond:
-                seen.add(w)
-                queue.append(w)
-    return not (right & seen)
+    """The moralisation criterion without the ECI well-formedness checks."""
+    return moral_reach(moral_adjacency(dag, left | right | cond), left, cond).isdisjoint(right)
 
 
 def _active_trails(dag: Dag, in_cond: dict[str, int], full: int) -> Callable[[Iterable[str]], dict[str, int]]:

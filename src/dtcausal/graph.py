@@ -147,7 +147,7 @@ class Dag(namedtuple("Dag", "nodes edges")):
 def validate(dag: Dag) -> list[str]:
     """Return all invariant violations; an empty list means the graph is well formed."""
     by_name = dag._by_name  # one node per name: a node it does not hold repeats a name
-    duplicates = sorted({n.name for n in dag.nodes if by_name[n.name] is not n})
+    duplicates = {n.name for n in dag.nodes if by_name[n.name] is not n}
     errors = [f"duplicate node name {name!r}" for name in duplicates]
     # topological_order counts by name: a repeated name, a dangling edge or a self-loop would read as a cycle.
     unordered = bool(duplicates)
@@ -168,6 +168,7 @@ def validate(dag: Dag) -> list[str]:
             errors.append(f"regime node {e.dst!r} has parent {e.src!r}")
         if e.dashed and not by_name[e.dst].deterministic:
             errors.append(f"dashed edge into non-deterministic node {e.dst!r}")
+    errors.sort()  # one order whatever the string hashing; messages, not names, as a model's names may mix types
     if not unordered:
         try:
             topological_order(dag)
@@ -183,18 +184,14 @@ def topological_order(dag: Dag) -> list[str]:
 
 
 def moral_graph(dag: Dag, restrict_to: Iterable[str]) -> tuple[frozenset[str], frozenset[frozenset[str]]]:
-    """Moralised ancestral subgraph.
-
-    Takes the ancestral closure of `restrict_to`, marries co-parents
-    within it, and drops edge directions.  Returns (nodes, undirected
-    edges as 2-element frozensets).
-    """
+    """`moral_adjacency` as (nodes, undirected edges as 2-element frozensets)."""
     adj = moral_adjacency(dag, restrict_to)
     return frozenset(adj), frozenset(frozenset((a, b)) for a in adj for b in adj[a])
 
 
 def moral_adjacency(dag: Dag, restrict_to: Iterable[str]) -> dict[str, set[str]]:
-    """`moral_graph` as each node's set of neighbours."""
+    """The moralised ancestral subgraph as each node's set of neighbours: the ancestral
+    closure of `restrict_to`, with co-parents married and edge directions dropped."""
     keep = dag.ancestors(restrict_to)
     adj: dict[str, set[str]] = {v: set() for v in keep}
     for v in keep:
@@ -204,6 +201,17 @@ def moral_adjacency(dag: Dag, restrict_to: Iterable[str]) -> dict[str, set[str]]
             adj[p].add(v)
             adj[p] |= parents - {p}
     return adj
+
+
+def moral_reach(adj: Mapping[str, set[str]], sources: Iterable[str], blocked: frozenset[str]) -> set[str]:
+    """The sources outside `blocked` and the nodes they reach in the undirected graph `adj` around `blocked`."""
+    reached = set(sources) - blocked
+    stack = list(reached)
+    while stack:
+        new = adj[stack.pop()] - blocked - reached
+        reached |= new
+        stack.extend(new)
+    return reached
 
 
 def surgery(dag: Dag, remove_incoming: Iterable[str] = (), remove_outgoing: Iterable[str] = ()) -> Dag:

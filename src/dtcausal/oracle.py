@@ -4,10 +4,12 @@ A model assigns one joint probability table over the stochastic
 variables to every regime assignment.  ITT-mode models are built from
 a CPT bank plus regimes, each setting one deterministic target that
 the bank gives no CPT: its value is the regime value when the regime is
-non-idle, else its ITT source's value.  Raw-mode models store one
-joint table per assignment of their declared regimes, for any
-regime-indexed family, consistent or not.  In either mode a regime's
-domain is the idle value plus the states of its target.
+non-idle, else its ITT source's value.  A CPT is plain data, checked by the
+model that holds it: each parent listed once, and one row per tuple of parent
+values and no other, a distribution over the child's states.  Raw-mode models
+store one joint table per assignment of their declared regimes, for any
+regime-indexed family, consistent or not.  In either mode a regime's domain
+is the idle value plus the states of its target.
 
 Both modes compile once, at construction, into one form: the variables,
 each regime's domain, and a list of factors.  A factor names the regimes
@@ -56,27 +58,20 @@ class PositivityError(ModelError):
     """Raised when a query conditions on an event the model gives zero probability."""
 
 
-@dataclass(frozen=True)
-class Cpt:
+class Cpt(NamedTuple):
+    """A child's probabilities per tuple of parent values: plain data, checked by the model that holds it."""
+
     child: str
     parents: tuple[str, ...]
     table: dict[tuple, tuple[float, ...]]
 
-    def __post_init__(self) -> None:
-        keyed(
-            zip(self.parents, self.parents),
-            lambda p: ModelError(f"parent {p!r} of the CPT for {self.child!r} is listed twice"),
-        )
-        for key, probs in self.table.items():
-            if len(key) != len(self.parents):
-                raise ModelError(f"CPT row for {self.child!r} has wrong parent arity")
-            _check_distribution(probs, lambda: f"CPT row {list(key)} for {self.child!r}")
 
-
-def _check_distribution(probs: Sequence[float], what: Callable[[], str]) -> None:
-    """Every entry finite and nonnegative, and the entries sum to 1; `what()`
-    names the distribution in the error, built only on failure.  NaN fails
-    every comparison, so both tests are written to pass only on good input."""
+def _check_distribution(probs: Sequence[float], size: int, what: Callable[[], str]) -> None:
+    """`size` entries, each finite and nonnegative, that sum to 1; `what()` names
+    the distribution in the error, built only on failure.  NaN fails every
+    comparison, so both tests are written to pass only on good input."""
+    if len(probs) != size:
+        raise ModelError(f"{what()} has {len(probs)} probabilities, expected {size}")
     bad = next((p for p in probs if not 0.0 <= p < math.inf), None)
     if bad is not None:
         raise ModelError(f"{what()} has a {'negative' if bad < 0 else 'non-finite'} probability {bad}")
@@ -151,7 +146,10 @@ class JointTable:
         total = math.fsum(itertools.chain.from_iterable(rows))
         if total <= ZERO_TOL:
             raise ModelError("conditioning event has zero probability")
-        return math.fsum(float(s) * p for s, row in zip(values, rows) for p in row) / total
+        try:
+            return math.fsum(float(s) * p for s, row in zip(values, rows) for p in row) / total
+        except (TypeError, ValueError):
+            raise ModelError(f"states of {var!r} are not numeric; no mean exists") from None
 
 
 # (regimes indexing the factor, their values -> array over every variable); a
@@ -191,7 +189,7 @@ class MultiRegimeModel:
         if len(self.states) > MAX_VARIABLES:
             raise ModelError(f"more than {MAX_VARIABLES} stochastic variables")
         self.regime_of  # reading it checks the regimes of either mode: one per target, each with an ITT source
-        self.variables  # reading it compiles the model, which checks every CPT row and raw table
+        self.variables  # reading it compiles the model, which checks every CPT and raw table
 
     # -- regime bookkeeping --------------------------------------------
 
@@ -371,19 +369,20 @@ class MultiRegimeModel:
         cpt = self._itt_cpts.get(v)
         if cpt is None:
             raise ModelError(f"missing CPT for {v!r}")
+        keyed(zip(cpt.parents, cpt.parents), lambda p: ModelError(f"parent {p!r} of the CPT for {v!r} is listed twice"))
         domains = [regime_domains.get(p) or self.states[p] for p in cpt.parents]
         configs = list(itertools.product(*domains))
-        unknown = set(cpt.table) - set(configs)
+        unknown = cpt.table.keys() - set(configs)
         if unknown:
-            row = list(min(unknown, key=repr))
-            raise ModelError(f"CPT row {row} for {v!r} names a parent value that is not a state")
+            row = min(unknown, key=repr)
+            fault = "has wrong parent arity" if len(row) != len(domains) else "names a parent value that is not a state"
+            raise ModelError(f"CPT row {list(row)} for {v!r} {fault}")
         n = len(self.states[v])
         for config in configs:
             probs = cpt.table.get(config)
             if probs is None:
                 raise ModelError(f"CPT for {v!r} has no row for parents {list(config)}")
-            if len(probs) != n:
-                raise ModelError(f"CPT row {list(config)} for {v!r} has {len(probs)} probabilities, not {n}")
+            _check_distribution(probs, n, lambda: f"CPT row {list(config)} for {v!r}")
         tensor = np.array([cpt.table[c] for c in configs], dtype=float).reshape([len(d) for d in domains] + [n])
         dims = [*cpt.parents, v]  # the tensor's axes
         regime_pos = [i for i, p in enumerate(cpt.parents) if p in regime_domains]
@@ -410,9 +409,7 @@ class MultiRegimeModel:
             flat = self.raw_regimes.get(_freeze_assignment(assignment))
             if flat is None:
                 raise ModelError(f"no raw table for regime assignment {assignment}")
-            if flat.size != size:
-                raise ModelError(f"raw table for {assignment} has {flat.size} probabilities, expected {size}")
-            _check_distribution(flat.tolist(), lambda: f"raw table for {assignment}")
+            _check_distribution(flat.tolist(), size, lambda: f"raw table for {assignment}")
             tables[combo] = np.array(flat, dtype=float).reshape(shape)
         return _Compiled(variables, domains, ((tuple(names), tables),))
 

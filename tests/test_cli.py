@@ -369,6 +369,8 @@ class TestVerify:
             ),
             ("two_stage.json", lambda doc: doc["regimes"][0].update(name="Z"), "regime 'Z' has the name of a variable"),
             ("itt_example.json", lambda doc: doc["cpts"][1].update(parents=["T", "Q"]), "dangling edge Q -> Y"),
+            # A name that is no string must not stop the graph's faults from being sorted.
+            ("itt_example.json", lambda doc: doc["cpts"][1].update(parents=["T", 1]), "dangling edge 1 -> Y"),
             (
                 "two_stage.json",
                 lambda doc: doc["regimes"].append({"name": "F_X0b", "target": "X0", "itt": "X0*"}),
@@ -395,6 +397,11 @@ class TestVerify:
                 "itt_example.json",
                 lambda doc: doc["cpts"][1]["rows"].append({"parents": [0, 0], "probs": [1.0, 0.0]}),
                 "CPT row [0, 0] for 'Y' is listed twice",
+            ),
+            (
+                "itt_example.json",
+                lambda doc: doc["cpts"][1]["rows"].append({"parents": [0, 0, 0], "probs": [0.5, 0.5]}),
+                "CPT row [0, 0, 0] for 'Y' has wrong parent arity",
             ),
             ("itt_example.json", lambda doc: doc["cpts"].append(dict(doc["cpts"][1])), "CPT for 'Y' is listed twice"),
             (
@@ -448,8 +455,9 @@ class TestVerify:
         ],
         ids=[
             "target-with-cpt", "no-itt-source", "itt-not-a-variable", "itt-is-a-regime", "regime-named-like-variable",
-            "dangling-cpt-parent", "two-regimes-one-target", "raw-two-regimes-one-target", "parentless-cpt-unknown-child",
-            "deterministic-non-target", "repeated-cpt-row", "repeated-cpt", "idle-value-as-target-state",
+            "dangling-cpt-parent", "number-cpt-parent", "two-regimes-one-target", "raw-two-regimes-one-target",
+            "parentless-cpt-unknown-child", "deterministic-non-target", "repeated-cpt-row", "cpt-row-parent-arity",
+            "repeated-cpt", "idle-value-as-target-state",
             "itt-source-state-not-a-target-state", "target-not-a-variable", "raw-target-not-a-variable",
             "raw-itt-not-a-variable", "raw-no-regimes", "raw-regime-not-in-tables", "raw-regime-named-like-variable",
         ],
@@ -652,6 +660,14 @@ class TestAce:
     def test_model_missing_options(self, capsys):
         code, _, err = run(capsys, "ace", str(MODELS / "itt_example.json"))
         assert code == 2
+
+    def test_model_outcome_states_not_numeric(self, capsys, tmp_path):
+        doc = json.loads((MODELS / "itt_example.json").read_text())
+        doc["variables"][2]["states"] = ["lo", "hi"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ace", str(path), "--y", "Y", "--action", "T")
+        assert (code, out, err) == (2, "", "error: states of 'Y' are not numeric; no mean exists\n")
 
     def test_decision_problem_needs_two_actions(self, capsys, tmp_path):
         doc = {"actions": ["a"], "distributions": {"a": {"type": "table", "rows": [{"y": 1, "p": 1.0}]}}, "loss": []}
@@ -1225,13 +1241,19 @@ def test_symbolic_commands_do_not_load_numpy(tmp_path):
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "2"])
-def test_unknown_name_errors_do_not_depend_on_the_hash_seed(hash_seed):
-    """Of two unknown names, each error names the first in sorted order,
-    whatever order the process's string hashing puts them in."""
+def test_unknown_name_errors_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
+    """Of two unknown names, each error names the first in sorted order, and a
+    graph with two faults lists them in one order, whatever order the
+    process's string hashing puts them in."""
+    two_faults = tmp_path / "two_faults.cadt"
+    two_faults.write_text(
+        "graph g {\n  node A;\n  node B;\n  node C;\n  node D;\n  edge A -> B dashed;\n  edge C -> D dashed;\n}\n"
+    )
     commands = [
         ["dsep", "corpus/itt_ignorable.cadt", "--query", "Q _||_ R"],
         ["project", "corpus/two_stage_itt.cadt", "--drop", "Q,R"],
         ["verify", "corpus/models/two_stage.json", "--check", "eci", "--statement", "Y _||_ X0 | Q, R"],
+        ["render", str(two_faults), "--dot", "-"],
     ]
     script = textwrap.dedent(
         f"""
@@ -1255,6 +1277,8 @@ def test_unknown_name_errors_do_not_depend_on_the_hash_seed(hash_seed):
         "2 error: unknown node 'Q'",
         "2 error: unknown node 'Q'",
         "2 error: unknown variable 'Q'",
+        "2 error: line 1, column 1: dashed edge into non-deterministic node 'B'; "
+        "dashed edge into non-deterministic node 'D'",
     ]
 
 

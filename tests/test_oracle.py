@@ -71,17 +71,26 @@ def kernel_model(py1, ignorable=False, p_star=0.6):
 
 
 class TestCpt:
+    """A CPT is plain data: the model that holds it checks it."""
+
+    @staticmethod
+    def model(y: Cpt) -> MultiRegimeModel:
+        cpts = {"T*": Cpt("T*", (), {(): (0.4, 0.6)}), "Y": y}
+        return MultiRegimeModel(
+            "itt", {"T*": BIN, "T": BIN, "Y": BIN}, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
+        )
+
     def test_rows_must_sum_to_one(self):
-        with pytest.raises(ModelError, match="sum"):
-            Cpt("Y", (), {(): (0.5, 0.4)})
+        with pytest.raises(ModelError, match=r"CPT row \[\] for 'Y' does not sum to 1"):
+            self.model(Cpt("Y", (), {(): (0.5, 0.4)}))
 
     def test_negative_probability(self):
-        with pytest.raises(ModelError, match="negative"):
-            Cpt("Y", (), {(): (-0.1, 1.1)})
+        with pytest.raises(ModelError, match=r"CPT row \[\] for 'Y' has a negative probability -0.1"):
+            self.model(Cpt("Y", (), {(): (-0.1, 1.1)}))
 
     def test_parent_arity(self):
-        with pytest.raises(ModelError, match="arity"):
-            Cpt("Y", ("T",), {(0, 1): (0.5, 0.5)})
+        with pytest.raises(ModelError, match=r"CPT row \[0, 1\] for 'Y' has wrong parent arity"):
+            self.model(Cpt("Y", ("T",), {(0, 1): (0.5, 0.5)}))
 
 
 class TestJoint:
@@ -786,6 +795,12 @@ class TestEtt:
     def test_zero_probability_itt(self):
         m = kernel_model(lambda t, ts: 0.5, p_star=0.0)
         with pytest.raises(ModelError):
+            ett(m, "Y", "T")
+
+    def test_outcome_states_must_be_numeric(self):
+        m = kernel_model(lambda t, ts: 0.5)
+        m = replace(m, states={**m.states, "Y": ("lo", "hi")})
+        with pytest.raises(ModelError, match="states of 'Y' are not numeric; no mean exists"):
             ett(m, "Y", "T")
 
 
