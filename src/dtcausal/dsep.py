@@ -12,9 +12,9 @@ Two permanently maintained, independent criteria:
   sweeps propagate them until nothing changes.
 
 Both must always agree; the test suite compares them on random graphs.
-The enumerations (`implied_statements`, `separations_agree`) use the same
-pass with every subset of the enumerated names as one bit, so one pass
-per source answers every conditioning set and right-hand node at once.
+The enumerations (`implied_statements`, `separations_agree`) seed the same
+pass with one bit per (stochastic source, subset of the enumerated names), so
+one pass per graph answers every source, conditioning set and right-hand node.
 Pinned regime terms (``F=x``) first restrict the graph (removing the
 dashed intention-to-treat edge when the pin is non-idle) and then join
 the conditioning set as ordinary nodes, together with every deterministic
@@ -25,8 +25,8 @@ node).
 
 from __future__ import annotations
 
-from itertools import combinations, compress, repeat
-from typing import Callable, Iterable
+from itertools import accumulate, combinations, compress, repeat
+from typing import Iterable
 
 from dtcausal.graph import (
     IDLE, STOCHASTIC, Dag, GraphError, moral_adjacency, moral_reach, restrict_to_regime, topological_order,
@@ -62,14 +62,15 @@ def separated(dag: Dag, left: frozenset[str], right: frozenset[str], cond: froze
     return moral_reach(moral_adjacency(dag, left | right | cond), left, cond).isdisjoint(right)
 
 
-def _active_trails(dag: Dag, in_cond: dict[str, int], full: int) -> Callable[[Iterable[str]], dict[str, int]]:
-    """Bit-sliced active trails over the conditioning sets numbered by the
-    bits of `full`: set k holds the nodes `v` with bit k of `in_cond[v]`
-    (a node missing from `in_cond` is never conditioned).
+def _active_trails(dag: Dag, in_cond: dict[str, int], full: int, seeds: dict[str, int]) -> dict[str, int]:
+    """One bit-sliced active-trail pass over the slices numbered by the bits
+    of `full`: slice k conditions on the nodes `v` with bit k of `in_cond[v]`
+    (a node missing from `in_cond` is never conditioned), and its sources are
+    the nodes `v` with bit k of `seeds[v]`.
 
-    The returned pass maps sources to each node's bits k such that the node
-    lies outside set k and has an active trail from the sources given set k
-    (sources outside set k count as reached)."""
+    Maps each node to its bits k such that the node lies outside slice k's
+    set and has an active trail given it from a source of slice k (a source
+    outside the set is reached)."""
     order = topological_order(dag)
     nodes = range(len(order))
     at = {v: i for i, v in enumerate(order)}
@@ -79,46 +80,42 @@ def _active_trails(dag: Dag, in_cond: dict[str, int], full: int) -> Callable[[It
         children[at[e.src]].append(at[e.dst])
     cond = [in_cond.get(v, 0) for v in order]
     free = [full & ~c for c in cond]
-    # The sets that hold the node or one of its descendants.
+    # The slices whose conditioning set holds the node or one of its descendants.
     anc = cond[:]
     for i in reversed(nodes):
         for c in children[i]:
             anc[i] |= anc[c]
-
-    def reach(sources: Iterable[str]) -> dict[str, int]:
-        # "up" = entered from a child (or a source); "down" = entered from a
-        # parent.  A node entered up passes on both ways unless conditioned;
-        # one entered down passes on down unless conditioned, and up if it is
-        # a collider with a conditioned descendant.  A forward sweep settles
-        # every downward run and a reverse sweep every upward one, so the two
-        # alternate until a reverse sweep adds nothing.
-        up, down, to_children, to_parents = ([0] * len(order) for _ in range(4))
-        for v in sources:
-            up[at[v]] = full
-        grew = True
-        while grew:
-            for i in nodes:
-                d = 0
-                for p in parents[i]:
-                    d |= to_children[p]
-                down[i], to_children[i] = d, (up[i] | d) & free[i]
-            grew = False
-            for i in reversed(nodes):
-                u = up[i]
-                for c in children[i]:
-                    u |= to_parents[c]
-                if u != up[i]:
-                    up[i], grew = u, True
-                to_parents[i] = (u & free[i]) | (down[i] & anc[i])
-        return {v: (up[i] | down[i]) & free[i] for i, v in enumerate(order)}
-
-    return reach
+    # "up" = entered from a child (or a source); "down" = entered from a
+    # parent.  A node entered up passes on both ways unless conditioned;
+    # one entered down passes on down unless conditioned, and up if it is
+    # a collider with a conditioned descendant.  A forward sweep settles
+    # every downward run and a reverse sweep every upward one, so the two
+    # alternate until a reverse sweep adds nothing.
+    up, down, to_children, to_parents = ([0] * len(order) for _ in range(4))
+    for v, bits in seeds.items():
+        up[at[v]] = bits
+    grew = True
+    while grew:
+        for i in nodes:
+            d = 0
+            for p in parents[i]:
+                d |= to_children[p]
+            down[i], to_children[i] = d, (up[i] | d) & free[i]
+        grew = False
+        for i in reversed(nodes):
+            u = up[i]
+            for c in children[i]:
+                u |= to_parents[c]
+            if u != up[i]:
+                up[i], grew = u, True
+            to_parents[i] = (u & free[i]) | (down[i] & anc[i])
+    return {v: (up[i] | down[i]) & free[i] for i, v in enumerate(order)}
 
 
 def d_separated_paths(dag: Dag, stmt: EciStatement) -> bool:
     """Active-trail criterion; must agree with `d_separated`."""
     graph, left, right, cond = _prepare(dag, stmt)
-    reached = _active_trails(graph, dict.fromkeys(cond, 1), 1)(left)
+    reached = _active_trails(graph, dict.fromkeys(cond, 1), 1, dict.fromkeys(left, 1))
     return not any(reached[v] for v in right)
 
 
@@ -132,6 +129,35 @@ def _enumeration_names(over: Iterable[str], *dags: Dag) -> list[str]:
     return names
 
 
+def _slices(dag: Dag, names: list[str]) -> tuple[list[str], dict[str, int], dict[str, int], int]:
+    """The enumerations' one pass: the stochastic `names` of `dag` as
+    sources, each name's conditioning bits, each source's seed bits, and
+    every bit.  Bit s·2**n + k answers for the s-th source under
+    conditioning set k: the k-th subset of the n `names` by size and then
+    in `combinations` order, the order the statements come out in."""
+    n = len(names)
+    sources = [a for a in names if dag.kind_of(a) == STOCHASTIC]
+    # For i from n - 1 down to 0, bit t of member[j][k] says names[j] is in
+    # the t-th k-subset of names[i:], of which there are counts[k]: names[i]
+    # with each (k-1)-subset of names[i + 1:], then the k-subsets of names[i + 1:]
+    # (k falls, so each step reads the sizes of names[i + 1:] before replacing them).
+    counts, member = [1] + [0] * n, [[0] * (n + 1) for _ in names]
+    for i in reversed(range(n)):
+        for k in range(n - i, 0, -1):
+            for sizes in member[i + 1:]:
+                sizes[k] = sizes[k - 1] | sizes[k] << counts[k - 1]
+            member[i][k] = (1 << counts[k - 1]) - 1
+            counts[k] += counts[k - 1]
+    full, offsets = (1 << (len(sources) << n)) - 1, list(accumulate(counts, initial=0))
+    in_cond = {}
+    for name, sizes in zip(names, member):
+        bits = sum(size_bits << offset for size_bits, offset in zip(sizes, offsets))
+        for m in range(n, n + (len(sources) - 1).bit_length()):  # a copy per source's block, by doubling
+            bits |= bits << (1 << m)
+        in_cond[name] = bits & full
+    return sources, in_cond, {a: ((1 << (1 << n)) - 1) << (s << n) for s, a in enumerate(sources)}, full
+
+
 # Bit k of a mask, lowest first, as byte k (0 or 1): `compress` selectors.
 _ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 
@@ -143,45 +169,34 @@ def implied_statements(dag: Dag, over: frozenset[str] | set[str]) -> list[EciSta
     on any subset of the remaining `over` nodes.  Deterministic order.
     """
     names = _enumeration_names(over, dag)
-    # Conditioning set k is the k-th subset of `names` by size and then in
-    # `combinations` order, the order the statements come out in.
     subsets = [frozenset(cond) for k in range(len(names) + 1) for cond in combinations(names, k)]
-    in_cond = {v: int("".join("1" if v in cond else "0" for cond in reversed(subsets)), 2) for v in names}
-    full = (1 << len(subsets)) - 1
-    reach = _active_trails(dag, in_cond, full)
+    sources, in_cond, seeds, full = _slices(dag, names)
+    reached = _active_trails(dag, in_cond, full, seeds)
+    block = (1 << len(subsets)) - 1
     out: list[EciStatement] = []
-    for a in names:
-        if dag.kind_of(a) != STOCHASTIC:
-            continue
-        reached, left = reach([a]), frozenset({a})
+    for s, a in enumerate(sources):
+        left, shift = frozenset({a}), s << len(names)
         # Stochastic pairs are emitted once, smaller name on the left.
         for b in names:
             if b != a and not (dag.kind_of(b) == STOCHASTIC and b < a):
-                separated_by = full & ~(reached[b] | in_cond[a] | in_cond[b])
+                separated_by = ~(reached[b] | in_cond[a] | in_cond[b]) >> shift & block
                 selectors = bin(separated_by)[:1:-1].encode().translate(_ZERO_ONE)
-                single = frozenset({b})
-                out.extend(map(EciStatement, repeat(left), repeat(single), compress(subsets, selectors)))
+                # Well formed by construction: `a` is in no listed set, `b` is
+                # not `a`, and nothing is pinned, so the checks are skipped.
+                out.extend(map(tuple.__new__, repeat(EciStatement), zip(
+                    repeat(left), repeat(frozenset({b})), compress(subsets, selectors), repeat(()))))
     return out
 
 
 def separations_agree(dag: Dag, other: Dag, over: Iterable[str]) -> bool:
     """Whether both graphs imply the same `implied_statements` over `over`
-    (node kinds are read from `dag`), stopping at the first difference.
+    (node kinds are read from `dag`).
 
     d-separation is symmetric, so comparing the nodes of `over` reached
     from every stochastic `a`, under every conditioning set, covers every
     listed pair (under a set that holds `a`, nothing is reached).
     """
     names = _enumeration_names(over, dag, other)
-    # Conditioning set k holds names[j] iff bit j of k is set: bit k of the
-    # j-th pattern repeats 2**j clear bits, then 2**j set ones.
-    full = (1 << (1 << len(names))) - 1
-    in_cond = {v: full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j)) for j, v in enumerate(names)}
-    reach, other_reach = _active_trails(dag, in_cond, full), _active_trails(other, in_cond, full)
-    for a in names:
-        if dag.kind_of(a) != STOCHASTIC:
-            continue
-        reached, other_reached = reach([a]), other_reach([a])
-        if any(reached[b] != other_reached[b] for b in names):
-            return False
-    return True
+    _, in_cond, seeds, full = _slices(dag, names)
+    reached, other_reached = (_active_trails(graph, in_cond, full, seeds) for graph in (dag, other))
+    return all(reached[b] == other_reached[b] for b in names)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dtcausal
-from dtcausal import cli, decision, dsep, oracle
+from dtcausal import cli, decision, dsep, dsl, oracle, statements
 from dtcausal.cli import main
 
 from conftest import CORPUS
@@ -1126,6 +1127,73 @@ class TestJsonShape:
             code = main([str(target) if a == "{}" else a for a in JSON_INPUTS[model]])
         assert code in (0, 1, 2, 3), (model, path, value, err.getvalue())
         assert "internal error" not in err.getvalue()
+
+
+TEXT_INPUTS = sorted(CORPUS.glob("*.cadt")) + sorted(CORPUS.glob("*.eci"))
+# The units a token swap exchanges: names, the separator, the arrow and single characters.
+TEXT_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\*?|_\|\|_|->|[^\sA-Za-z0-9_]")
+
+
+def text_names(path) -> list[str]:
+    """The node names of a corpus graph, or the variables of a premise file."""
+    if path.suffix == ".cadt":
+        return sorted(dsl.load_doc(str(path)).dag.node_names)
+    return sorted(set().union(*(s.variables() for s in statements.parse_premise_file(path.read_text()))))
+
+
+@st.composite
+def mutated_text(draw):
+    """A corpus file's suffix, names and text with one to three mutations: a
+    line dropped, duplicated or moved, or two tokens swapped."""
+    path = draw(st.sampled_from(TEXT_INPUTS))
+    lines = path.read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("drop", "duplicate", "move", "swap")))
+        i = draw(st.integers(0, max(0, len(lines) - 1)))
+        if kind == "drop" and lines:
+            del lines[i]
+        elif kind == "duplicate" and lines:
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif kind == "move" and lines:
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+        elif kind == "swap":
+            text = "\n".join(lines)
+            spans = [m.span() for m in TEXT_TOKEN.finditer(text)]
+            if len(spans) >= 2:
+                (a, b), (c, d) = sorted(draw(st.lists(st.sampled_from(spans), min_size=2, max_size=2, unique=True)))
+                lines = (text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]).split("\n")
+    return path.suffix, text_names(path), "".join(line + "\n" for line in lines)
+
+
+class TestTextFuzz:
+    @given(source=mutated_text(), data=st.data())
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    def test_mutated_corpus_text_is_not_an_internal_error(self, tmp_path_factory, source, data):
+        suffix, names, text = source
+        target = str(tmp_path_factory.getbasetemp() / f"fuzzed{suffix}")
+        with open(target, "w") as fh:
+            fh.write(text)
+        # A query over disjoint names of the unmutated file; `project` drops its left side.
+        names = data.draw(st.permutations(names))
+        a, b, c = (data.draw(st.integers(low, 2)) for low in (1, 1, 0))
+        query = f"{', '.join(names[:a])} _||_ {', '.join(names[a:a + b])}"
+        if names[a + b:a + b + c]:
+            query += f" | {', '.join(names[a + b:a + b + c])}"
+        if suffix == ".eci":
+            commands = [["derive", target, "--target", query]]
+        else:
+            commands = [
+                ["render", target, "--dot", "-"],
+                ["augment", target, "--itt"],
+                ["project", target, "--drop", ",".join(names[:a])],
+                ["dsep", target, "--query", query],
+            ]
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv, text, err.getvalue())
+            assert "internal error" not in err.getvalue(), (argv, text)
 
 
 class TestRender:

@@ -310,10 +310,10 @@ def test_sliced_pass_matches_loop_walk():
         n = len(bits.order)
         conds = [0, (1 << n) - 1] + [pick.getrandbits(n) for _ in range(22)]
         in_cond = {v: sum(1 << k for k, cond in enumerate(conds) if cond & bits.bit[v]) for v in bits.order}
-        reach = _active_trails(dag, in_cond, (1 << len(conds)) - 1)
+        full = (1 << len(conds)) - 1
         for _ in range(4):
             sources = pick.sample(bits.order, pick.randint(1, 3))
-            reached = reach(sources)
+            reached = _active_trails(dag, in_cond, full, dict.fromkeys(sources, full))
             for k, cond in enumerate(conds):
                 expected = loop_reachable(loop_parents, loop_children, bits.mask(sources), cond)
                 got = bits.mask(v for v in bits.order if reached[v] >> k & 1)
@@ -440,3 +440,75 @@ def test_separations_agree_checks_names_and_bound():
     dag = Dag.of({Node(f"V{i:02d}") for i in range(ENUMERATION_BOUND + 1)}, set())
     with pytest.raises(GraphError, match="enumeration bound"):
         separations_agree(dag, dag, dag.node_names)
+
+
+# -- the one-pass enumerations against their per-source form ----------------
+
+
+def loop_separations_agree(dag, other, over):
+    """Reference: one sliced pass per graph and stochastic source, with
+    conditioning set k holding names[j] iff bit j of k is set."""
+    names = sorted(set(over))
+    full = (1 << (1 << len(names))) - 1
+    in_cond = {v: full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j)) for j, v in enumerate(names)}
+    for a in names:
+        if dag.kind_of(a) != STOCHASTIC:
+            continue
+        reached, other_reached = (_active_trails(graph, in_cond, full, {a: full}) for graph in (dag, other))
+        if any(reached[b] != other_reached[b] for b in names):
+            return False
+    return True
+
+
+def bound_dag(n=ENUMERATION_BOUND):
+    """A random DAG of `n` stochastic nodes, each edge kept with probability 0.3."""
+    rng = random.Random(0)
+    names = [f"V{i:02d}" for i in range(n)]
+    edges = {Edge(a, b) for i, a in enumerate(names) for b in names[i + 1:] if rng.random() < 0.3}
+    return Dag.of({Node(v) for v in names}, edges)
+
+
+def test_separations_agree_matches_per_source_loop():
+    # ITT splits of random DAGs hold regime, latent and deterministic nodes;
+    # `over` is any subset of their names, kinds mixed.
+    rng = np.random.default_rng(17)
+    outcomes = {True: 0, False: 0}
+    for _ in range(80):
+        obs = random_dag(rng, max_nodes=6, regime_prob=0.0)
+        targets = tuple(v for v in topological_order(obs) if rng.random() < 0.3)
+        dag = build_itt_dag(obs, InterventionPlan(targets)) if targets else random_dag(rng, 6, regime_prob=1.0)
+        over = {v for v in sorted(dag.node_names) if rng.random() < 0.8} or {sorted(dag.node_names)[0]}
+        assert separations_agree(dag, dag, over) and loop_separations_agree(dag, dag, over)
+        changed = _one_edge_changed(rng, dag)
+        if changed is not None:
+            expected = loop_separations_agree(dag, changed, over)
+            assert separations_agree(dag, changed, over) == expected, (sorted(dag.edges), sorted(changed.edges), over)
+            outcomes[expected] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_separations_agree_edge_cases_match_per_source_loop():
+    dag = itt_ignorable_dag()
+    changed = Dag.of(dag.nodes, set(dag.edges) | {Edge("T*", "Y")})
+    for over in ({"F_T"}, {"Y"}, {"F_T", "Y", "T"}):  # no stochastic name; one name; both graphs differ on the last
+        for other in (dag, changed):
+            assert separations_agree(dag, other, over) == loop_separations_agree(dag, other, over), (over, other)
+    assert separations_agree(dag, changed, {"F_T"}) and separations_agree(dag, changed, {"Y"})
+    assert not separations_agree(dag, changed, {"F_T", "Y", "T"})
+    # ENUMERATION_BOUND names: the ITT split of 12 nodes with two targets, less the intention nodes.
+    itt = build_itt_dag(bound_dag(12), InterventionPlan(("V03", "V07")))
+    over = itt.node_names - {"V03*", "V07*"}
+    assert len(over) == ENUMERATION_BOUND
+    edges = sorted(itt.edges)
+    for other in (itt, Dag.of(itt.nodes, set(edges) - {edges[len(edges) // 2]})):
+        assert separations_agree(itt, other, over) == loop_separations_agree(itt, other, over)
+
+
+def test_enumerated_statements_are_well_formed():
+    # `implied_statements` builds its statements without `EciStatement`'s
+    # checks; each must be what the checked constructor builds.
+    rng = np.random.default_rng(3)
+    dags = [random_dag(rng, max_nodes=7, regime_prob=0.6) for _ in range(40)] + [bound_dag()]
+    for dag in dags:
+        for stmt in implied_statements(dag, dag.node_names):
+            assert type(stmt) is EciStatement and EciStatement(*stmt) == stmt, stmt
