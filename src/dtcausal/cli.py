@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from dtcausal import load_json
@@ -163,17 +164,7 @@ def _cmd_identify(args) -> Answer:
     payload = {
         "identified": cert.identified,
         "estimand": cert.estimand,
-        "checks": [
-            {
-                "name": c.name,
-                "rule": c.rule,
-                "remove_incoming": list(c.remove_incoming),
-                "remove_outgoing": list(c.remove_outgoing),
-                "statement": format_statement(c.statement),
-                "holds": c.holds,
-            }
-            for c in cert.checks
-        ],
+        "checks": [{**c._asdict(), "statement": format_statement(c.statement)} for c in cert.checks],
     }
     return (EXIT_OK if cert.identified else EXIT_NO), payload, cert.report()
 
@@ -357,10 +348,14 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_INTERNAL
         print(f"error: {exc}", file=sys.stderr)
         return code
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif text:
-        print(text)
+    try:
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        elif text:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # a reader that closed stdout does not change the answer
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit writes nowhere
     return code
 
 

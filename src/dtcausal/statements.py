@@ -56,10 +56,6 @@ class EciStatement(namedtuple("EciStatement", "left right given pinned")):
     ) -> "EciStatement":
         if not left:
             raise StatementError("left side must be nonempty")
-        if not pinned:  # the common case: only the overlap check applies
-            if not (left.isdisjoint(right) and left.isdisjoint(given)):
-                raise StatementError(f"left side overlaps other sets: {sorted(left & (right | given))}")
-            return tuple.__new__(cls, (left, right, given, ()))
         pinned_names = frozenset(keyed(pinned, lambda _: StatementError("regime pinned twice")))
         # The left side must not overlap the other sets; right/given overlap
         # is permitted (it yields redundancy instances such as X _||_ Y | Y).

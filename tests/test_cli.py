@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -182,16 +183,33 @@ class TestAugmentProject:
         assert code == 0
         assert "regime F_X0 targets X0;" in out
         assert "F_X1" not in out
+        code, out, err = run(capsys, "augment", str(CORPUS / "two_stage_obs.cadt"), "--itt", "--plan", "X0,X0")
+        assert (code, out, err) == (2, "", "error: duplicate target 'X0'\n")
 
     def test_missing_plan(self, capsys):
         code, _, err = run(capsys, "augment", str(CORPUS / "instrument.cadt"))
         assert code == 2
         assert "plan" in err
 
-    def test_project_success(self, capsys):
+    def test_project_success(self, capsys, tmp_path):
         code, out, _ = run(capsys, "project", str(CORPUS / "itt_ignorable.cadt"), "--drop", "T*")
         assert code == 0
         assert "T*" not in out
+        # The ITT split of a 12-node chain with two targets, less its two
+        # intention nodes, keeps 14 names: the enumeration bound.
+        chain = tmp_path / "chain12.cadt"
+        chain.write_text(
+            "graph chain12 {\n" + "".join(f"  node V{i};\n" for i in range(12))
+            + "".join(f"  edge V{i} -> V{i + 1};\n" for i in range(11)) + "}\nplan: V3, V8;\n"
+        )
+        code, out, _ = run(capsys, "augment", str(chain), "--itt")
+        assert code == 0 and len(re.findall(r"^  (?:node|regime) ", out, re.M)) == 16
+        itt = tmp_path / "chain12_itt.cadt"
+        itt.write_text(out)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "project", str(itt), "--drop", "V3*,V8*")
+        assert time.perf_counter() - start < 60
+        assert code == 0 and len(re.findall(r"^  (?:node|regime) ", out, re.M)) == 14
 
     def test_project_failure(self, capsys, tmp_path):
         # dropped confounder with two otherwise-unrelated children cannot
@@ -512,8 +530,36 @@ class TestIdentify:
             "--y", "Y", "--x0", "X0", "--x1", "X1", "--z", "Z",
         )
         assert code == 0
-        assert doc["identified"] is True
-        assert len(doc["checks"]) == 3 and all(c["holds"] for c in doc["checks"])
+        assert doc == {
+            "identified": True,
+            "estimand": "p(Y | do(X0), do(X1)) = sum_Z p(Y | X1, Z) * p(Z | X0)",
+            "checks": [
+                {
+                    "name": "response-exchange",
+                    "rule": "Rule2",
+                    "remove_incoming": [],
+                    "remove_outgoing": ["X0", "X1"],
+                    "statement": "Y _||_ X0, X1 | Z",
+                    "holds": True,
+                },
+                {
+                    "name": "first-stage-exchange",
+                    "rule": "Rule2",
+                    "remove_incoming": ["X1"],
+                    "remove_outgoing": ["X0"],
+                    "statement": "Z _||_ X0 | X1",
+                    "holds": True,
+                },
+                {
+                    "name": "second-stage-deletion",
+                    "rule": "Rule3",
+                    "remove_incoming": ["X1"],
+                    "remove_outgoing": [],
+                    "statement": "Z _||_ X1 | X0",
+                    "holds": True,
+                },
+            ],
+        }
 
     def test_rule3_keeps_the_arrows_into_an_ancestor_of_x0(self, capsys, tmp_path):
         path = tmp_path / "chain.cadt"
@@ -711,10 +757,14 @@ class TestAce:
         assert (code, out) == (2, "")
         assert err == f"error: ACE compares two different actions; --a1 and --a0 both name {action!r}\n"
 
-    def test_decision_problem_unknown_action(self, capsys):
+    def test_decision_problem_unknown_action(self, capsys, tmp_path):
         code, _, err = run(capsys, "ace", str(MODELS / "umbrella.json"), "--a1", "zz")
         assert code == 2
         assert err == "error: unknown action 'zz'; the problem's actions are ['take', 'leave']\n"
+        distributions = {**TWO_ACTIONS["distributions"], "c": TWO_ACTIONS["distributions"]["a"]}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**TWO_ACTIONS, "distributions": distributions}))
+        assert run(capsys, "ace", str(path)) == (2, "", "error: distribution for undeclared action 'c'\n")
 
     def test_non_binary_action_is_usage_error(self, capsys, tmp_path):
         doc = json.loads((MODELS / "itt_example.json").read_text())
@@ -1348,6 +1398,26 @@ def test_unknown_name_errors_do_not_depend_on_the_hash_seed(hash_seed, tmp_path)
         "2 error: line 1, column 1: dashed edge into non-deterministic node 'B'; "
         "dashed edge into non-deterministic node 'D'",
     ]
+
+
+def test_closed_stdout_leaves_the_exit_code():
+    """A reader that closed the pipe before the answer is written changes
+    neither the exit code nor stderr: the statement holds, so it exits 0.
+    Buffered, the write fails only when stdout is flushed."""
+    src = str(pathlib.Path(dtcausal.__file__).resolve().parent.parent)
+    for unbuffered in ("", "1"):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dtcausal.cli", "dsep", "corpus/itt_ignorable.cadt",
+                 "--query", "Y _||_ T*, F_T | T"],
+                cwd=CORPUS.parent, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, ""), unbuffered
 
 
 def test_package_import_loads_no_submodule():
