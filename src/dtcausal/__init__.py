@@ -6,10 +6,10 @@ mechanical intention-to-treat node splitting, and a brute-force numeric
 oracle over finite discrete multi-regime models.
 
 The package namespace holds only the helpers every module shares (the
-input helpers `keyed`, `load_json`, `json_object` and `json_array`, and
-`checked_make` for records), so importing it loads no submodule; every
-other name is imported from the module that defines it, as in
-``from dtcausal.graph import Dag``.
+input helpers `keyed`, `load_json`, `json_object`, `json_array` and
+`json_objects`, and `checked_make` for records), so importing it loads no
+submodule; every other name is imported from the module that defines it,
+as in ``from dtcausal.graph import Dag``.
 """
 
 import json
@@ -55,3 +55,8 @@ def json_array(value, what: str) -> tuple:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a JSON array, not {json.dumps(value)[:40]}")
     return tuple(value)
+
+
+def json_objects(value, key: str) -> tuple[dict, ...]:
+    """`value` as a tuple if it is a JSON array of objects, else ValueError naming `key` or the entry."""
+    return tuple(json_object(entry, f"a {key!r} entry") for entry in json_array(value, repr(key)))

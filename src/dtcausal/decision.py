@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 from typing import Callable, Mapping, NamedTuple
 
-from dtcausal import checked_make, json_array, json_object, keyed, load_json
+from dtcausal import checked_make, json_array, json_object, json_objects, keyed, load_json
 
 
 class DecisionError(ValueError):
@@ -183,7 +183,7 @@ def _dist_from_json(doc) -> FiniteDist | LognormalDist:
     if isinstance(doc, Mapping) and doc.get("type") == "lognormal":
         return LognormalDist(float(doc["mu"]), float(doc["sigma2"]))
     if isinstance(doc, Mapping) and doc.get("type") == "table":
-        return FiniteDist(tuple((row["y"], float(row["p"])) for row in json_array(doc["rows"], "'rows'")))
+        return FiniteDist(tuple((row["y"], float(row["p"])) for row in json_objects(doc["rows"], "rows")))
     raise DecisionError("distribution must be a 'table' or 'lognormal' object")
 
 
@@ -192,7 +192,7 @@ def problem_from_json(doc: Mapping) -> DecisionProblem:
         actions = json_array(doc["actions"], "'actions'")
         hypo = {a: _dist_from_json(d) for a, d in json_object(doc["distributions"], "'distributions'").items()}
         loss = keyed(
-            (((row["y"], row["a"]), float(row["loss"])) for row in json_array(doc["loss"], "'loss'")),
+            (((row["y"], row["a"]), float(row["loss"])) for row in json_objects(doc["loss"], "loss")),
             lambda key: DecisionError(f"loss row for y={key[0]!r}, a={key[1]!r} is listed twice"),
         )
     except KeyError as exc:

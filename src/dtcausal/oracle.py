@@ -1,17 +1,19 @@
 """Brute-force numeric semantics for finite discrete multi-regime models.
 
 A model assigns one joint probability table over the stochastic
-variables to every regime assignment.  ITT-mode models are built from
-a CPT bank plus regimes, each setting one deterministic target that
-the bank gives no CPT: its value is the regime value when the regime is
-non-idle, else its ITT source's value.  A CPT is plain data, checked by the
-model that holds it: each parent listed once, and one row per tuple of parent
-values and no other, a distribution over the child's states.  Raw-mode models
-store one joint table per assignment of their declared regimes, for any
-regime-indexed family, consistent or not.  In either mode a regime's domain
-is the idle value plus the states of its target.
+variables to every regime assignment.  It is given the states of its
+variables and its regimes, each as the pair (target, ITT source): the
+deterministic variable that the regime sets to its value when non-idle,
+and to the ITT source's value when idle.  An ITT model is also given one
+CPT per other variable, under the variable's name.  A CPT is plain data,
+checked by the model that holds it: each parent listed once, and one row
+per tuple of parent values and no other, a distribution over the child's
+states.  A raw model is given instead one joint table per assignment of its
+regimes, for any regime-indexed family, consistent or not; a model is raw
+exactly when it is given raw tables.  In either kind a regime's domain is
+the idle value plus the states of its target.
 
-Both modes compile once, at construction, into one form: the variables,
+Both kinds compile once, at construction, into one form: the variables,
 each regime's domain, and a list of factors.  A factor names the regimes
 that index it and holds one array per tuple of their values, laid out
 over every variable in order with a size-1 axis for each variable it
@@ -38,7 +40,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from dtcausal import json_array, json_object, keyed, load_json
+from dtcausal import json_array, json_object, json_objects, keyed, load_json
 from dtcausal.graph import IDLE, REGIME, Dag, Edge, Node, topological_order
 from dtcausal.statements import EciStatement
 
@@ -46,6 +48,7 @@ DEFAULT_TOL = 1e-9
 ZERO_TOL = 1e-12
 MAX_JOINT_STATES = 10**7
 MAX_VARIABLES = 52  # numpy 2 caps arrays at 64 axes; a factor's array has one per variable plus one over regime values
+MAX_UNITS = 10**7  # simulate_study's bound on n: its arrays take tens of bytes per unit
 
 State = object  # JSON scalar: str, int, float, bool
 
@@ -59,9 +62,8 @@ class PositivityError(ModelError):
 
 
 class Cpt(NamedTuple):
-    """A child's probabilities per tuple of parent values: plain data, checked by the model that holds it."""
+    """A child's probabilities per tuple of parent values, kept under its name: plain data, checked by its model."""
 
-    child: str
     parents: tuple[str, ...]
     table: dict[tuple, tuple[float, ...]]
 
@@ -168,17 +170,13 @@ class _Compiled(NamedTuple):
 
 @dataclass(frozen=True)
 class MultiRegimeModel:
-    mode: str  # "itt" or "raw"
     states: dict[str, tuple[State, ...]]  # stochastic variables only
     latent: frozenset[str] = frozenset()  # unobserved variables, a label only
-    cpts: dict[str, Cpt] = field(default_factory=dict)
-    regimes: dict[str, str] = field(default_factory=dict)  # regime name -> target
-    itt_of: dict[str, str] = field(default_factory=dict)  # target -> ITT node
-    raw_regimes: dict[tuple, np.ndarray] = field(default_factory=dict)
+    cpts: dict[str, Cpt] = field(default_factory=dict)  # an ITT model's CPTs, one per variable no regime targets
+    regimes: dict[str, tuple[str, str]] = field(default_factory=dict)  # regime name -> (target, ITT source)
+    raw_regimes: dict[tuple, np.ndarray] | None = None  # a raw model's flat joint table per sorted regime assignment
 
     def __post_init__(self) -> None:
-        if self.mode not in ("itt", "raw"):
-            raise ModelError(f"unknown mode {self.mode!r}")
         for name, values in self.states.items():
             bad = next((s for s in values if isinstance(s, (list, dict))), None)
             if bad is not None:
@@ -188,7 +186,7 @@ class MultiRegimeModel:
             raise ModelError("joint state space exceeds enumeration bound")
         if len(self.states) > MAX_VARIABLES:
             raise ModelError(f"more than {MAX_VARIABLES} stochastic variables")
-        self.regime_of  # reading it checks the regimes of either mode: one per target, each with an ITT source
+        self.regime_of  # reading it checks the regimes of either kind: one per target, with stochastic variables
         self.variables  # reading it compiles the model, which checks every CPT and raw table
 
     # -- regime bookkeeping --------------------------------------------
@@ -209,19 +207,17 @@ class MultiRegimeModel:
 
     @cached_property
     def regime_of(self) -> dict[str, str]:
-        """Target -> the one regime that sets it; runs every per-regime check of either mode."""
+        """Target -> the one regime that sets it; runs every per-regime check of either kind."""
         out: dict[str, str] = {}
-        for reg, target in sorted(self.regimes.items()):
+        for reg, (target, src) in sorted(self.regimes.items()):
             if reg in self.states:
                 raise ModelError(f"regime {reg!r} has the name of a variable")
             if out.setdefault(target, reg) != reg:
                 raise ModelError(f"regimes {out[target]!r} and {reg!r} both target {target!r}")
-            if target not in self.itt_of:
-                raise ModelError(f"missing ITT source for target {target!r}")
             if target not in self.states:
                 raise ModelError(f"target {target!r} of regime {reg!r} is not a stochastic variable")
-            if self.itt_of[target] not in self.states:
-                raise ModelError(f"ITT source {self.itt_of[target]!r} of {target!r} is not a stochastic variable")
+            if src not in self.states:
+                raise ModelError(f"ITT source {src!r} of {target!r} is not a stochastic variable")
             if IDLE in self.states[target]:
                 raise ModelError(f"target {target!r} has the idle regime value {IDLE!r} as a state")
         return out
@@ -231,14 +227,11 @@ class MultiRegimeModel:
         """An ITT model's graph, derived from its CPTs: each CPT parent points
         at its child, dashed when it is the child's ITT source.  None for a
         raw model."""
-        if self.mode != "itt":
+        if self.raw_regimes is not None:
             return None
+        dashed = {(src, target) for target, src in self.regimes.values()}
         nodes = {Node(v, latent=v in self.latent, deterministic=v in self.regime_of) for v in self.states}
-        edges = {
-            Edge(par, cpt.child, dashed=cpt.child in self.regime_of and par == self.itt_of[cpt.child])
-            for cpt in self._itt_cpts.values()
-            for par in cpt.parents
-        }
+        edges = {Edge(par, v, dashed=(par, v) in dashed) for v, cpt in self._itt_cpts.items() for par in cpt.parents}
         return Dag.of(nodes | {Node(reg, REGIME) for reg in self.regimes}, edges)
 
     @cached_property
@@ -250,8 +243,8 @@ class MultiRegimeModel:
         if unknown:
             raise ModelError(f"CPT child {unknown[0]!r} is not a stochastic variable")
         out = dict(self.cpts)
-        for target, reg in self.regime_of.items():
-            src, states = self.itt_of[target], self.states[target]
+        for reg, (target, src) in sorted(self.regimes.items()):
+            states = self.states[target]
             if target in self.cpts:
                 raise ModelError(f"deterministic target {target!r} must not carry a CPT")
             extra = [s for s in self.states[src] if s not in states]
@@ -261,7 +254,7 @@ class MultiRegimeModel:
                 )
             onehot = {t: tuple(float(t == u) for u in states) for t in states}
             rows = {(f, s): onehot[s if f == IDLE else f] for f in (IDLE, *states) for s in self.states[src]}
-            out[target] = Cpt(target, (reg, src), rows)
+            out[target] = Cpt((reg, src), rows)
         return out
 
     def all_regime_assignments(self, pins: Mapping[str, State] | None = None) -> list[dict[str, State]]:
@@ -317,7 +310,7 @@ class MultiRegimeModel:
     def _ancestral_model(self, variables: tuple[str, ...]) -> MultiRegimeModel:
         # The set's joint is its marginal, as every parent of a member is a member; its model is
         # made from this model's checked factors, which are of size 1 on every non-member.
-        keep = {*variables, *(r for r, t in self.regimes.items() if t in variables)}
+        keep = {*variables, *(r for r, (t, _) in self.regimes.items() if t in variables)}
         axes = [i for i, v in enumerate(self.variables) if v in keep]
         factors = tuple(
             (indexed, {k: a.reshape([a.shape[i] for i in axes]) for k, a in arrays.items()})
@@ -326,8 +319,8 @@ class MultiRegimeModel:
         kept = lambda named: {k: x for k, x in named.items() if k in keep}
         model = object.__new__(MultiRegimeModel)
         vars(model).update(
-            mode=self.mode, states=kept(self.states), latent=self.latent & keep, cpts=kept(self.cpts),
-            regimes=kept(self.regimes), itt_of=kept(self.itt_of), raw_regimes={},
+            states=kept(self.states), latent=self.latent & keep, cpts=kept(self.cpts), regimes=kept(self.regimes),
+            raw_regimes=None,
             _compiled=_Compiled(variables, kept(self._compiled.domains), factors),
         )
         return model
@@ -354,8 +347,8 @@ class MultiRegimeModel:
 
     @cached_property
     def _compiled(self) -> _Compiled:
-        domains = {r: (IDLE,) + tuple(self.states[self.regimes[r]]) for r in sorted(self.regimes)}
-        return self._compile_itt(domains) if self.mode == "itt" else self._compile_raw(domains)
+        domains = {r: (IDLE,) + tuple(self.states[t]) for r, (t, _) in sorted(self.regimes.items())}
+        return self._compile_itt(domains) if self.raw_regimes is None else self._compile_raw(domains)
 
     def _compile_itt(self, domains: dict[str, tuple[State, ...]]) -> _Compiled:
         variables = tuple(v for v in topological_order(self.dag) if v in self.states)
@@ -493,10 +486,10 @@ def check_distributional_consistency(
 
 def _regime_for_action(model: MultiRegimeModel, action: str) -> tuple[str, str]:
     """The regime that sets `action`, and the action's ITT source."""
-    try:
-        return model.regime_of[action], model.itt_of[action]
-    except KeyError:
-        raise ModelError(f"no regime controls {action!r}") from None
+    if action not in model.regime_of:
+        raise ModelError(f"no regime controls {action!r}")
+    regime = model.regime_of[action]
+    return regime, model.regimes[regime][1]
 
 
 def _single_regime(model: MultiRegimeModel, regime: str, value: State) -> dict[str, State]:
@@ -598,13 +591,13 @@ def study_model(covariate: Mapping, assignment: Mapping, response: Mapping) -> M
     outcomes in the order the rows first name them.  Units are i.i.d. (no
     interference between units); building the model checks every row."""
     outcomes = tuple(dict.fromkeys(itertools.chain.from_iterable(response.values())))
-    cpts = [
-        Cpt("X", (), {(): tuple(covariate.values())}),
-        Cpt("T*", ("X",), {(x,): (1.0 - a, a) for x, a in assignment.items()}),
-        Cpt("Y", ("X", "T"), {k: tuple(d.get(y, 0.0) for y in outcomes) for k, d in response.items()}),
-    ]
+    cpts = {
+        "X": Cpt((), {(): tuple(covariate.values())}),
+        "T*": Cpt(("X",), {(x,): (1.0 - a, a) for x, a in assignment.items()}),
+        "Y": Cpt(("X", "T"), {k: tuple(d.get(y, 0.0) for y in outcomes) for k, d in response.items()}),
+    }
     states = {"X": tuple(covariate), "T*": (0, 1), "T": (0, 1), "Y": outcomes}
-    return MultiRegimeModel("itt", states, cpts={c.child: c for c in cpts}, regimes={"F_T": "T"}, itt_of={"T": "T*"})
+    return MultiRegimeModel(states, cpts=cpts, regimes={"F_T": ("T", "T*")})
 
 
 @dataclass(frozen=True)
@@ -622,6 +615,8 @@ def simulate_study(model: MultiRegimeModel, n: int, seed: int) -> StudyResult:
     then Y | X, T group by group), and the model's exact E(Y | F_T=t)."""
     if n < 1:
         raise ModelError("n must be at least 1")
+    if n > MAX_UNITS:
+        raise ModelError(f"n must be at most {MAX_UNITS}")
     means = {t: model.margin({"F_T": t}, ["Y"]).expectation("Y") for t in (0, 1)}
     rng = np.random.default_rng(seed)
     xs, cpts = model.states["X"], model.cpts
@@ -663,38 +658,41 @@ def simulate_study(model: MultiRegimeModel, n: int, seed: int) -> StudyResult:
 
 def model_from_json(doc: Mapping) -> MultiRegimeModel:
     try:
-        mode, fields = _model_fields(doc)
+        fields = _model_fields(doc)
     except KeyError as exc:
         raise ModelError(f"model document is missing required key {exc.args[0]!r}") from None
-    return MultiRegimeModel(mode, **fields)
+    return MultiRegimeModel(**fields)
 
 
-def _model_fields(doc: Mapping) -> tuple[str, dict]:
+def _model_fields(doc: Mapping) -> dict:
     """The constructor arguments a model document spells out; a missing
     required key raises KeyError."""
     mode = doc.get("mode")
-    variables = json_array(doc["variables"], "'variables'")
+    variables = json_objects(doc["variables"], "variables")
     states = _keyed(((v["name"], json_array(v["states"], "'states'")) for v in variables), lambda n: f"variable {n!r}")
-    regime_docs = json_array(doc.get("regimes", []), "'regimes'")
-    regimes = _keyed(((r["name"], r["target"]) for r in regime_docs), lambda name: f"regime {name!r}")
+    regime_docs = json_objects(doc.get("regimes", []), "regimes")
+    regimes = _keyed(((r["name"], (r["target"], r.get("itt"))) for r in regime_docs), lambda name: f"regime {name!r}")
+    for r in regime_docs:
+        if "itt" not in r:
+            raise ModelError(f"missing ITT source for target {r['target']!r}")
+    targets = [target for target, _ in regimes.values()]  # not a set: a malformed target may be unhashable
     for v in variables:
-        if v.get("deterministic") and v["name"] not in regimes.values():
+        if v.get("deterministic") and v["name"] not in targets:
             raise ModelError(f"variable {v['name']!r} is marked deterministic but no regime targets it")
-    itt_of = {r["target"]: r["itt"] for r in regime_docs if "itt" in r}
     if mode == "itt":
-        cpt_docs = json_array(doc.get("cpts", []), "'cpts'")
+        cpt_docs = json_objects(doc.get("cpts", []), "cpts")
         cpts = _keyed(
-            ((c["child"], Cpt(c["child"], json_array(c["parents"], "'parents'"), _cpt_rows(c))) for c in cpt_docs),
+            ((c["child"], Cpt(json_array(c["parents"], "'parents'"), _cpt_rows(c))) for c in cpt_docs),
             lambda child: f"CPT for {child!r}",
         )
         latent = frozenset(v["name"] for v in variables if v.get("latent"))
-        return mode, dict(states=states, latent=latent, cpts=cpts, regimes=regimes, itt_of=itt_of)
+        return dict(states=states, latent=latent, cpts=cpts, regimes=regimes)
     if mode == "raw":
         raw = keyed(
-            map(_raw_table, json_array(doc["raw_regimes"], "'raw_regimes'")),
+            map(_raw_table, json_objects(doc["raw_regimes"], "raw_regimes")),
             lambda key: ModelError(f"duplicate raw table for regime assignment {dict(key)}"),
         )
-        return mode, dict(states=states, raw_regimes=raw, regimes=regimes, itt_of=itt_of)
+        return dict(states=states, raw_regimes=raw, regimes=regimes)
     raise ModelError(f"unknown mode {mode!r}")
 
 
@@ -704,7 +702,7 @@ def _raw_table(entry: Mapping) -> tuple[tuple, np.ndarray]:
 
 
 def _cpt_rows(doc: Mapping) -> dict[tuple, tuple[float, ...]]:
-    rows = json_array(doc["rows"], "'rows'")
+    rows = json_objects(doc["rows"], "rows")
     return _keyed(
         ((json_array(r["parents"], "'parents'"), json_array(r["probs"], "'probs'")) for r in rows),
         lambda key: f"CPT row {list(key)} for {doc['child']!r}",

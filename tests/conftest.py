@@ -111,7 +111,7 @@ def random_cpt(rng: np.random.Generator, child: str, parents: tuple[str, ...], s
     rows = {}
     for combo in itertools.product(*(states[p] for p in parents)):
         rows[combo] = tuple(rng.dirichlet(np.ones(len(states[child]))))
-    return Cpt(child, parents, rows)
+    return Cpt(parents, rows)
 
 
 def random_itt_nonignorable_model(seed: int) -> MultiRegimeModel:
@@ -121,9 +121,7 @@ def random_itt_nonignorable_model(seed: int) -> MultiRegimeModel:
         "T*": random_cpt(rng, "T*", (), states),
         "Y": random_cpt(rng, "Y", ("T", "T*"), states),
     }
-    return MultiRegimeModel(
-        "itt", states, latent=frozenset({"T*"}), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
-    )
+    return MultiRegimeModel(states, latent=frozenset({"T*"}), cpts=cpts, regimes={"F_T": ("T", "T*")})
 
 
 def random_itt_ignorable_model(seed: int) -> MultiRegimeModel:
@@ -133,9 +131,7 @@ def random_itt_ignorable_model(seed: int) -> MultiRegimeModel:
         "T*": random_cpt(rng, "T*", (), states),
         "Y": random_cpt(rng, "Y", ("T",), states),
     }
-    return MultiRegimeModel(
-        "itt", states, latent=frozenset({"T*"}), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
-    )
+    return MultiRegimeModel(states, latent=frozenset({"T*"}), cpts=cpts, regimes={"F_T": ("T", "T*")})
 
 
 def random_suffcov_model(seed: int) -> MultiRegimeModel:
@@ -146,9 +142,7 @@ def random_suffcov_model(seed: int) -> MultiRegimeModel:
         "T*": random_cpt(rng, "T*", ("X",), states),
         "Y": random_cpt(rng, "Y", ("X", "T"), states),
     }
-    return MultiRegimeModel(
-        "itt", states, latent=frozenset({"T*"}), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
-    )
+    return MultiRegimeModel(states, latent=frozenset({"T*"}), cpts=cpts, regimes={"F_T": ("T", "T*")})
 
 
 def two_stage_itt_dag(extra_confounding: bool = False) -> Dag:
@@ -179,8 +173,8 @@ def random_two_stage_model(seed: int, extra_confounding: bool = False) -> MultiR
         "Y": random_cpt(rng, "Y", y_parents, states),
     }
     return MultiRegimeModel(
-        "itt", states, latent=frozenset({"X0*", "X1*", "H"}), cpts=cpts,
-        regimes={"F_X0": "X0", "F_X1": "X1"}, itt_of={"X0": "X0*", "X1": "X1*"},
+        states, latent=frozenset({"X0*", "X1*", "H"}), cpts=cpts,
+        regimes={"F_X0": ("X0", "X0*"), "F_X1": ("X1", "X1*")},
     )
 
 
@@ -191,7 +185,7 @@ def random_model_from_dag(dag: Dag, seed: int, n_states: int = 2) -> MultiRegime
     order = [n.name for n in sorted(dag.nodes) if n.kind == STOCHASTIC]
     states = {v: tuple(range(n_states)) for v in order}
     cpts = {v: random_cpt(rng, v, tuple(sorted(dag.parents(v))), states) for v in order}
-    return MultiRegimeModel("itt", states, cpts=cpts)
+    return MultiRegimeModel(states, cpts=cpts)
 
 
 # -- tables and distributions ----------------------------------------------

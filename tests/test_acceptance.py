@@ -163,7 +163,7 @@ def trio_model(seed: int) -> MultiRegimeModel:
         "T*": random_cpt(rng, "T*", (), states),
         "Y": random_cpt(rng, "Y", y_parents, states),
     }
-    return MultiRegimeModel("itt", states, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"})
+    return MultiRegimeModel(states, cpts=cpts, regimes={"F_T": ("T", "T*")})
 
 
 REGIME_SCREENING = ps("Y _||_ F_T | T, T*")  # holds in every such model

@@ -826,8 +826,10 @@ class TestSimulate:
         assert a == b
 
     def test_bad_n(self, capsys):
-        code, _, err = run(capsys, "simulate", str(MODELS / "study_randomized.json"), "--n", "0", "--seed", "1")
-        assert code == 2
+        # 10**15 units would need petabytes: the bound turns a MemoryError (exit 4) into a usage error.
+        for n, message in (("0", "n must be at least 1"), ("1000000000000000", "n must be at most 10000000")):
+            code, out, err = run(capsys, "simulate", str(MODELS / "study_randomized.json"), "--n", n, "--seed", "1")
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -1133,6 +1135,23 @@ class TestJsonShape:
                 [0, 1],
                 "state [0, 1] of variable 'Y' is not a JSON scalar",
             ),
+            ("itt_example.json", ("variables", 0), "oops", "a 'variables' entry must be a JSON object, not \"oops\""),
+            ("itt_example.json", ("cpts", 0), "oops", "a 'cpts' entry must be a JSON object, not \"oops\""),
+            ("itt_example.json", ("regimes", 0), "oops", "a 'regimes' entry must be a JSON object, not \"oops\""),
+            ("itt_example.json", ("cpts", 0, "rows", 0), "oops", "a 'rows' entry must be a JSON object, not \"oops\""),
+            (
+                "raw_inconsistent.json",
+                ("raw_regimes", 0),
+                "oops",
+                "a 'raw_regimes' entry must be a JSON object, not \"oops\"",
+            ),
+            ("umbrella.json", ("loss", 0), "oops", "a 'loss' entry must be a JSON object, not \"oops\""),
+            (
+                "umbrella.json",
+                ("distributions", "leave", "rows", 0),
+                "oops",
+                "a 'rows' entry must be a JSON object, not \"oops\"",
+            ),
         ],
         ids=[
             "verify-array",
@@ -1154,6 +1173,13 @@ class TestJsonShape:
             "model-states-string",
             "cpt-row-parents-string",
             "model-state-array",
+            "model-variables-entry",
+            "model-cpts-entry",
+            "model-regimes-entry",
+            "cpt-rows-entry",
+            "raw-regimes-entry",
+            "decision-loss-entry",
+            "decision-table-rows-entry",
         ],
     )
     def test_value_that_is_not_an_object_is_named(self, capsys, tmp_path, model, path, value, message):

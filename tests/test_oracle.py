@@ -12,6 +12,7 @@ from dtcausal.dsep import d_separated, separated
 from dtcausal.graph import IDLE, Edge, restrict_to_regime
 from dtcausal.oracle import (
     DEFAULT_TOL,
+    MAX_UNITS,
     MAX_VARIABLES,
     ZERO_TOL,
     Cpt,
@@ -66,8 +67,8 @@ def kernel_model(py1, ignorable=False, p_star=0.6):
         tstar = combo[1] if len(combo) > 1 else 0
         p = py1(t, tstar)
         rows[combo] = (1 - p, p)
-    cpts = {"T*": Cpt("T*", (), {(): (1 - p_star, p_star)}), "Y": Cpt("Y", parents, rows)}
-    return MultiRegimeModel("itt", states, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"})
+    cpts = {"T*": Cpt((), {(): (1 - p_star, p_star)}), "Y": Cpt(parents, rows)}
+    return MultiRegimeModel(states, cpts=cpts, regimes={"F_T": ("T", "T*")})
 
 
 class TestCpt:
@@ -75,22 +76,20 @@ class TestCpt:
 
     @staticmethod
     def model(y: Cpt) -> MultiRegimeModel:
-        cpts = {"T*": Cpt("T*", (), {(): (0.4, 0.6)}), "Y": y}
-        return MultiRegimeModel(
-            "itt", {"T*": BIN, "T": BIN, "Y": BIN}, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
-        )
+        cpts = {"T*": Cpt((), {(): (0.4, 0.6)}), "Y": y}
+        return MultiRegimeModel({"T*": BIN, "T": BIN, "Y": BIN}, cpts=cpts, regimes={"F_T": ("T", "T*")})
 
     def test_rows_must_sum_to_one(self):
         with pytest.raises(ModelError, match=r"CPT row \[\] for 'Y' does not sum to 1"):
-            self.model(Cpt("Y", (), {(): (0.5, 0.4)}))
+            self.model(Cpt((), {(): (0.5, 0.4)}))
 
     def test_negative_probability(self):
         with pytest.raises(ModelError, match=r"CPT row \[\] for 'Y' has a negative probability -0.1"):
-            self.model(Cpt("Y", (), {(): (-0.1, 1.1)}))
+            self.model(Cpt((), {(): (-0.1, 1.1)}))
 
     def test_parent_arity(self):
         with pytest.raises(ModelError, match=r"CPT row \[0, 1\] for 'Y' has wrong parent arity"):
-            self.model(Cpt("Y", ("T",), {(0, 1): (0.5, 0.5)}))
+            self.model(Cpt(("T",), {(0, 1): (0.5, 0.5)}))
 
 
 class TestJoint:
@@ -155,14 +154,15 @@ def loop_joint(model, regime):
     states = tuple(model.states[v] for v in variables)
     shape = tuple(len(s) for s in states)
     probs = np.zeros(shape)
-    regime_of_target = {t: r for r, t in model.regimes.items()}
+    regime_of_target = {t: (r, src) for r, (t, src) in model.regimes.items()}
     for combo in itertools.product(*(range(n) for n in shape)):
         value = {v: states[i][combo[i]] for i, v in enumerate(variables)}
         p = 1.0
         for v in variables:
             if v in regime_of_target:
-                f = regime[regime_of_target[v]]
-                if value[v] != (value[model.itt_of[v]] if f == IDLE else f):
+                r, src = regime_of_target[v]
+                f = regime[r]
+                if value[v] != (value[src] if f == IDLE else f):
                     p = 0.0
                     break
             else:
@@ -177,9 +177,7 @@ def three_state_trio_model(seed):
     rng = np.random.default_rng(seed)
     states = {"T*": (0, 1, 2), "T": (0, 1, 2), "Y": BIN}
     cpts = {"T*": random_cpt(rng, "T*", (), states), "Y": random_cpt(rng, "Y", ("T", "T*"), states)}
-    return MultiRegimeModel(
-        "itt", states, latent=frozenset({"T*"}), cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
-    )
+    return MultiRegimeModel(states, latent=frozenset({"T*"}), cpts=cpts, regimes={"F_T": ("T", "T*")})
 
 
 def regime_parent_model(seed):
@@ -188,7 +186,7 @@ def regime_parent_model(seed):
     base = random_suffcov_model(seed)
     domains = {**base.states, "F_T": (IDLE, 0, 1)}
     cpts = {**base.cpts, "Y": random_cpt(rng, "Y", ("X", "F_T", "T"), domains)}
-    return MultiRegimeModel("itt", base.states, cpts=cpts, regimes=base.regimes, itt_of=base.itt_of)
+    return MultiRegimeModel(base.states, cpts=cpts, regimes=base.regimes)
 
 
 FAMILIES = {
@@ -218,9 +216,9 @@ def test_derived_dag_states_cpts_and_regimes(family):
     m = FAMILIES[family](0)
     for child, cpt in m.cpts.items():
         assert m.dag.parents(child) == frozenset(cpt.parents), child
-    for reg, target in m.regimes.items():
-        assert m.dag.parents(target) == {reg, m.itt_of[target]}, target
-        assert Edge(m.itt_of[target], target, dashed=True) in m.dag.edges
+    for reg, (target, src) in m.regimes.items():
+        assert m.dag.parents(target) == {reg, src}, target
+        assert Edge(src, target, dashed=True) in m.dag.edges
     if family in FIXTURE_DAGS:
         assert m.dag == FIXTURE_DAGS[family]()
 
@@ -237,9 +235,7 @@ def chain_model(seed, states, regimes):
         if v not in targets:
             parents = tuple(rng.permutation(names[:i])[: rng.integers(0, 3)].tolist()) if i else ()
             cpts[v] = random_cpt(rng, v, parents, states)
-    return MultiRegimeModel(
-        "itt", states, cpts=cpts, regimes={r: t for r, (t, _) in regimes.items()}, itt_of=dict(regimes.values())
-    )
+    return MultiRegimeModel(states, cpts=cpts, regimes=regimes)
 
 
 def childless_treatment_model(seed):
@@ -248,7 +244,7 @@ def childless_treatment_model(seed):
     rng = np.random.default_rng(seed)
     states = {"T*": BIN, "T": BIN, "Y": (0, 1, 2)}
     cpts = {"T*": random_cpt(rng, "T*", (), states), "Y": random_cpt(rng, "Y", ("T*",), states)}
-    return MultiRegimeModel("itt", states, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"})
+    return MultiRegimeModel(states, cpts=cpts, regimes={"F_T": ("T", "T*")})
 
 
 JOINT_SHAPES = {
@@ -301,10 +297,8 @@ def test_statements_certified_by_a_fixed_treatment_hold():
 
 class TestCptValidation:
     def model(self, rows):
-        cpts = {"T*": Cpt("T*", (), {(): (0.4, 0.6)}), "Y": Cpt("Y", ("T",), rows)}
-        return MultiRegimeModel(
-            "itt", {"T*": BIN, "T": BIN, "Y": BIN}, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
-        )
+        cpts = {"T*": Cpt((), {(): (0.4, 0.6)}), "Y": Cpt(("T",), rows)}
+        return MultiRegimeModel({"T*": BIN, "T": BIN, "Y": BIN}, cpts=cpts, regimes={"F_T": ("T", "T*")})
 
     def test_missing_row(self):
         with pytest.raises(ModelError, match=r"'Y' has no row for parents \[1\]"):
@@ -320,17 +314,13 @@ class TestCptValidation:
 
     def test_regime_parent_needs_every_regime_value(self):
         rows = {(t, f): (0.5, 0.5) for t in BIN for f in BIN}  # no row for the idle regime
-        cpts = {"T*": Cpt("T*", (), {(): (0.4, 0.6)}), "Y": Cpt("Y", ("T", "F_T"), rows)}
+        cpts = {"T*": Cpt((), {(): (0.4, 0.6)}), "Y": Cpt(("T", "F_T"), rows)}
         with pytest.raises(ModelError, match="'Y' has no row"):
-            MultiRegimeModel(
-                "itt", {"T*": BIN, "T": BIN, "Y": BIN}, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
-            )
+            MultiRegimeModel({"T*": BIN, "T": BIN, "Y": BIN}, cpts=cpts, regimes={"F_T": ("T", "T*")})
 
     def test_itt_source_may_have_fewer_states_than_its_target(self):
-        cpts = {"T*": Cpt("T*", (), {(): (0.4, 0.6)}), "Y": Cpt("Y", ("T",), {(t,): (0.5, 0.5) for t in (0, 1, 2)})}
-        model = MultiRegimeModel(
-            "itt", {"T*": BIN, "T": (0, 1, 2), "Y": BIN}, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"}
-        )
+        cpts = {"T*": Cpt((), {(): (0.4, 0.6)}), "Y": Cpt(("T",), {(t,): (0.5, 0.5) for t in (0, 1, 2)})}
+        model = MultiRegimeModel({"T*": BIN, "T": (0, 1, 2), "Y": BIN}, cpts=cpts, regimes={"F_T": ("T", "T*")})
         assert model.joint({"F_T": IDLE}).marginal(["T"]).probs.tolist() == [0.4, 0.6, 0.0]
         assert model.joint({"F_T": 2}).marginal(["T"]).probs.tolist() == [0.0, 0.0, 1.0]
 
@@ -338,7 +328,7 @@ class TestCptValidation:
     def test_variable_cap_is_checked_before_compiling(self, n):
         # No CPTs: compiling would fail with "missing CPT", so the cap must come first.
         with pytest.raises(ModelError, match=f"more than {MAX_VARIABLES} stochastic variables"):
-            MultiRegimeModel("itt", {f"V{i}": (0,) for i in range(n)})
+            MultiRegimeModel({f"V{i}": (0,) for i in range(n)})
 
     def test_nan_probability(self, corpus_dir):
         doc = json.loads((corpus_dir / "models" / "itt_example.json").read_text())
@@ -385,6 +375,11 @@ class TestRawValidation:
             entry["assignment"]["F_S"] = IDLE
         doc["raw_regimes"].append({"assignment": {"F_T": 0, "F_S": 1}, "probs": [0.125] * 8})
         with pytest.raises(ModelError, match=r"no raw table for regime assignment \{'F_S': 0, 'F_T': '~'\}"):
+            model_from_json(doc)
+        # Given no tables at all, a model is still raw, and its one regime still needs them.
+        doc = raw_doc(corpus_dir)
+        doc["raw_regimes"] = []
+        with pytest.raises(ModelError, match=r"no raw table for regime assignment \{'F_T': '~'\}"):
             model_from_json(doc)
 
     def test_different_regime_names(self, corpus_dir):
@@ -590,7 +585,7 @@ def _with_covariate(seed, response_uses_itt=False, randomised=False):
         "T*": random_cpt(rng, "T*", t_star_parents, states),
         "Y": random_cpt(rng, "Y", y_parents, states),
     }
-    return MultiRegimeModel("itt", states, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"})
+    return MultiRegimeModel(states, cpts=cpts, regimes={"F_T": ("T", "T*")})
 
 
 class TestInterventionalQuery:
@@ -633,7 +628,7 @@ class TestGFormula:
 
     def test_positivity_violation(self):
         m = random_two_stage_model(0)
-        m = replace(m, cpts={**m.cpts, "X0*": Cpt("X0*", (), {(): (0.0, 1.0)})})
+        m = replace(m, cpts={**m.cpts, "X0*": Cpt((), {(): (0.0, 1.0)})})
         # X0=0 never happens observationally
         with pytest.raises(ModelError, match="positivity"):
             gformula_eval(m, ("Y", 1), ("X0", 0), ("X1", 0), "Z")
@@ -717,12 +712,10 @@ class TestMargin:
                 continue
             sub = m._margins[variables]
             checked = MultiRegimeModel(
-                "itt",
                 {v: s for v, s in m.states.items() if v in keep},
                 latent=m.latent & keep,
                 cpts={v: cpt for v, cpt in m.cpts.items() if v in keep},
-                regimes={r: t for r, t in m.regimes.items() if r in keep},
-                itt_of={t: s for t, s in m.itt_of.items() if t in keep},
+                regimes={r: pair for r, pair in m.regimes.items() if r in keep},
             )
             assert sub == checked and set(sub.variables) == set(checked.variables) and sub.dag == checked.dag
             order = [checked.variables.index(v) for v in sub.variables]
@@ -820,7 +813,7 @@ class TestAce:
         rng = np.random.default_rng(0)
         states = {"T*": (0, 1, 2), "T": (0, 1, 2), "Y": BIN}
         cpts = {"T*": random_cpt(rng, "T*", (), states), "Y": random_cpt(rng, "Y", ("T",), states)}
-        m = MultiRegimeModel("itt", states, cpts=cpts, regimes={"F_T": "T"}, itt_of={"T": "T*"})
+        m = MultiRegimeModel(states, cpts=cpts, regimes={"F_T": ("T", "T*")})
         with pytest.raises(ModelError, match="binary"):
             ace(m, "Y", "T")
 
@@ -854,8 +847,9 @@ class TestSimulateStudy:
         assert (r.treated_mean is None) != (r.control_mean is None)
 
     def test_n_must_be_positive(self):
-        with pytest.raises(ModelError):
-            simulate_study(SPEC, 0, 1)
+        for n, message in ((0, "n must be at least 1"), (MAX_UNITS + 1, "n must be at most 10000000")):
+            with pytest.raises(ModelError, match=message):
+                simulate_study(SPEC, n, 1)
 
     def test_observational_arm_mean(self):
         assert arm_mean(SPEC, 1) == pytest.approx(0.7)
@@ -879,7 +873,7 @@ def with_sorted_outcomes(study):
     ys = study.states["Y"]
     order = sorted(range(len(ys)), key=ys.__getitem__)
     rows = {k: tuple(p[i] for i in order) for k, p in study.cpts["Y"].table.items()}
-    y = Cpt("Y", study.cpts["Y"].parents, rows)
+    y = Cpt(study.cpts["Y"].parents, rows)
     return replace(study, states={**study.states, "Y": tuple(ys[i] for i in order)}, cpts={**study.cpts, "Y": y})
 
 
@@ -980,18 +974,16 @@ def assert_built_from(model: MultiRegimeModel, doc: dict) -> None:
     """`model` holds exactly the variables, regimes, CPTs and raw tables that
     the model document `doc` spells out, and nothing more."""
     variables, regimes = doc["variables"], doc.get("regimes", [])
-    assert model.mode == doc["mode"]
     assert list(model.states.items()) == [(v["name"], tuple(v["states"])) for v in variables]
-    assert model.regimes == {r["name"]: r["target"] for r in regimes}
-    assert model.itt_of == {r["target"]: r["itt"] for r in regimes if "itt" in r}
+    assert model.regimes == {r["name"]: (r["target"], r["itt"]) for r in regimes}
     if doc["mode"] == "itt":
         assert model.latent == {v["name"] for v in variables if v.get("latent")}
         assert {n.name for n in model.dag.nodes if n.deterministic} == {
             v["name"] for v in variables if v.get("deterministic")
         }
         rows = {c["child"]: {tuple(r["parents"]): tuple(r["probs"]) for r in c["rows"]} for c in doc["cpts"]}
-        assert model.cpts == {c["child"]: Cpt(c["child"], tuple(c["parents"]), rows[c["child"]]) for c in doc["cpts"]}
-        assert model.raw_regimes == {}
+        assert model.cpts == {c["child"]: Cpt(tuple(c["parents"]), rows[c["child"]]) for c in doc["cpts"]}
+        assert model.raw_regimes is None
     else:
         assert model.latent == frozenset() and model.cpts == {}
         tables = {tuple(sorted(t["assignment"].items())): t["probs"] for t in doc["raw_regimes"]}
