@@ -89,6 +89,7 @@ def eliminate_nodes(dag: Dag, drop: frozenset[str] | set[str]) -> Dag:
         return dag
     retained = [v for v in topological_order(dag) if v not in drop]
     edges: set[tuple[str, str]] = set()
+    adj: dict[str, set[str]] = {}
     for i, v in enumerate(retained):
         # v's parents are its Markov boundary among its predecessors: each u
         # that v depends on given the rest.  d-separation satisfies
@@ -97,9 +98,10 @@ def eliminate_nodes(dag: Dag, drop: frozenset[str] | set[str]) -> Dag:
         # query v _||_ u | pre - {u} reads the moral graph of the ancestral
         # set of pre + {v}, where a path from v to u avoids pre - {u} iff its
         # inner nodes lie outside pre: so u is a parent iff it neighbours a
-        # node that v reaches through nodes outside pre.
+        # node that v reaches through nodes outside pre.  That moral graph
+        # grows from the previous node's by v's new ancestors.
         pre = frozenset(retained[:i])
-        adj = moral_adjacency(dag, retained[: i + 1])
+        moral_adjacency(dag, (v,), adj)
         edges.update((u, v) for w in moral_reach(adj, (v,), pre) for u in adj[w] & pre)
     # Dropped ITT parents leave the deterministic/dashed annotations moot.
     kept_dashed = {(e.src, e.dst) for e in dag.edges if e.dashed and e.src not in drop and e.dst not in drop}

@@ -12,9 +12,11 @@ Two permanently maintained, independent criteria:
   sweeps propagate them until nothing changes.
 
 Both must always agree; the test suite compares them on random graphs.
-The enumerations (`implied_statements`, `separations_agree`) seed the same
-pass with one bit per (stochastic source, subset of the enumerated names), so
-one pass per graph answers every source, conditioning set and right-hand node.
+The enumerations (`implied_statements`, `separations_agree`) seed the pass
+with one bit per (stochastic source, subset of the enumerated names), so one
+pass per graph answers every source, conditioning set and right-hand node.
+`implied_statements` numbers the subsets in the order its statements come
+out in; `separations_agree` numbers each by its bit mask.
 Pinned regime terms (``F=x``) first restrict the graph (removing the
 dashed intention-to-treat edge when the pin is non-idle) and then join
 the conditioning set as ordinary nodes, together with every deterministic
@@ -129,14 +131,22 @@ def _enumeration_names(over: Iterable[str], *dags: Dag) -> list[str]:
     return names
 
 
-def _slices(dag: Dag, names: list[str]) -> tuple[list[str], dict[str, int], dict[str, int], int]:
-    """The enumerations' one pass: the stochastic `names` of `dag` as
-    sources, each name's conditioning bits, each source's seed bits, and
-    every bit.  Bit s·2**n + k answers for the s-th source under
-    conditioning set k: the k-th subset of the n `names` by size and then
-    in `combinations` order, the order the statements come out in."""
+def _sources(dag: Dag, names: list[str]) -> tuple[list[str], dict[str, int], int]:
+    """The stochastic `names` of `dag` as sources, each source's seed bits,
+    and every bit: bit s·2**n + k answers for the s-th source under the
+    k-th subset of the n `names`."""
     n = len(names)
     sources = [a for a in names if dag.kind_of(a) == STOCHASTIC]
+    seeds = {a: ((1 << (1 << n)) - 1) << (s << n) for s, a in enumerate(sources)}
+    return sources, seeds, (1 << (len(sources) << n)) - 1
+
+
+def _slices(dag: Dag, names: list[str]) -> tuple[list[str], dict[str, int], dict[str, int], int]:
+    """`_sources` and each name's conditioning bits, with the subsets of the
+    n `names` numbered by size and then in `combinations` order, the order
+    `implied_statements` lists its statements in."""
+    n = len(names)
+    sources, seeds, full = _sources(dag, names)
     # For i from n - 1 down to 0, bit t of member[j][k] says names[j] is in
     # the t-th k-subset of names[i:], of which there are counts[k]: names[i]
     # with each (k-1)-subset of names[i + 1:], then the k-subsets of names[i + 1:]
@@ -148,14 +158,14 @@ def _slices(dag: Dag, names: list[str]) -> tuple[list[str], dict[str, int], dict
                 sizes[k] = sizes[k - 1] | sizes[k] << counts[k - 1]
             member[i][k] = (1 << counts[k - 1]) - 1
             counts[k] += counts[k - 1]
-    full, offsets = (1 << (len(sources) << n)) - 1, list(accumulate(counts, initial=0))
+    offsets = list(accumulate(counts, initial=0))
     in_cond = {}
     for name, sizes in zip(names, member):
         bits = sum(size_bits << offset for size_bits, offset in zip(sizes, offsets))
         for m in range(n, n + (len(sources) - 1).bit_length()):  # a copy per source's block, by doubling
             bits |= bits << (1 << m)
         in_cond[name] = bits & full
-    return sources, in_cond, {a: ((1 << (1 << n)) - 1) << (s << n) for s, a in enumerate(sources)}, full
+    return sources, in_cond, seeds, full
 
 
 # Bit k of a mask, lowest first, as byte k (0 or 1): `compress` selectors.
@@ -197,6 +207,9 @@ def separations_agree(dag: Dag, other: Dag, over: Iterable[str]) -> bool:
     listed pair (under a set that holds `a`, nothing is reached).
     """
     names = _enumeration_names(over, dag, other)
-    _, in_cond, seeds, full = _slices(dag, names)
+    _, seeds, full = _sources(dag, names)
+    # Subset k holds names[j] iff bit j of k is set: bit j of the slice
+    # numbers repeats 2**j zeros and 2**j ones, one copy per 2**(j+1) bits.
+    in_cond = {a: full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j)) for j, a in enumerate(names)}
     reached, other_reached = (_active_trails(graph, in_cond, full, seeds) for graph in (dag, other))
     return all(reached[b] == other_reached[b] for b in names)

@@ -189,13 +189,20 @@ def moral_graph(dag: Dag, restrict_to: Iterable[str]) -> tuple[frozenset[str], f
     return frozenset(adj), frozenset(frozenset((a, b)) for a in adj for b in adj[a])
 
 
-def moral_adjacency(dag: Dag, restrict_to: Iterable[str]) -> dict[str, set[str]]:
+def moral_adjacency(
+    dag: Dag, restrict_to: Iterable[str], adj: dict[str, set[str]] | None = None
+) -> dict[str, set[str]]:
     """The moralised ancestral subgraph as each node's set of neighbours: the ancestral
-    closure of `restrict_to`, with co-parents married and edge directions dropped."""
-    keep = dag.ancestors(restrict_to)
-    adj: dict[str, set[str]] = {v: set() for v in keep}
-    for v in keep:
-        parents = dag._parent_map[v]  # `ancestors` checked every name in `keep`, which is ancestrally closed
+    closure of `restrict_to`, with co-parents married and edge directions dropped.
+
+    Given `adj`, the moral graph of an ancestral set, grows it in place to the one of
+    that set and `restrict_to`: a moral edge comes from one node's parent set only."""
+    adj = {} if adj is None else adj
+    new = dag.ancestors(restrict_to).difference(adj)
+    for v in new:
+        adj[v] = set()
+    for v in new:
+        parents = dag._parent_map[v]  # `ancestors` checked every name, and the parents are in `adj` by now
         adj[v] |= parents
         for p in parents:
             adj[p].add(v)

@@ -177,6 +177,12 @@ class MultiRegimeModel:
     raw_regimes: dict[tuple, np.ndarray] | None = None  # a raw model's flat joint table per sorted regime assignment
 
     def __post_init__(self) -> None:
+        for kind, names in (("variable", self.states), ("regime", self.regimes)):
+            bad = next((name for name in names if not isinstance(name, str)), None)
+            if bad is not None:  # names are sorted and compared, so one type for all
+                raise ModelError(f"{kind} name {bad!r} is not a string")
+        if self.raw_regimes is not None and self.cpts:
+            raise ModelError("a raw model takes no CPTs")
         for name, values in self.states.items():
             bad = next((s for s in values if isinstance(s, (list, dict))), None)
             if bad is not None:

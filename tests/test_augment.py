@@ -13,7 +13,7 @@ from dtcausal.augment import (
     rule_applicability,
 )
 from dtcausal.dsep import implied_statements, separated, separations_agree
-from dtcausal.graph import Dag, Edge, GraphError, Node, surgery, topological_order
+from dtcausal.graph import Dag, Edge, GraphError, Node, moral_adjacency, moral_reach, surgery, topological_order
 
 from conftest import (
     itt_ignorable_dag,
@@ -64,6 +64,18 @@ def loop_eliminate(dag: Dag, drop: frozenset[str] | set[str]) -> Dag:
     if not separations_agree(dag, out, retained):
         raise ProjectionError("not DAG-projectable")
     return out
+
+
+def prefix_rebuild_edges(dag: Dag, drop: frozenset[str] | set[str]) -> set[tuple[str, str]]:
+    """Reference: the parent edges `eliminate_nodes` picks, rebuilding the
+    moral graph of each retained prefix's ancestral set from scratch."""
+    retained = [v for v in topological_order(dag) if v not in drop]
+    edges = set()
+    for i, v in enumerate(retained):
+        pre = frozenset(retained[:i])
+        adj = moral_adjacency(dag, retained[: i + 1])
+        edges.update((u, v) for w in moral_reach(adj, (v,), pre) for u in adj[w] & pre)
+    return edges
 
 
 class TestPlan:
@@ -224,6 +236,36 @@ class TestEliminate:
             assert eliminate_nodes(dag, drop) == want
             outcomes.append("projected")
         assert set(outcomes) == {"refused", "projected"}
+
+
+    def test_grown_moral_graph_gives_the_prefix_rebuild_edges(self):
+        # Random DAGs with regime founders, their ITT splits, and
+        # benchmark-shaped splits; a refused projection is checked too.
+        rng = np.random.default_rng(40)
+        cases = []
+        for _ in range(30):
+            obs = random_dag(rng, max_nodes=8, regime_prob=0.0)
+            plan = InterventionPlan(tuple(v for v in topological_order(obs) if rng.random() < 0.5))
+            itt = build_itt_dag(obs, plan)
+            dag = random_dag(rng, max_nodes=8)
+            cases += [
+                (dag, {v for v in sorted(dag.node_names) if rng.random() < 0.35}),
+                (itt, {itt_name(t) for t in plan.targets}),
+                benchmark_shaped_projection(rng),
+            ]
+        outcomes = set()
+        for dag, drop in cases:
+            if not drop or len(drop) == len(dag.nodes):
+                continue
+            want = prefix_rebuild_edges(dag, drop)
+            try:
+                got = eliminate_nodes(dag, drop)
+            except ProjectionError:
+                outcomes.add("refused")
+                continue
+            assert {(e.src, e.dst) for e in got.edges} == want
+            outcomes.add("projected")
+        assert outcomes == {"refused", "projected"}
 
 
 def benchmark_shaped_projection(rng: np.random.Generator) -> tuple[Dag, set[str]]:

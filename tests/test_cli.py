@@ -1190,6 +1190,22 @@ class TestJsonShape:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("variables", 2, "name"), 5, "error: variable name 5 is not a string\n"),
+            (("regimes", 0, "name"), 7, "error: regime name 7 is not a string\n"),
+        ],
+        ids=["variable", "regime"],
+    )
+    def test_name_that_is_not_a_string_is_named(self, capsys, tmp_path, path, value, message):
+        # Names are sorted together, so a number among them once surfaced as
+        # a comparison error whose operand order followed the hash seed.
+        target = tmp_path / "itt_example.json"
+        target.write_text(json.dumps(replaced(json.loads((MODELS / "itt_example.json").read_text()), path, value)))
+        code, out, err = run(capsys, *(str(target) if a == "{}" else a for a in JSON_INPUTS["itt_example.json"]))
+        assert (code, out, err) == (2, "", message)
+
     @given(site=st.sampled_from(JSON_SITES), data=st.data())
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_value_of_another_type_is_not_an_internal_error(self, tmp_path_factory, site, data):

@@ -13,6 +13,7 @@ from dtcausal.eci import (
     _apply_axiom,
     _Closure,
     _normalise,
+    _refuted,
     closure,
     derivable,
 )
@@ -490,3 +491,101 @@ def test_causal_input_closure_is_d_separation():
             and (dag.kind_of(min(s.right)) == REGIME or min(s.left) < min(s.right))
         }
         assert elementary == set(implied_statements(dag, dag.node_names)), seed
+
+
+# -- the premises' candidate DAG refutes before the closure runs --------------
+
+
+def closure_answer(premises, target, universe, flag):
+    """Reference: `derivable` without the refutation, running `_Closure` directly."""
+    t = _normalise(universe.to_triple(target))
+    if t is None:
+        return True, ProofTrace((ProofStep("P2", (), target),))
+    engine = _Closure(universe, flag)
+    engine.run([universe.to_triple(p) for p in premises], t)
+    return (True, engine.trace(t)) if t in engine.derivation else (False, None)
+
+
+def random_statement(rng, names, max_left):
+    """A random statement over `names`: a left side of one to `max_left`
+    names, a nonempty right side and any conditioning set of the rest."""
+    order = rng.sample(names, len(names))
+    cut = rng.randint(1, min(max_left, len(names) - 1))
+    end = rng.randint(cut + 1, len(names))
+    given = [v for v in order[end:] if rng.random() < 0.5]
+    text = f"{', '.join(order[:cut])} _||_ {', '.join(order[cut:end])}" + (f" | {', '.join(given)}" if given else "")
+    return ps(text)
+
+
+def refutation_case(seed):
+    """Three to five variables, zero to two of them regimes, with a causal
+    input list in a random order or with two to four random premises; and
+    four random targets plus up to two members of the premises' closure."""
+    rng = random.Random(seed)
+    names = [f"V{i}" for i in range(rng.randint(3, 5))]
+    regimes = names[: rng.randint(0, 2)]
+    universe = Universe.of(names[len(regimes):], regimes)
+    if seed % 2:
+        premises = [random_statement(rng, names, rng.choice((1, 2))) for _ in range(rng.randint(2, 4))]
+    else:
+        # The regimes are founders; each later name gets random parents.
+        premises = []
+        for i, v in enumerate(names):
+            parents = frozenset(p for p in names[:i] if v not in regimes and rng.random() < 0.5)
+            if frozenset(names[:i]) - parents:
+                premises.append(EciStatement(frozenset({v}), frozenset(names[:i]) - parents, parents))
+        rng.shuffle(premises)
+    flag = rng.random() < 0.5
+    derived = sorted(closure(premises, universe, regimes_as_stochastic=flag), key=str)
+    targets = [random_statement(rng, names, 2) for _ in range(4)] + rng.sample(derived, min(2, len(derived)))
+    return premises, universe, flag, targets
+
+
+def test_refutation_keeps_every_answer_and_trace():
+    """A refuted target is never derivable, so `derivable` answers as the
+    closure alone does; the candidate DAG refutes many of the rest."""
+    refuted = underivable = derived = 0
+    for seed in range(60):
+        premises, universe, flag, targets = refutation_case(seed)
+        triples = [universe.to_triple(p) for p in premises]
+        for target in targets:
+            want = closure_answer(premises, target, universe, flag)
+            assert derivable(premises, target, universe, regimes_as_stochastic=flag) == want, (seed, target)
+            t = _normalise(universe.to_triple(target))
+            hit = t is not None and _refuted(triples, t, universe)
+            assert not (hit and want[0]), (seed, target)
+            derived += want[0]
+            underivable += not want[0]
+            refuted += hit
+    assert derived >= 100 and underivable >= 100
+    assert refuted >= underivable / 4, (refuted, underivable)
+
+
+def test_refuted_chain_target_skips_the_closure(monkeypatch):
+    """On the 9-variable Markov chain, whose full closure takes most of a
+    second, a target the chain d-connects is answered without closing."""
+    premises, universe = markov_chain(9)
+    target = ps("V1 _||_ V3 | V5")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(_Closure, "run", fail)
+    assert derivable(premises, target, universe) == (False, None)
+
+
+@pytest.mark.parametrize(
+    "premises",
+    [
+        [ps("V1, V2 _||_ V3 | V4")],  # a left side of two names
+        [ps("V1 _||_ V4 | V2"), ps("V1 _||_ V4 | V3")],  # two parent sets for V1
+        [ps("V1 _||_ V4 | V2"), ps("V2 _||_ V4 | V1")],  # parents in a cycle
+    ],
+    ids=["wide-left", "two-parent-sets", "cycle"],
+)
+def test_no_candidate_dag_refutes_nothing(premises):
+    """Each list has no candidate DAG, though a DAG that gave the wide
+    left side the parent V4, or V1 its first parent set, would refute."""
+    universe = Universe.of(["V1", "V2", "V3", "V4"])
+    target = universe.to_triple(ps("V1 _||_ V2"))
+    assert not _refuted([universe.to_triple(p) for p in premises], target, universe)

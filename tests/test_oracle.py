@@ -390,6 +390,11 @@ class TestRawValidation:
         ):
             model_from_json(doc)
 
+    def test_cpts_refused(self, corpus_dir):
+        model = model_from_json(raw_doc(corpus_dir))
+        with pytest.raises(ModelError, match=r"^a raw model takes no CPTs$"):
+            replace(model, cpts={"T*": Cpt((), {(): (0.5, 0.5)})})
+
     def test_joint_equals_stored_table(self, corpus_dir):
         doc = raw_doc(corpus_dir)
         m = model_from_json(doc)
