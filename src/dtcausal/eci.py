@@ -27,6 +27,7 @@ grows about fourfold in size and fivefold in time per variable: on a
 `derivable` stops as soon as its target is derived, so it often takes
 far less than a full closure.  Before closing, it tries the premises'
 candidate DAG, whose parents come from the premises with one name on the
+left, with a complete DAG in universe order over the names on no premise's
 left: a target that DAG does not d-separate, while it separates every
 premise, fails in a distribution faithful to the DAG (Geiger, Verma &
 Pearl 1990; Meek 1995), so no sound rule derives it, and it is answered
@@ -354,7 +355,12 @@ def _refuted(triples: list[Triple], target: Triple, universe: Universe) -> bool:
 
     Each normalised premise gives its one left name its conditioning set as
     parents, the regimes being plain nodes; a wider left side, a second
-    parent set for a name or a cycle leaves no candidate.
+    parent set for a name or a cycle leaves no candidate.  The names on no
+    premise's left are joined by a complete DAG in universe order.  That
+    closes no cycle, since each such name has parents only among earlier
+    ones, and keeps every premise's answer: a premise is a local statement
+    of its left name, and the added edges change neither that name's
+    parents nor its descendants.  They only d-connect more targets.
     """
     premises = [p for p in map(_normalise, triples) if p is not None]
     parents: dict[int, int] = {}
@@ -362,6 +368,8 @@ def _refuted(triples: list[Triple], target: Triple, universe: Universe) -> bool:
         if l & (l - 1) or parents.setdefault(l, g) != g:
             return False
     edges = [Edge(p, name) for l, g in parents.items() for name in universe.names(l) for p in universe.names(g)]
+    free = [name for i, (name, _) in enumerate(universe.variables) if 1 << i not in parents]
+    edges += [Edge(a, b) for i, a in enumerate(free) for b in free[i + 1:]]
     try:
         dag = Dag.of([Node(name) for name, _ in universe.variables], edges)
     except GraphError:

@@ -117,9 +117,9 @@ class JointTable:
         return tuple(idx)
 
     def conditional(self, target: Sequence[str], event: Mapping[str, State]) -> np.ndarray | None:
-        """Flat distribution over the joint states of `target` given `event`;
-        None when the event's probability is at most ZERO_TOL, decided
-        before any reduction."""
+        """Flat distribution over the joint states of `target` given `event`,
+        row-major in the order `target` lists its variables; None when the
+        event's probability is at most ZERO_TOL, decided before any reduction."""
         remaining = [v for v in self.variables if v not in event]
         for v in target:
             if v not in remaining:
@@ -132,7 +132,7 @@ class JointTable:
         axes = tuple(remaining.index(v) for v in target)
         other = tuple(i for i in range(len(remaining)) if remaining[i] not in target)
         flat = sub.sum(axis=other) if other else sub
-        flat = np.moveaxis(flat, tuple(range(len(axes))), tuple(np.argsort(axes))) if axes else flat
+        flat = flat.transpose([sorted(axes).index(a) for a in axes]) if len(axes) > 1 else flat  # table to target order
         return (flat / total).reshape(-1)
 
     def expectation(self, var: str, event: Mapping[str, State] | None = None) -> float:
@@ -143,8 +143,8 @@ class JointTable:
         if var in event:
             raise ModelError(f"{var!r} is both a target and in the conditioning event")
         remaining = [v for v in self.variables if v not in event]
-        cells = np.moveaxis(self.probs[self._index(event)], remaining.index(var), 0)
-        rows = cells.reshape(len(values), -1).tolist()  # one row of masses per value of var
+        cells = self.probs[self._index(event)].transpose(sorted(range(len(remaining)), key=lambda i: remaining[i] != var))
+        rows = cells.reshape(len(values), -1).tolist()  # var's axis first, the rest in order: one row of masses per value
         total = math.fsum(itertools.chain.from_iterable(rows))
         if total <= ZERO_TOL:
             raise ModelError("conditioning event has zero probability")

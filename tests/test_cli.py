@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import shlex
 import subprocess
@@ -1233,27 +1234,41 @@ def text_names(path) -> list[str]:
     return sorted(set().union(*(s.variables() for s in statements.parse_premise_file(path.read_text()))))
 
 
+MUTATIONS = ("drop", "duplicate", "move", "swap")
+
+
+def mutate(lines: list[str], kind: str, integer, pair) -> list[str]:
+    """`lines` with one mutation of `kind`: a line dropped, duplicated or
+    moved, or two tokens swapped.  `integer(lo, hi)` draws an int in
+    [lo, hi] and `pair(spans)` two distinct token spans, in order."""
+    i = integer(0, max(0, len(lines) - 1))
+    if kind == "drop" and lines:
+        del lines[i]
+    elif kind == "duplicate" and lines:
+        lines.insert(integer(0, len(lines)), lines[i])
+    elif kind == "move" and lines:
+        lines.insert(integer(0, len(lines) - 1), lines.pop(i))
+    elif kind == "swap":
+        text = "\n".join(lines)
+        spans = [m.span() for m in TEXT_TOKEN.finditer(text)]
+        if len(spans) >= 2:
+            (a, b), (c, d) = pair(spans)
+            lines = (text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]).split("\n")
+    return lines
+
+
 @st.composite
 def mutated_text(draw):
-    """A corpus file's suffix, names and text with one to three mutations: a
-    line dropped, duplicated or moved, or two tokens swapped."""
+    """A corpus file's suffix, names and text with one to three mutations."""
     path = draw(st.sampled_from(TEXT_INPUTS))
     lines = path.read_text().splitlines()
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("drop", "duplicate", "move", "swap")))
-        i = draw(st.integers(0, max(0, len(lines) - 1)))
-        if kind == "drop" and lines:
-            del lines[i]
-        elif kind == "duplicate" and lines:
-            lines.insert(draw(st.integers(0, len(lines))), lines[i])
-        elif kind == "move" and lines:
-            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
-        elif kind == "swap":
-            text = "\n".join(lines)
-            spans = [m.span() for m in TEXT_TOKEN.finditer(text)]
-            if len(spans) >= 2:
-                (a, b), (c, d) = sorted(draw(st.lists(st.sampled_from(spans), min_size=2, max_size=2, unique=True)))
-                lines = (text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]).split("\n")
+        lines = mutate(
+            lines,
+            draw(st.sampled_from(MUTATIONS)),
+            lambda lo, hi: draw(st.integers(lo, hi)),
+            lambda spans: sorted(draw(st.lists(st.sampled_from(spans), min_size=2, max_size=2, unique=True))),
+        )
     return path.suffix, text_names(path), "".join(line + "\n" for line in lines)
 
 
@@ -1286,6 +1301,74 @@ class TestTextFuzz:
                 code = main(argv)
             assert code in (0, 1, 2, 3), (argv, text, err.getvalue())
             assert "internal error" not in err.getvalue(), (argv, text)
+
+
+def seeded_fuzz_commands(directory, count: int) -> list[list[str]]:
+    """TestTextFuzz's commands on `count` mutations of each corpus text file,
+    mutation k drawn with `random.Random(k)`; each mutated file is written
+    to `directory`."""
+    commands = []
+    for path in TEXT_INPUTS:
+        for k in range(count):
+            rng = random.Random(k)
+            lines = path.read_text().splitlines()
+            for _ in range(rng.randint(1, 3)):
+                lines = mutate(lines, rng.choice(MUTATIONS), rng.randint, lambda spans: sorted(rng.sample(spans, 2)))
+            target = str(directory / f"{path.stem}_{k}{path.suffix}")
+            with open(target, "w") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+            names = text_names(path)
+            names = rng.sample(names, len(names))
+            a, b, c = rng.randint(1, 2), rng.randint(1, 2), rng.randint(0, 2)
+            query = f"{', '.join(names[:a])} _||_ {', '.join(names[a:a + b])}"
+            if names[a + b:a + b + c]:
+                query += f" | {', '.join(names[a + b:a + b + c])}"
+            if path.suffix == ".eci":
+                commands.append(["derive", target, "--target", query])
+            else:
+                commands += [
+                    ["render", target, "--dot", "-"],
+                    ["augment", target, "--itt"],
+                    ["project", target, "--drop", ",".join(names[:a])],
+                    ["dsep", target, "--query", query],
+                ]
+    return commands
+
+
+def test_fuzzed_text_gives_the_same_bytes_under_every_hash_seed(tmp_path):
+    """Each exit code, stdout and stderr of the seeded mutations is the same
+    under two string-hashing seeds, run as concurrent child processes.
+    Each child builds the argument parser once: rebuilding it is most of a
+    call's time, and parsing leaves it as it was."""
+    cases = tmp_path / "commands.json"
+    cases.write_text(json.dumps(seeded_fuzz_commands(tmp_path, 40)))
+    script = textwrap.dedent(
+        f"""
+        import contextlib, functools, io, json
+        from dtcausal import cli
+
+        cli._build_parser = functools.cache(cli._build_parser)
+        for argv in json.load(open({str(cases)!r})):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            print(json.dumps([code, out.getvalue(), err.getvalue()]))
+        """
+    )
+    src = str(pathlib.Path(dtcausal.__file__).resolve().parent.parent)
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", script], cwd=CORPUS.parent, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        for seed in ("0", "3")
+    ]
+    (out0, err0), (out3, err3) = (child.communicate(timeout=120) for child in children)
+    assert [child.returncode for child in children] == [0, 0], (err0, err3)
+    transcript = [json.loads(line) for line in out0.splitlines()]
+    assert len(transcript) == len(json.loads(cases.read_text()))
+    assert {code for code, _, _ in transcript} == {0, 1, 2, 3}
+    assert out0 == out3
 
 
 class TestRender:

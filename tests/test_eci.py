@@ -574,6 +574,20 @@ def test_refuted_chain_target_skips_the_closure(monkeypatch):
     assert derivable(premises, target, universe) == (False, None)
 
 
+@pytest.mark.parametrize("target", ["V0 _||_ V1", "V0 _||_ V4 | V8", "V1 _||_ V0 | V6", "V0 _||_ V2 | V5"])
+def test_premise_free_names_are_joined_in_the_candidate(monkeypatch, target):
+    """The chain's premises start at V2, so V0 and V1 are on no premise's
+    left; only the edge the candidate adds between them d-connects these
+    targets, which are answered without closing."""
+    premises, universe = markov_chain(9)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(_Closure, "run", fail)
+    assert derivable(premises, ps(target), universe) == (False, None)
+
+
 @pytest.mark.parametrize(
     "premises",
     [

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import random
 import time
 from dataclasses import replace
 
@@ -16,6 +18,7 @@ from dtcausal.oracle import (
     MAX_VARIABLES,
     ZERO_TOL,
     Cpt,
+    JointTable,
     ModelError,
     MultiRegimeModel,
     StudyResult,
@@ -145,6 +148,67 @@ class TestJoint:
         m = random_itt_nonignorable_model(3)
         with pytest.raises(ModelError, match="domain"):
             m.joint({"F_T": 7})
+
+
+def moveaxis_conditional(table, target, event):
+    """`JointTable.conditional`'s reduction before its target-order transpose,
+    kept as the reference the fast path must equal."""
+    remaining = [v for v in table.variables if v not in event]
+    sub = table.probs[table._index(event)]
+    total = float(sub.sum())
+    if total <= ZERO_TOL:
+        return None
+    axes = tuple(remaining.index(v) for v in target)
+    other = tuple(i for i in range(len(remaining)) if remaining[i] not in target)
+    flat = sub.sum(axis=other) if other else sub
+    flat = np.moveaxis(flat, tuple(range(len(axes))), tuple(np.argsort(axes))) if axes else flat
+    return (flat / total).reshape(-1)
+
+
+def moveaxis_expectation(table, var, event):
+    """`JointTable.expectation` before its axis-first transpose; None for an
+    event of zero mass."""
+    values = table.states[table.axis(var)]
+    remaining = [v for v in table.variables if v not in event]
+    cells = np.moveaxis(table.probs[table._index(event)], remaining.index(var), 0)
+    rows = cells.reshape(len(values), -1).tolist()
+    total = math.fsum(itertools.chain.from_iterable(rows))
+    if total <= ZERO_TOL:
+        return None
+    return math.fsum(float(s) * p for s, row in zip(values, rows) for p in row) / total
+
+
+def test_conditional_and_expectation_match_the_moveaxis_reference():
+    """On seeded tables of 1-5 variables with 1-3 states and some zero cells,
+    every target size in random order and events over 0 to n-k other
+    variables give the reference's arrays, shapes and floats exactly."""
+    rng = random.Random(0)
+    nones = reordered = 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        names = [f"V{i}" for i in range(n)]
+        states = tuple(tuple(rng.sample((-2, 0, 1, 2.5, 7), rng.randint(1, 3))) for _ in names)
+        probs = np.array([rng.random() if rng.random() < 0.6 else 0.0 for _ in range(math.prod(map(len, states)))])
+        table = JointTable(tuple(names), states, probs.reshape([len(s) for s in states]))
+        for k in range(1, n + 1):
+            target = rng.sample(names, k)
+            others = [v for v in names if v not in target]
+            given = rng.sample(others, rng.randint(0, len(others)))
+            event = {v: rng.choice(table.states[table.axis(v)]) for v in given}
+            new, old = table.conditional(target, event), moveaxis_conditional(table, target, event)
+            nones += old is None
+            reordered += k > 1 and target != sorted(target)
+            assert (new is None) == (old is None)
+            if old is not None:
+                assert new.shape == old.shape and np.array_equal(new, old), (table, target, event)
+            var = target[0]
+            old = moveaxis_expectation(table, var, event)
+            if old is None:
+                with pytest.raises(ModelError, match="zero probability"):
+                    table.expectation(var, event)
+            else:
+                assert table.expectation(var, event).hex() == old.hex(), (table, var, event)
+    assert nones >= 20 and reordered >= 100, (nones, reordered)
 
 
 def loop_joint(model, regime):
